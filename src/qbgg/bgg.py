@@ -9,9 +9,10 @@ linear algebra on weight slices.
 from __future__ import annotations
 
 from .cartan import ParabolicData, RootSystem, Weight
-from .qfield import QMatrix, RatFunc, rank
+from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
+                     rank)
 from .reps import levi_irrep
-from .uqalg import AlgElement, UqAlgebra, add_into
+from .uqalg import AlgElement, UqAlgebra, scaled
 from .verma import (SliceFamily, StandardMapFamily, dot_offset)
 
 
@@ -384,64 +385,52 @@ class TensorFiber:
         for i in sorted(self.P.S):
             letters.append(("F", i))
             letters.append(("E", i))
-        # echelonized reached vectors with their algebra expressions
-        basis_vecs: list[list[RatFunc]] = []
-        basis_elts: list[AlgElement] = []
-        piv: list[int] = []
+        # reached vectors in echelon form; row p of `ech` is the image of
+        # the generator under row_elts[p]
+        ech = Echelon()
+        row_elts: dict[int, AlgElement] = {}
 
-        def insert(vec: list[RatFunc], elt: AlgElement) -> bool:
-            vec = list(vec)
-            elt = dict(elt)
-            for bv, be, pc in zip(basis_vecs, basis_elts, piv):
-                if not vec[pc].is_zero():
-                    f = vec[pc] / bv[pc]
-                    for k in range(n):
-                        if not bv[k].is_zero():
-                            vec[k] = vec[k] - f * bv[k]
-                    add_into(elt, be, -f)
-            pc = next((k for k in range(n) if not vec[k].is_zero()), None)
-            if pc is None:
+        def insert(vec: dict[int, RatFunc], elt: AlgElement) -> bool:
+            combo: dict[int, RatFunc] = {}
+            res = ech.reduce(vec, combo)
+            if not res:
                 return False
-            basis_vecs.append(vec)
-            basis_elts.append(elt)
-            piv.append(pc)
+            p = ech.insert(res)
+            elt = dict(elt)
+            for pc, f in combo.items():
+                add_into(elt, row_elts[pc], -f)
+            row_elts[p] = scaled(elt, res[p].inverse())
             return True
 
-        gen_vec = [RatFunc.zero()] * n
-        gen_vec[self.gen_index] = RatFunc.one()
+        gen_vec = {self.gen_index: RatFunc.one()}
         insert(gen_vec, self.uq.one())
         frontier = [(gen_vec, self.uq.one())]
-        while frontier and len(basis_vecs) < n:
+        while frontier and len(ech) < n:
             nxt = []
             for vec, elt in frontier:
                 for letter in letters:
                     mat = self.generator_matrix(letter)
-                    nv = [RatFunc.zero()] * n
-                    for c in range(n):
-                        if not vec[c].is_zero():
-                            for r in range(n):
-                                if not mat[r][c].is_zero():
-                                    nv[r] = nv[r] + mat[r][c] * vec[c]
+                    nv: dict[int, RatFunc] = {}
+                    for c, x in vec.items():
+                        add_into(nv, {r: mat[r][c] for r in range(n)
+                                      if not mat[r][c].is_zero()}, x)
                     gelt = uq.F(letter[1]) if letter[0] == "F" else uq.E(letter[1])
                     nelt = uq.multiply(gelt, elt)
-                    if any(not x.is_zero() for x in nv) and insert(nv, nelt):
+                    if nv and insert(nv, nelt):
                         nxt.append((nv, nelt))
             frontier = nxt
-        assert len(basis_vecs) == n, "fiber is not cyclic over the Levi part"
+        if len(ech) != n:
+            raise CertificationError("fiber is not cyclic over the Levi part")
         # solve for each standard basis vector
-        lift: list[AlgElement] = [None] * n  # type: ignore[list-item]
+        lift: list[AlgElement] = []
         for idx in range(n):
-            vec = [RatFunc.one() if k == idx else RatFunc.zero() for k in range(n)]
+            combo: dict[int, RatFunc] = {}
+            if ech.reduce({idx: RatFunc.one()}, combo):
+                raise CertificationError("cyclic solve failed")
             elt: AlgElement = {}
-            for bv, be, pc in zip(basis_vecs, basis_elts, piv):
-                if not vec[pc].is_zero():
-                    f = vec[pc] / bv[pc]
-                    for k in range(n):
-                        if not bv[k].is_zero():
-                            vec[k] = vec[k] - f * bv[k]
-                    add_into(elt, be, f)
-            assert all(x.is_zero() for x in vec), "cyclic solve failed"
-            lift[idx] = elt
+            for pc, f in combo.items():
+                add_into(elt, row_elts[pc], f)
+            lift.append(elt)
         self._lift = lift
         return lift
 
@@ -484,11 +473,10 @@ class WSlice:
             self._offset[(cf, ce, t)] = pos
             pos += self.ws.get(cf).dim * self.ws.get(ce).dim
         self.total = pos
-        self._pivrows: dict[int, dict[int, RatFunc]] = {}
+        self._ech = Echelon()
         for row in self._absorption_rows():
-            self._insert_row(row)
-        piv_set = set(self._pivrows)
-        self._basis_pos = [k for k in range(self.total) if k not in piv_set]
+            self._ech.insert(row)
+        self._basis_pos = [k for k in range(self.total) if k not in self._ech.rows]
 
     @property
     def dim(self) -> int:
@@ -532,26 +520,6 @@ class WSlice:
             out = [c + (v,) for c in out for v in range(cap[i] + 1)]
         return out
 
-    def _insert_row(self, row: dict[int, RatFunc]) -> bool:
-        row = {k: v for k, v in row.items() if not v.is_zero()}
-        while row:
-            pc = min(row)
-            pr = self._pivrows.get(pc)
-            if pr is None:
-                inv = row[pc].inverse()
-                self._pivrows[pc] = {k: v * inv for k, v in row.items()}
-                return True
-            f = row.pop(pc)
-            for k, v in pr.items():
-                if k == pc:
-                    continue
-                cur = row.get(k, RatFunc.zero()) - f * v
-                if cur.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = cur
-        return False
-
     def _absorb_k(self, kv: tuple[int, ...], ce: tuple[int, ...], t: int) -> RatFunc:
         """Scalar from moving K^kv rightward past an E-word of content ce
         onto the fiber vector."""
@@ -592,15 +560,8 @@ class WSlice:
             for fi, a in enumerate(fc):
                 if a.is_zero():
                     continue
-                for ei, b in enumerate(ec):
-                    if b.is_zero():
-                        continue
-                    k = off + fi * edim + ei
-                    cur = vec.get(k, RatFunc.zero()) + scal * a * b
-                    if cur.is_zero():
-                        vec.pop(k, None)
-                    else:
-                        vec[k] = cur
+                add_into(vec, {off + fi * edim + ei: b for ei, b in enumerate(ec)
+                               if not b.is_zero()}, scal * a)
         return vec
 
     def _absorption_rows(self) -> list[dict[int, RatFunc]]:
@@ -632,35 +593,17 @@ class WSlice:
                                 if sub is None:
                                     full = False
                                     break
-                                for k, val in sub.items():
-                                    cur = row.get(k, RatFunc.zero()) - w * val
-                                    if cur.is_zero():
-                                        row.pop(k, None)
-                                    else:
-                                        row[k] = cur
+                                add_into(row, sub, -w)
                             if full:
                                 rows.append(row)
         return rows
-
-    def reduce_sparse(self, vec: dict[int, RatFunc]) -> dict[int, RatFunc]:
-        for pc in sorted(self._pivrows):
-            f = vec.get(pc)
-            if f is None or f.is_zero():
-                continue
-            for k, v in self._pivrows[pc].items():
-                cur = vec.get(k, RatFunc.zero()) - f * v
-                if cur.is_zero():
-                    vec.pop(k, None)
-                else:
-                    vec[k] = cur
-        return vec
 
     def reduce_applied(self, x: AlgElement, t: int) -> list[RatFunc]:
         """Coordinates of (algebra element) acting on fiber basis vector t."""
         vec = self._free_vector(x, t)
         if vec is None:
             raise TruncationError("element leaves the window")
-        vec = self.reduce_sparse(vec)
+        vec = self._ech.reduce(vec)
         return [vec.get(k, RatFunc.zero()) for k in self._basis_pos]
 
     def oracle_dim(self) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 RootCoords = tuple[int, ...]
 
@@ -260,10 +259,6 @@ class RootSystem:
                         out += x * y * self.d[j] * self.cartan_inv[j][i]
         return out
 
-    def inner_root_weight(self, beta: RootCoords, w: Weight) -> int:
-        """(beta, w) for beta in root coordinates; always an integer."""
-        return sum(c * self.d[j] * w.coords[j] for j, c in enumerate(beta))
-
     def pairing_coroot(self, w: Weight, i: int) -> int:
         """<w, alpha_i^vee> = coordinate of w at the fundamental weight i."""
         return w.coords[i - 1]
@@ -280,11 +275,6 @@ class RootSystem:
 
     def highest_root(self) -> RootCoords:
         return self.positive_roots[-1]
-
-
-@lru_cache(maxsize=None)
-def root_system(name: str) -> RootSystem:
-    return RootSystem(name)
 
 
 class ParabolicData:
@@ -347,7 +337,3 @@ class ParabolicData:
 
     def is_S_dominant(self, w: Weight) -> bool:
         return all(w.coords[i - 1] >= 0 for i in sorted(self.S))
-
-
-def parabolic(rs: RootSystem, S) -> ParabolicData:
-    return ParabolicData(rs, frozenset(S))

@@ -47,6 +47,16 @@ def _parse_parabolic(args) -> ParabolicData:
     return ParabolicData(rs, S)
 
 
+def _check_window(args) -> None:
+    """Reject windows that would make a check cover no cases."""
+    height = getattr(args, "height", None)
+    if height is not None and height < 0:
+        raise UsageError("--height must be at least 0")
+    box = getattr(args, "box", None)
+    if box is not None and min(box) < 1:
+        raise UsageError("--box caps must be at least 1")
+
+
 def _check(checks: list, check_id: str, context: str, fn) -> bool:
     t0 = time.monotonic()
     try:
@@ -390,6 +400,7 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
     key = (args.command, getattr(args, "sub", None))
     try:
+        _check_window(args)
         return DISPATCH[key](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -1,15 +1,24 @@
 """Exact arithmetic in Q(q) and exact linear algebra over it.
 
 Elements of Q(q) are stored as normalized fractions of integer Laurent
-polynomials in q.  All computations are exact; an optional evaluation
-shortcut (at a rational point q0) is used only to guide pivot selection,
-never to certify a result.
+polynomials in q.  All computations are exact.  Linear algebra has two
+paths:
+
+* `Echelon`, a sparse incremental row echelon with leftmost pivots, for
+  quotients built one relation at a time (Serre quotients, module slices,
+  cyclic lifts) and for reducing vectors modulo them;
+* batch fraction-free (Bareiss) elimination over Z[q, q^-1] behind `rank`,
+  `kernel_basis` and `solve`.  There an optional evaluation point q0 only
+  guides pivot selection, never certifies a result.
 """
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd as _intgcd
-from typing import Iterable, Iterator
+from typing import Hashable, Iterable, Iterator, TypeVar
+
+Key = TypeVar("Key", bound=Hashable)
 
 
 class Laurent:
@@ -86,10 +95,6 @@ class Laurent:
             out[e] = v // n
         return Laurent(out)
 
-    def bar(self) -> "Laurent":
-        """Substitute q -> q^-1."""
-        return Laurent({-e: v for e, v in self.c.items()})
-
     def __add__(self, other: "Laurent") -> "Laurent":
         c = dict(self.c)
         for e, v in other.c.items():
@@ -120,14 +125,6 @@ class Laurent:
                     c.pop(e, None)
         out = Laurent()
         out.c = c
-        return out
-
-    def __pow__(self, n: int) -> "Laurent":
-        if n < 0:
-            raise ValueError("negative power of a Laurent polynomial")
-        out = Laurent.const(1)
-        for _ in range(n):
-            out = out * self
         return out
 
     def __eq__(self, other: object) -> bool:
@@ -373,13 +370,6 @@ def qint(n: int, d: int = 1) -> RatFunc:
     return RatFunc(out.scale_int(sign), _normalized=True)
 
 
-def qfactorial(n: int, d: int = 1) -> RatFunc:
-    out = RatFunc.one()
-    for k in range(2, n + 1):
-        out = out * qint(k, d)
-    return out
-
-
 def qbinomial(n: int, k: int, d: int = 1) -> RatFunc:
     """Gaussian binomial coefficient at q^d; always a Laurent polynomial."""
     if not 0 <= k <= n:
@@ -392,8 +382,78 @@ def qbinomial(n: int, k: int, d: int = 1) -> RatFunc:
     return RatFunc(laurent_divexact(num, den), _normalized=True)
 
 
+def add_into(acc: dict[Key, RatFunc], other: dict[Key, RatFunc],
+             scale: RatFunc | None = None) -> None:
+    """acc += scale * other on sparse vectors, dropping entries that cancel."""
+    for k, c in other.items():
+        v = c if scale is None else c * scale
+        cur = acc.get(k)
+        s = v if cur is None else cur + v
+        if s.is_zero():
+            acc.pop(k, None)
+        else:
+            acc[k] = s
+
+
 # ---------------------------------------------------------------------------
 # exact linear algebra
+
+
+class CertificationError(Exception):
+    """An exact computation disagreed with its independent check."""
+
+
+class Echelon:
+    """Sparse incremental row echelon over Q(q) with leftmost pivots.
+
+    `rows[p]` is the row whose leftmost nonzero column is p, scaled so that
+    entry is 1; only the entries right of the pivot are stored.  Each row is
+    reduced against the rows present when it is inserted, so it is zero on
+    their pivots and eliminating it touches fewer later pivots.  With leftmost
+    pivots the pivot set depends only on the span of the inserted rows, and
+    the residue of a vector off the pivots is unique, so neither depends on
+    the insertion order.
+    """
+
+    __slots__ = ("rows", "_order")
+
+    def __init__(self):
+        self.rows: dict[int, dict[int, RatFunc]] = {}
+        self._order: list[int] = []  # pivots, ascending
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def insert(self, vec: dict[int, RatFunc]) -> int | None:
+        """Add vec to the span; return its new pivot, or None when vec
+        already lies in the span."""
+        vec = self.reduce(vec)
+        if not vec:
+            return None
+        p = min(vec)
+        inv = vec.pop(p).inverse()
+        self.rows[p] = {k: v * inv for k, v in vec.items()}
+        insort(self._order, p)
+        return p
+
+    def reduce(self, vec: dict[int, RatFunc],
+               combo: dict[int, RatFunc] | None = None) -> dict[int, RatFunc]:
+        """Residue of vec modulo the span, which is zero on every pivot.
+
+        Pivots are eliminated in ascending order.  If `combo` is given, the
+        coefficient of each row used is recorded in it, so that
+        vec = residue + sum(combo[p] * row p)."""
+        vec = {k: v for k, v in vec.items() if not v.is_zero()}
+        for p in self._order:
+            if not vec:
+                break
+            f = vec.pop(p, None)
+            if f is None:
+                continue
+            add_into(vec, self.rows[p], -f)
+            if combo is not None:
+                combo[p] = f
+        return vec
 
 
 class SolveInconsistent(Exception):
@@ -430,13 +490,6 @@ class QMatrix:
             cols = len(rows[0]) if rows else 0
         return QMatrix(len(rows), cols, [list(r) for r in rows])
 
-    def row(self, i: int) -> list[RatFunc]:
-        return self.entries[i]
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def matmul(self, other: "QMatrix") -> "QMatrix":
         assert self.cols == other.rows
         out = QMatrix(self.rows, other.cols)
@@ -464,9 +517,6 @@ class QMatrix:
 
     def evaluate(self, q0: Fraction) -> list[list[Fraction]]:
         return [[e.evaluate(q0) for e in row] for row in self.entries]
-
-
-_EVAL_POINTS = (Fraction(7, 3), Fraction(5, 2), Fraction(11, 4))
 
 
 def _clear_row_denominators(rows: list[list[RatFunc]]) -> list[list[Laurent]]:

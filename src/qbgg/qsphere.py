@@ -9,7 +9,8 @@ actions of the raising and lowering generators on column indices.
 """
 from __future__ import annotations
 
-from .qfield import (QMatrix, RatFunc, kernel_basis, normalize_vector, rank)
+from .qfield import (QMatrix, RatFunc, add_into, kernel_basis, normalize_vector,
+                     rank)
 
 # normal monomial: exponents (i, j, k, l) of a^i b^j c^k d^l with i*l == 0
 Mono = tuple[int, int, int, int]
@@ -30,25 +31,11 @@ def gen(x: str) -> Elem:
     return {tuple(m): RatFunc.one()}
 
 
-def add_into(acc: Elem, other: Elem, scale: RatFunc | None = None) -> None:
-    for m, c in other.items():
-        v = c if scale is None else c * scale
-        cur = acc.get(m, RatFunc.zero()) + v
-        if cur.is_zero():
-            acc.pop(m, None)
-        else:
-            acc[m] = cur
-
-
 def _normalize(m: Mono, coeff: RatFunc, out: Elem) -> None:
     """Resolve mixed a/d monomials with ad = 1 + q^{-1} bc."""
     i, j, k, l = m
     if i == 0 or l == 0:
-        cur = out.get(m, RatFunc.zero()) + coeff
-        if cur.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = cur
+        add_into(out, {m: coeff})
         return
     # a^i b^j c^k d^l = q^{-(j+k)} a^{i-1} b^j c^k (1 + q^{-1} b c) d^{l-1}
     f = coeff * RatFunc.q_power(-(j + k))
@@ -131,11 +118,7 @@ def _apply_E(vec: dict) -> dict:
                 for t in range(s + 1, len(J)):
                     f = f * RatFunc.q_power(1 if J[t] == 1 else -1)
                 K = J[:s] + (1,) + J[s + 1:]
-                cur = out.get(K, RatFunc.zero()) + f
-                if cur.is_zero():
-                    out.pop(K, None)
-                else:
-                    out[K] = cur
+                add_into(out, {K: f})
     return out
 
 
@@ -148,11 +131,7 @@ def _apply_F(vec: dict) -> dict:
                 for t in range(s):
                     f = f * RatFunc.q_power(-1 if J[t] == 1 else 1)
                 K = J[:s] + (2,) + J[s + 1:]
-                cur = out.get(K, RatFunc.zero()) + f
-                if cur.is_zero():
-                    out.pop(K, None)
-                else:
-                    out[K] = cur
+                add_into(out, {K: f})
     return out
 
 

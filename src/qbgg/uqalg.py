@@ -14,22 +14,12 @@ free word spaces in wordspace.py style helpers below.
 from __future__ import annotations
 
 from .cartan import RootSystem
-from .qfield import Laurent, RatFunc, qbinomial
+from .qfield import (CertificationError, Echelon, Laurent, RatFunc, add_into,
+                     qbinomial)
 
 # normal monomial: (F indices, K exponent vector, E indices), all 1-based indices
 NormalWord = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 AlgElement = dict[NormalWord, RatFunc]
-
-
-def add_into(acc: AlgElement, other: AlgElement, scale: RatFunc | None = None) -> None:
-    for nw, c in other.items():
-        v = c if scale is None else c * scale
-        cur = acc.get(nw)
-        s = v if cur is None else cur + v
-        if s.is_zero():
-            acc.pop(nw, None)
-        else:
-            acc[nw] = s
 
 
 def scaled(x: AlgElement, c: RatFunc) -> AlgElement:
@@ -222,22 +212,12 @@ class UqAlgebra:
                 for (a, b), cc in cur.items():
                     for la, lb in parts:
                         ea = {a: RatFunc.one()} if la is None else self._mul_letter(a, la)
+                        eb = {b: RatFunc.one()} if lb is None else self._mul_letter(b, lb)
                         for nwa, ca in ea.items():
-                            eb = {b: RatFunc.one()} if lb is None else self._mul_letter(b, lb)
-                            for nwb, cb in eb.items():
-                                key = (nwa, nwb)
-                                v = nxt.get(key, RatFunc.zero()) + cc * ca * cb
-                                if v.is_zero():
-                                    nxt.pop(key, None)
-                                else:
-                                    nxt[key] = v
+                            add_into(nxt, {(nwa, nwb): cb for nwb, cb in eb.items()},
+                                     cc * ca)
                 cur = nxt
-            for key, v in cur.items():
-                tot = out.get(key, RatFunc.zero()) + v
-                if tot.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = tot
+            add_into(out, cur)
         return out
 
     def adjoint(self, u: AlgElement, x: AlgElement) -> AlgElement:
@@ -278,8 +258,7 @@ class NMinusWeightSpace:
         rs = uq.rs
         self.words = sorted(_words_of_content(beta))
         self.index = {w: k for k, w in enumerate(self.words)}
-        rel_rows: list[list[RatFunc]] = []
-        n = len(self.words)
+        self._ech = Echelon()
         r = rs.rank
         for i in range(1, r + 1):
             for j in range(1, r + 1):
@@ -297,39 +276,32 @@ class NMinusWeightSpace:
                     right_content = tuple(a - b for a, b in zip(rest, left_content))
                     for left in _words_of_content(left_content):
                         for right in _words_of_content(right_content):
-                            row = [RatFunc.zero()] * n
-                            for sword, c in serre.items():
-                                row[self.index[left + sword + right]] = c
-                            rel_rows.append(row)
-        self.rel_rows = rel_rows
-        self._ech, self._piv = _echelon_ratfunc(rel_rows, n)
-        piv_set = set(self._piv)
-        self.basis_words = [w for k, w in enumerate(self.words) if k not in piv_set]
-        self.basis_index = {w: k for k, w in enumerate(self.basis_words)}
+                            self._ech.insert({self.index[left + sword + right]: c
+                                              for sword, c in serre.items()})
+        # word indices of the basis words: the columns without a pivot
+        self.basis_pos = [k for k in range(len(self.words)) if k not in self._ech.rows]
+        self.basis_words = [self.words[k] for k in self.basis_pos]
         if check_dim:
             from .reps import kostant_partition
             expect = kostant_partition(rs, beta)
-            assert len(self.basis_words) == expect, (
-                "weight space dimension %d != partition count %d at %s"
-                % (len(self.basis_words), expect, beta))
+            if self.dim != expect:
+                raise CertificationError(
+                    "weight space dimension %d != partition count %d at %s"
+                    % (self.dim, expect, beta))
 
     @property
     def dim(self) -> int:
         return len(self.basis_words)
 
+    def residue(self, vec_by_word: dict[tuple[int, ...], RatFunc]) -> dict[int, RatFunc]:
+        """Reduce a free-word vector modulo the relation span; the result is
+        keyed by word index and supported on the basis words."""
+        return self._ech.reduce({self.index[w]: c for w, c in vec_by_word.items()})
+
     def reduce_coords(self, vec_by_word: dict[tuple[int, ...], RatFunc]) -> list[RatFunc]:
-        """Reduce a free-word vector modulo the relation span; coordinates in
-        the basis words."""
-        vec = [RatFunc.zero()] * len(self.words)
-        for w, c in vec_by_word.items():
-            vec[self.index[w]] = vec[self.index[w]] + c
-        for row, pc in zip(self._ech, self._piv):
-            if not vec[pc].is_zero():
-                f = vec[pc] / row[pc]
-                for j in range(pc, len(self.words)):
-                    if not row[j].is_zero():
-                        vec[j] = vec[j] - f * row[j]
-        return [vec[self.index[w]] for w in self.basis_words]
+        """Coordinates of a free-word vector in the basis words."""
+        res = self.residue(vec_by_word)
+        return [res.get(k, RatFunc.zero()) for k in self.basis_pos]
 
     def reduce_element(self, x: AlgElement) -> list[RatFunc]:
         """Reduce an element supported on pure F-words of weight beta."""
@@ -373,26 +345,6 @@ def _split_contents(content: tuple[int, ...]) -> list[tuple[int, ...]]:
     return out
 
 
-def _echelon_ratfunc(rows: list[list[RatFunc]], cols: int):
-    """Row echelon over Q(q) (first nonzero pivot), returning (rows, pivots)."""
-    ech: list[list[RatFunc]] = []
-    piv: list[int] = []
-    for row in rows:
-        vec = list(row)
-        for erow, pc in zip(ech, piv):
-            if not vec[pc].is_zero():
-                f = vec[pc] / erow[pc]
-                for j in range(len(vec)):
-                    if not erow[j].is_zero():
-                        vec[j] = vec[j] - f * erow[j]
-        pc = next((j for j in range(cols) if not vec[j].is_zero()), None)
-        if pc is not None:
-            ech.append(vec)
-            piv.append(pc)
-    order = sorted(range(len(piv)), key=lambda k: piv[k])
-    return [ech[k] for k in order], [piv[k] for k in order]
-
-
 class _WeightSpaceCache:
     def __init__(self, uq: UqAlgebra):
         self.uq = uq
@@ -404,104 +356,3 @@ class _WeightSpaceCache:
             ws = NMinusWeightSpace(self.uq, beta)
             self._spaces[beta] = ws
         return ws
-
-
-def _canonical_coords(uq: UqAlgebra, cache: _WeightSpaceCache, x: AlgElement,
-                      side: str) -> tuple[tuple[int, ...], list[RatFunc]] | None:
-    """Serre-reduced coordinates of a homogeneous triangular element.
-
-    Side "F": element must be supported on pure F-monomials.  Side "E":
-    element must be of the form (E-word combination) * K_{-beta}, the
-    K-dressing carried by generators of the form E_i K_i^{-1}.
-    Returns (beta, coords) or None when the element reduces to zero.
-    """
-    if not x:
-        return None
-    by_word: dict[tuple[int, ...], RatFunc] = {}
-    beta = None
-    for (fw, kv, ew), c in x.items():
-        if side == "F":
-            if ew or any(kv):
-                raise AssertionError("saturation left the lower triangular part")
-            word = fw
-            content = [0] * uq.r
-            for j in fw:
-                content[j - 1] += 1
-        else:
-            if fw:
-                raise AssertionError("saturation left the upper triangular part")
-            word = ew
-            content = [0] * uq.r
-            for j in ew:
-                content[j - 1] += 1
-            if tuple(kv) != tuple(-c2 for c2 in content):
-                raise AssertionError("unexpected K-dressing in saturation")
-        if beta is None:
-            beta = tuple(content)
-        elif beta != tuple(content):
-            raise AssertionError("saturation produced a non-homogeneous element")
-        by_word[word] = by_word.get(word, RatFunc.zero()) + c
-    ws = cache.get(beta)
-    coords = ws.reduce_coords(by_word)
-    if all(c.is_zero() for c in coords):
-        return None
-    return beta, coords
-
-
-def tangent_space(uq: UqAlgebra, S: frozenset[int] | set[int], s: int,
-                  side: str = "F", max_dim: int = 500) -> list[AlgElement]:
-    """Saturate the span of (ad of the Levi generators) applied to F_s
-    (side "F") or to E_s K_s^{-1} (side "E").
-
-    Elements are canonicalized modulo Serre relations per weight component,
-    which makes the saturation terminate.
-    """
-    if side == "F":
-        seed = uq.F(s)
-    elif side == "E":
-        seed = uq.multiply(uq.E(s), uq.K(s, -1))
-    else:
-        raise ValueError("side must be 'F' or 'E'")
-    gens = []
-    for i in sorted(S):
-        gens.append(uq.E(i))
-        gens.append(uq.F(i))
-    cache = _WeightSpaceCache(uq)
-    span: list[AlgElement] = []
-    ech_rows: list[tuple[dict, object]] = []  # (coord dict keyed (beta, idx), lead key)
-
-    def insert(x: AlgElement) -> bool:
-        can = _canonical_coords(uq, cache, x, side)
-        if can is None:
-            return False
-        beta, coords = can
-        vec = {(beta, k): c for k, c in enumerate(coords) if not c.is_zero()}
-        for row, lead in ech_rows:
-            if lead in vec:
-                f = vec[lead] / row[lead]
-                for key, c in row.items():
-                    cur = vec.get(key, RatFunc.zero()) - f * c
-                    if cur.is_zero():
-                        vec.pop(key, None)
-                    else:
-                        vec[key] = cur
-        if not vec:
-            return False
-        lead = sorted(vec)[0]
-        ech_rows.append((vec, lead))
-        span.append(x)
-        return True
-
-    frontier = [seed]
-    insert(seed)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = uq.adjoint(g, x)
-                if y and insert(y):
-                    nxt.append(y)
-                    if len(span) > max_dim:
-                        raise AssertionError("tangent space saturation exceeded cap")
-        frontier = nxt
-    return span

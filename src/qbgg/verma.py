@@ -9,9 +9,9 @@ normal-form engine and kill the highest weight vector.
 from __future__ import annotations
 
 from .cartan import ParabolicData, RootSystem, Weight
-from .qfield import QMatrix, RatFunc, kernel_basis, normalize_vector
-from .uqalg import (AlgElement, NMinusWeightSpace, UqAlgebra,
-                    _echelon_ratfunc, _words_of_content)
+from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
+                     kernel_basis, normalize_vector)
+from .uqalg import AlgElement, NMinusWeightSpace, UqAlgebra, _words_of_content
 
 
 def _offset_coords(rs: RootSystem, lam: Weight, nu: Weight) -> tuple[int, ...] | None:
@@ -36,7 +36,7 @@ class ModuleSlice:
         self.beta = beta
         self.S = frozenset(S)
         self.ws = NMinusWeightSpace(uq, beta)
-        extra_rows: list[list[RatFunc]] = []
+        self._ech = Echelon()
         rs = uq.rs
         for i in sorted(self.S):
             m = lam.coords[i - 1] + 1
@@ -48,13 +48,10 @@ class ModuleSlice:
                 continue
             tail = (i,) * m
             for u in _words_of_content(tuple(rest)):
-                coords = self.ws.reduce_coords({u + tail: RatFunc.one()})
-                extra_rows.append(coords)
-        self._ech, self._piv = _echelon_ratfunc(extra_rows, self.ws.dim)
-        piv_set = set(self._piv)
-        self.basis_words = [w for k, w in enumerate(self.ws.basis_words)
-                            if k not in piv_set]
-        self._basis_pos = [k for k in range(self.ws.dim) if k not in piv_set]
+                self._ech.insert(self.ws.residue({u + tail: RatFunc.one()}))
+        # columns are word indices of the Serre quotient's basis words
+        self._basis_pos = [k for k in self.ws.basis_pos if k not in self._ech.rows]
+        self.basis_words = [self.ws.words[k] for k in self._basis_pos]
         if check_dim and self.S:
             from .reps import gvm_char
             ht = sum(beta)
@@ -62,23 +59,18 @@ class ModuleSlice:
             ch = gvm_char(P, lam, ht)
             target = lam - rs.root_to_weight(beta)
             expect = ch.get(target, 0)
-            assert self.dim == expect, (
-                "induced module slice dim %d != character value %d at %s"
-                % (self.dim, expect, beta))
+            if self.dim != expect:
+                raise CertificationError(
+                    "induced module slice dim %d != character value %d at %s"
+                    % (self.dim, expect, beta))
 
     @property
     def dim(self) -> int:
         return len(self.basis_words)
 
     def reduce_coords(self, vec_by_word) -> list[RatFunc]:
-        coords = self.ws.reduce_coords(vec_by_word)
-        for row, pc in zip(self._ech, self._piv):
-            if not coords[pc].is_zero():
-                f = coords[pc] / row[pc]
-                for j in range(len(coords)):
-                    if not row[j].is_zero():
-                        coords[j] = coords[j] - f * row[j]
-        return [coords[k] for k in self._basis_pos]
+        res = self._ech.reduce(self.ws.residue(vec_by_word))
+        return [res.get(k, RatFunc.zero()) for k in self._basis_pos]
 
     def reduce_element(self, x: AlgElement) -> list[RatFunc]:
         by_word: dict[tuple[int, ...], RatFunc] = {}
@@ -114,12 +106,7 @@ def evaluate_on_highest(uq: UqAlgebra, lam: Weight, x: AlgElement) -> dict[tuple
         if ew:
             continue
         exp = sum(kv[j] * rs.d[j] * lam.coords[j] for j in range(rs.rank))
-        v = c * RatFunc.q_power(exp)
-        cur = out.get(fw, RatFunc.zero()) + v
-        if cur.is_zero():
-            out.pop(fw, None)
-        else:
-            out[fw] = cur
+        add_into(out, {fw: c}, RatFunc.q_power(exp))
     return out
 
 
@@ -206,14 +193,7 @@ class LowestSliceFamily:
         uq = self.uq
         rs = uq.rs
         head, rest = word[0], word[1:]
-        out: dict[tuple[int, ...], RatFunc] = {}
-        for w2, c in self.f_apply(i, rest).items():
-            key = (head,) + w2
-            cur = out.get(key, RatFunc.zero()) + c
-            if cur.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = cur
+        out = {(head,) + w2: c for w2, c in self.f_apply(i, rest).items()}
         if head == i:
             # F_i E_i = E_i F_i - (K_i - K_i^{-1}) / (q^{d_i} - q^{-d_i})
             content = [0] * rs.rank
@@ -224,11 +204,7 @@ class LowestSliceFamily:
             den = uq._efden[i]
             scal = (self._k_scalar(kvp, tuple(content))
                     - self._k_scalar(kvm, tuple(content))) / den
-            cur = out.get(rest, RatFunc.zero()) - scal
-            if cur.is_zero():
-                out.pop(rest, None)
-            else:
-                out[rest] = cur
+            add_into(out, {rest: -scal})
         return out
 
     def f_action_matrix(self, beta: tuple[int, ...], i: int) -> QMatrix:
@@ -263,12 +239,6 @@ class LowestSliceFamily:
             assert not fw and all(e == 0 for e in kv)
             by_word[ew] = by_word.get(ew, RatFunc.zero()) + c
         return self.space(beta).reduce_coords(by_word)
-
-
-def arrow_offset(G, a) -> tuple[int, ...]:
-    """Content of the intertwiner for an arrow: source dot-weight minus
-    target dot-weight in root coordinates (for mu = 0)."""
-    return dot_offset(G, a.source, a.target, Weight((0,) * G.P.rs.rank))
 
 
 def dot_offset(G, w_short, w_long, mu: Weight) -> tuple[int, ...]:

@@ -92,15 +92,6 @@ class WeylGroup:
     def product(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return self._by_matrix[_mat_mul(a.matrix, b.matrix)]
 
-    def inverse(self, w: WeylElement) -> WeylElement:
-        return self._by_matrix[w.inv_matrix]
-
-    def from_word(self, word: tuple[int, ...]) -> WeylElement:
-        out = _identity(self.rs.rank)
-        for i in word:
-            out = _mat_mul(out, self.simple_mats[i])
-        return self._by_matrix[out]
-
     def act_root(self, w: WeylElement, beta: tuple[int, ...]) -> tuple[int, ...]:
         r = self.rs.rank
         return tuple(sum(w.matrix[i][j] * beta[j] for j in range(r)) for i in range(r))
@@ -278,12 +269,6 @@ class BruhatGraph:
 
     def sign(self, a: WeylElement, b: WeylElement) -> int:
         return self.signs[(a.matrix, b.matrix)]
-
-    def arrows_from(self, w: WeylElement) -> list[Arrow]:
-        return [a for a in self.arrows if a.source.matrix == w.matrix]
-
-    def arrows_into(self, w: WeylElement) -> list[Arrow]:
-        return [a for a in self.arrows if a.target.matrix == w.matrix]
 
 
 def kostant_decompose(P: ParabolicData, W: WeylGroup, w: WeylElement,

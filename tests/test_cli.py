@@ -32,6 +32,23 @@ def test_usage_errors_exit_two(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["bgg", "verify", "--type", "A2", "--s", "1", "--height", "-1"],
+    ["all", "--type", "A1", "--s", "", "--height", "-1"],
+    ["double", "verify", "--type", "A2", "--s", "1", "--box", "0,0"],
+    ["double", "verify", "--type", "A2", "--s", "1", "--box", "2,0"],
+    ["all", "--type", "A1", "--s", "", "--box", "0,1"],
+])
+def test_empty_windows_exit_two_before_building(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a coset graph for an invalid window")
+    monkeypatch.setattr("qbgg.cli.BruhatGraph", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_reports_deterministic(capsys):
     def snapshot():
         code, rep = _run(capsys, ["weyl", "graph", "--type", "A2", "--s", "1"])

@@ -2,10 +2,16 @@
 dimensions of the lower triangular part."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qbgg
 from qbgg.cartan import RootSystem
 from qbgg.qfield import RatFunc
 from qbgg.reps import kostant_partition
@@ -184,6 +190,36 @@ def test_weight_space_dims_match_partition(name):
                 beta = (a, b)
                 assert NMinusWeightSpace(uq, beta).dim == \
                     kostant_partition(rs, beta)
+
+
+_WRONG_COUNT_SCRIPT = """
+import sys
+from qbgg import reps
+from qbgg.cartan import RootSystem
+from qbgg.qfield import CertificationError
+from qbgg.uqalg import NMinusWeightSpace, UqAlgebra
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+reps.kostant_partition = lambda rs, beta: 3
+try:
+    ws = NMinusWeightSpace(UqAlgebra(RootSystem("A2")), (1, 1))
+except CertificationError as exc:
+    print("refused:", exc)
+else:
+    print("accepted dim", ws.dim)
+"""
+
+
+def test_weight_space_certificate_survives_optimize():
+    # python -O strips assert statements; the Kostant count check must still
+    # refuse a wrong partition count (the true dimension at (1, 1) is 2)
+    src = str(Path(qbgg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_COUNT_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused:"), proc.stdout
 
 
 def test_adjoint_action_weight(uq_a2):
