@@ -209,7 +209,8 @@ class LeviModuleData:
             self.slices[off] = sl
             for k in range(sl.dim):
                 self.basis.append((off, k))
-        assert len(self.basis) == dim
+        if len(self.basis) != dim:
+            raise CertificationError("Levi basis count is not the dimension")
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.weights = [lam - rs.root_to_weight(off) for off, _ in self.basis]
         self._fam = fam

@@ -10,6 +10,8 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .qfield import CertificationError
+
 RootCoords = tuple[int, ...]
 
 _POS_ROOT_COUNT = {"A": lambda r: r * (r + 1) // 2, "B": lambda r: r * r,
@@ -173,8 +175,9 @@ class RootSystem:
         # bilinear form on root coordinates: (alpha_i, alpha_j) = d_i a_ij
         self.bform = [[self.d[i] * self.cartan[i][j] for j in range(self.rank)]
                       for i in range(self.rank)]
-        assert all(self.bform[i][j] == self.bform[j][i]
-                   for i in range(self.rank) for j in range(self.rank))
+        if any(self.bform[i][j] != self.bform[j][i]
+               for i in range(self.rank) for j in range(self.rank)):
+            raise CertificationError("symmetrized Cartan form is not symmetric")
         self.cartan_inv = _mat_inverse(self.cartan)
         self.positive_roots = self._build_positive_roots()
         self._check_root_count()
@@ -309,7 +312,8 @@ class ParabolicData:
             return False
         nodes = _COMINUSCULE_NODES[self.rs.ctype.family](self.rs.rank)
         by_scan = self._cominuscule_by_scan(self.s)
-        assert (self.s in nodes) == by_scan, "cominuscule table disagrees with scan"
+        if (self.s in nodes) != by_scan:
+            raise CertificationError("cominuscule table disagrees with scan")
         return by_scan
 
     def _cominuscule_by_scan(self, s: int) -> bool:

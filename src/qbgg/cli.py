@@ -57,6 +57,17 @@ def _check_window(args) -> None:
         raise UsageError("--box caps must be at least 1")
 
 
+def _chain_graph(P: ParabolicData) -> BruhatGraph:
+    """The coset graph, refused unless every level holds one coset; the
+    double complex's rows and columns are built for chains only."""
+    G = BruhatGraph(P)
+    for k, lvl in enumerate(G.levels):
+        if len(lvl) > 1:
+            raise UsageError("the double complex needs a chain coset graph; "
+                             "level %d holds %d cosets" % (k, len(lvl)))
+    return G
+
+
 def _check(checks: list, check_id: str, context: str, fn) -> bool:
     t0 = time.monotonic()
     try:
@@ -217,7 +228,7 @@ def cmd_bgg_verify(args) -> int:
 def cmd_double_verify(args) -> int:
     P = _parse_parabolic(args)
     checks: list = []
-    dc = DoubleComplex(BruhatGraph(P))
+    dc = DoubleComplex(_chain_graph(P))
     k1, k2 = args.box
 
     def anti():
@@ -263,7 +274,7 @@ def cmd_podles_demo(args) -> int:
 def cmd_all(args) -> int:
     P = _parse_parabolic(args)
     checks: list = []
-    G = BruhatGraph(P)
+    G = _chain_graph(P)
     height = args.height
     if height is None:
         height = DEFAULT_HEIGHTS.get((args.type, args.s), 3)

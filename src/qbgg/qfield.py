@@ -474,7 +474,8 @@ class QMatrix:
         self.cols = cols
         if entries is None:
             entries = [[RatFunc.zero() for _ in range(cols)] for _ in range(rows)]
-        assert len(entries) == rows and all(len(r) == cols for r in entries)
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError("entries are not %d x %d" % (rows, cols))
         self.entries = entries
 
     @staticmethod
@@ -491,7 +492,9 @@ class QMatrix:
         return QMatrix(len(rows), cols, [list(r) for r in rows])
 
     def matmul(self, other: "QMatrix") -> "QMatrix":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError("cannot multiply %d x %d by %d x %d"
+                             % (self.rows, self.cols, other.rows, other.cols))
         out = QMatrix(self.rows, other.cols)
         for i in range(self.rows):
             for k in range(self.cols):
@@ -505,7 +508,8 @@ class QMatrix:
         return out
 
     def apply(self, vec: list[RatFunc]) -> list[RatFunc]:
-        assert len(vec) == self.cols
+        if len(vec) != self.cols:
+            raise ValueError("vector length %d != %d columns" % (len(vec), self.cols))
         out = [RatFunc.zero() for _ in range(self.rows)]
         for i in range(self.rows):
             acc = RatFunc.zero()

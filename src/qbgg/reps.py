@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .cartan import ParabolicData, RootSystem, Weight
+from .qfield import CertificationError
 
 CharMap = dict[Weight, int]
 
@@ -122,7 +123,8 @@ def levi_weight_multiplicities(P: ParabolicData, lam: Weight) -> CharMap:
                 k += 1
         den = c_lam - casimir(mu)
         m = acc / den
-        assert m.denominator == 1 and m >= 0
+        if m.denominator != 1 or m < 0:
+            raise CertificationError("multiplicity %s is not a natural number" % m)
         if m:
             dom_mult[mu] = int(m)
     mult: CharMap = {}
@@ -143,7 +145,8 @@ def levi_dim_weyl(P: ParabolicData, lam: Weight) -> int:
         num *= rs.inner(lam, bw) + rs.inner(two_rho, bw) / 2
         den *= rs.inner(two_rho, bw) / 2
     d = num / den
-    assert d.denominator == 1 and d > 0
+    if d.denominator != 1 or d <= 0:
+        raise CertificationError("Weyl dimension %s is not a positive integer" % d)
     return int(d)
 
 

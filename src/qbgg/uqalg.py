@@ -307,7 +307,8 @@ class NMinusWeightSpace:
         """Reduce an element supported on pure F-words of weight beta."""
         by_word: dict[tuple[int, ...], RatFunc] = {}
         for (fw, kv, ew), c in x.items():
-            assert not ew and all(e == 0 for e in kv), "element is not in the F-part"
+            if ew or any(kv):
+                raise ValueError("element is not in the F-part")
             by_word[fw] = by_word.get(fw, RatFunc.zero()) + c
         return self.reduce_coords(by_word)
 

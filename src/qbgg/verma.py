@@ -75,7 +75,8 @@ class ModuleSlice:
     def reduce_element(self, x: AlgElement) -> list[RatFunc]:
         by_word: dict[tuple[int, ...], RatFunc] = {}
         for (fw, kv, ew), c in x.items():
-            assert not ew and all(e == 0 for e in kv)
+            if ew or any(kv):
+                raise ValueError("element is not in the F-part")
             by_word[fw] = by_word.get(fw, RatFunc.zero()) + c
         return self.reduce_coords(by_word)
 
@@ -236,7 +237,8 @@ class LowestSliceFamily:
         """Coordinates of a pure E-word element in the beta-slice basis."""
         by_word: dict[tuple[int, ...], RatFunc] = {}
         for (fw, kv, ew), c in x.items():
-            assert not fw and all(e == 0 for e in kv)
+            if fw or any(kv):
+                raise ValueError("element is not in the E-part")
             by_word[ew] = by_word.get(ew, RatFunc.zero()) + c
         return self.space(beta).reduce_coords(by_word)
 
@@ -342,7 +344,8 @@ class StandardMapFamily:
         # final verification: both composites of every square agree exactly
         for (w1, w2, w3, w4) in squares:
             r = self._square_ratio_scaled(w1, w2, w3, w4)
-            assert r == RatFunc.one(), "square normalization failed"
+            if r != RatFunc.one():
+                raise CertificationError("square normalization failed")
 
     def _composite(self, y_first: AlgElement, y_second: AlgElement,
                    w1, w4) -> list[RatFunc]:

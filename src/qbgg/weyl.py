@@ -9,8 +9,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import ParabolicData, RootSystem, Weight
+from .qfield import CertificationError
 
 Matrix = tuple[tuple[int, ...], ...]
+
+
+_CAP = 1000000  # elements a walk may store before GroupTooLarge
 
 
 class GroupTooLarge(Exception):
@@ -44,16 +48,19 @@ class WeylElement:
 
 
 class WeylGroup:
-    """The Weyl group of a root system, generated breadth-first."""
+    """The minimal representatives w of the cosets W_S w, generated breadth-first.
 
-    def __init__(self, rs: RootSystem, cap: int = 1000000,
-                 generators: tuple[int, ...] | None = None):
+    w is minimal iff w^{-1}(alpha_j) > 0 for every j in S.  Such w have no left
+    descent in S, so the set is closed under prefixes of reduced words and the
+    walk reaches each one through its lexicographically first reduced word.
+    With S empty the walk yields all of W.
+    """
+
+    def __init__(self, rs: RootSystem, S: frozenset[int] = frozenset()):
         self.rs = rs
         r = rs.rank
-        if generators is None:
-            generators = tuple(range(1, r + 1))
-        self.generators = generators
-        self.simple_mats = {i: self._simple_matrix(i) for i in generators}
+        S0 = [j - 1 for j in sorted(S)]
+        self.simple_mats = {i: self._simple_matrix(i) for i in range(1, r + 1)}
         elements: dict[Matrix, WeylElement] = {}
         e = WeylElement(_identity(r), (), _identity(r))
         elements[e.matrix] = e
@@ -61,15 +68,18 @@ class WeylGroup:
         while frontier:
             new_frontier = []
             for w in frontier:
-                for i in generators:
-                    m = _mat_mul(w.matrix, self.simple_mats[i])
-                    if m not in elements:
-                        nw = WeylElement(m, w.word + (i,),
-                                         _mat_mul(self.simple_mats[i], w.inv_matrix))
-                        elements[m] = nw
-                        new_frontier.append(nw)
-                        if len(elements) > cap:
-                            raise GroupTooLarge("Weyl group exceeds cap %d" % cap)
+                for i, s in self.simple_mats.items():
+                    m = _mat_mul(w.matrix, s)
+                    if m in elements:
+                        continue
+                    inv = _mat_mul(s, w.inv_matrix)
+                    if any(inv[k][j] < 0 for j in S0 for k in range(r)):
+                        continue
+                    nw = WeylElement(m, w.word + (i,), inv)
+                    elements[m] = nw
+                    new_frontier.append(nw)
+                    if len(elements) > _CAP:
+                        raise GroupTooLarge("coset walk exceeds cap %d" % _CAP)
             frontier = new_frontier
         self.elements = sorted(elements.values(), key=lambda w: (w.length, w.word))
         self._by_matrix = elements
@@ -110,7 +120,8 @@ class WeylGroup:
                        for i in range(r)]
                 fc = [sum(Fraction(rs.cartan[i][k]) * img[k] for k in range(r))
                       for i in range(r)]
-                assert all(f.denominator == 1 for f in fc)
+                if any(f.denominator != 1 for f in fc):
+                    raise CertificationError("w maps a weight off the weight lattice")
                 cols.append([int(f) for f in fc])
             m = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
             self._fund_mats[w.matrix] = m
@@ -131,7 +142,8 @@ class WeylGroup:
         for b in self.rs.positive_roots:
             img = self.act_root(w, b)
             if any(c < 0 for c in img):
-                assert all(c <= 0 for c in img)
+                if any(c > 0 for c in img):
+                    raise CertificationError("w maps a root to a mixed-sign vector")
                 neg += 1
         return neg
 
@@ -147,22 +159,13 @@ class WeylGroup:
                 # s_beta(alpha_j) = alpha_j - (2(alpha_j,beta)/(beta,beta)) beta
                 ip = sum(beta[k] * rs.bform[k][j] for k in range(r))
                 coef = Fraction(2 * ip, norm2)
-                assert coef.denominator == 1
+                if coef.denominator != 1:
+                    raise CertificationError("non-integral reflection coefficient")
                 col = [int(k == j) - int(coef) * beta[k] for k in range(r)]
                 cols.append(col)
             m = tuple(tuple(cols[j][k] for j in range(r)) for k in range(r))
             out[m] = beta
         return out
-
-
-_WEYL_CACHE: dict[str, "WeylGroup"] = {}
-
-
-def weyl_group(rs: RootSystem, cap: int = 1000000) -> "WeylGroup":
-    key = str(rs.ctype)
-    if key not in _WEYL_CACHE:
-        _WEYL_CACHE[key] = WeylGroup(rs, cap=cap)
-    return _WEYL_CACHE[key]
 
 
 @dataclass(frozen=True)
@@ -175,11 +178,10 @@ class Arrow:
 class BruhatGraph:
     """Minimal coset representatives W^S with arrows and a sign assignment."""
 
-    def __init__(self, P: ParabolicData, cap: int = 1000000,
-                 W: WeylGroup | None = None):
+    def __init__(self, P: ParabolicData):
         self.P = P
-        self.W = W if W is not None else weyl_group(P.rs, cap=cap)
-        self.cosets = self._minimal_reps()
+        self.W = WeylGroup(P.rs, P.S)
+        self.cosets = self.W.elements
         self.levels: list[list[WeylElement]] = []
         for w in self.cosets:
             while len(self.levels) <= w.length:
@@ -188,17 +190,6 @@ class BruhatGraph:
         self.arrows = self._find_arrows()
         self.squares = self._find_squares()
         self.signs = self._assign_signs()
-
-    def _minimal_reps(self) -> list[WeylElement]:
-        # w is minimal in W_S w iff w^{-1}(alpha_i) > 0 for every i in S
-        r = self.P.rs.rank
-        S0 = [i - 1 for i in sorted(self.P.S)]
-        out = []
-        for w in self.W.elements:
-            inv = w.inv_matrix
-            if all(all(inv[k][j] >= 0 for k in range(r)) for j in S0):
-                out.append(w)
-        return out
 
     def _find_arrows(self) -> list[Arrow]:
         refl = self.W.reflections()
@@ -264,7 +255,8 @@ class BruhatGraph:
         for (w1, w2, w3, w4) in self.squares:
             prod = (signs[(w1.matrix, w2.matrix)] * signs[(w2.matrix, w4.matrix)]
                     * signs[(w1.matrix, w3.matrix)] * signs[(w3.matrix, w4.matrix)])
-            assert prod == -1
+            if prod != -1:
+                raise CertificationError("sign product around a square is not -1")
         return signs
 
     def sign(self, a: WeylElement, b: WeylElement) -> int:
@@ -273,16 +265,12 @@ class BruhatGraph:
 
 def kostant_decompose(P: ParabolicData, W: WeylGroup, w: WeylElement,
                       cosets: list[WeylElement]) -> tuple[WeylElement, WeylElement]:
-    """Write w = w_S * w^S with w_S in W_S, lengths adding up."""
-    coset_mats = {c.matrix for c in cosets}
-    WS = WeylGroup(P.rs, generators=tuple(sorted(P.S)))
-    for ws in WS.elements:
-        rest = _mat_mul(ws.inv_matrix, w.matrix)  # ws^{-1} * w
-        if rest in coset_mats:
-            wS = W._by_matrix[ws.matrix]
-            wup = W._by_matrix[rest]
-            if wS.length + wup.length == w.length:
-                return wS, wup
+    """Write w = w_S * w^S with w_S in W_S, lengths adding up; W must contain w_S."""
+    by_matrix = {c.matrix: c for c in cosets}
+    for wS in (x for x in W.elements if set(x.word) <= P.S):
+        wup = by_matrix.get(_mat_mul(wS.inv_matrix, w.matrix))  # wS^{-1} * w
+        if wup is not None and wS.length + wup.length == w.length:
+            return wS, wup
     raise AssertionError("no Kostant decomposition found")
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -101,3 +102,20 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["status"] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["double", "verify", "--type", "A3", "--s", "1,3", "--box", "1,1"],
+    ["all", "--type", "A3", "--s", "1,3"],
+])
+def test_non_chain_coset_graph_exits_two_before_building(capsys, monkeypatch,
+                                                          argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a double complex on a non-chain graph")
+    monkeypatch.setattr("qbgg.cli.DoubleComplex", refuse)
+    t0 = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - t0 < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "chain" in captured.err

@@ -1,11 +1,13 @@
 """Weyl group enumeration, coset graphs, and sign assignments."""
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 from qbgg.cartan import ParabolicData, RootSystem, Weight
-from qbgg.weyl import (BruhatGraph, incomparability_report,
-                       kostant_decompose, weyl_group)
+from qbgg.weyl import (BruhatGraph, WeylGroup, incomparability_report,
+                       kostant_decompose)
 
 
 @pytest.mark.parametrize("name,order", [
@@ -13,26 +15,63 @@ from qbgg.weyl import (BruhatGraph, incomparability_report,
     ("D4", 192),
 ])
 def test_group_orders(name, order):
-    assert len(weyl_group(RootSystem(name)).elements) == order
+    assert len(WeylGroup(RootSystem(name)).elements) == order
+
+
+def _filtered_reps(W: WeylGroup, S) -> list:
+    """Reference: keep the w of the full group with w^{-1}(alpha_j) > 0, j in S."""
+    r = W.rs.rank
+    S0 = [j - 1 for j in sorted(S)]
+    return [w for w in W.elements
+            if all(all(w.inv_matrix[k][j] >= 0 for k in range(r)) for j in S0)]
+
+
+def test_coset_walk_matches_filtered_group():
+    names = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
+             "D3", "D4", "G2", "F4")
+    pairs = 0
+    for name in names:
+        rs = RootSystem(name)
+        full = WeylGroup(rs)
+        for size in range(rs.rank + 1):
+            for S in combinations(range(1, rs.rank + 1), size):
+                walk = WeylGroup(rs, frozenset(S)).elements
+                assert walk == _filtered_reps(full, S), (name, S)
+                assert len(full.elements) % len(walk) == 0
+                pairs += 1
+    assert pairs == 130
+
+
+@pytest.mark.parametrize("name,S,count", [
+    ("E6", {2, 3, 4, 5, 6}, 27), ("E7", {1, 2, 3, 4, 5, 6}, 56),
+    ("A7", {1, 2, 3, 5, 6, 7}, 70), ("B8", set(range(2, 9)), 16),
+    ("C8", set(range(1, 8)), 256), ("D8", set(range(1, 8)), 128),
+])
+def test_coset_counts_beyond_full_group(name, S, count):
+    rs = RootSystem(name)
+    reps = WeylGroup(rs, frozenset(S)).elements
+    assert len(reps) == count
+    # the longest representative has length dim G/P = number of quotient roots
+    assert reps[-1].length == len(ParabolicData(rs, S).quotient_roots)
 
 
 def test_longest_length_is_root_count():
     for name in ("A3", "B3", "G2"):
         rs = RootSystem(name)
-        W = weyl_group(rs)
+        W = WeylGroup(rs)
         assert max(w.length for w in W.elements) == len(rs.positive_roots)
 
 
 def test_length_by_inversions_matches_word_length():
     for name in ("A3", "B2", "G2"):
-        W = weyl_group(RootSystem(name))
+        W = WeylGroup(RootSystem(name))
         for w in W.elements:
             assert W.length_by_inversions(w) == w.length
 
 
 def test_simple_reflection_action():
     rs = RootSystem("A2")
-    W = weyl_group(rs)
+    W = WeylGroup(rs)
     s1 = W.simple(1)
     assert W.act(s1, rs.simple_root(1)).coords == (-rs.simple_root(1)).coords
     # s_i permutes the other positive roots
@@ -41,7 +80,7 @@ def test_simple_reflection_action():
 
 def test_shifted_action_at_zero():
     rs = RootSystem("A2")
-    W = weyl_group(rs)
+    W = WeylGroup(rs)
     s1 = W.simple(1)
     # s_1 . 0 = -alpha_1
     assert rs.weight_root_coords_int(W.shifted_act(s1, Weight((0, 0)))) == (-1, 0)
@@ -80,8 +119,8 @@ def test_signs_product_minus_one_on_squares():
 def test_kostant_decompose():
     rs = RootSystem("A3")
     P = ParabolicData(rs, {1, 3})
-    W = weyl_group(rs)
-    G = BruhatGraph(P, W=W)
+    W = WeylGroup(rs)
+    G = BruhatGraph(P)
     for w in W.elements:
         wS, wup = kostant_decompose(P, W, w, G.cosets)
         assert wS.length + wup.length == w.length
