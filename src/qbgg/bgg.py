@@ -144,7 +144,7 @@ class BGGComplex:
                     checks.append({"from": str(w_a), "to": str(w_c), "zero": is_zero})
         return {"ok": ok, "composites": checks}
 
-    def verify_exactness(self, max_height: int, assist=None) -> dict:
+    def verify_exactness(self, max_height: int) -> dict:
         """Slicewise rank-exactness against the simple module with highest
         weight mu, for all offsets up to the given height."""
         rs = self.rs
@@ -164,7 +164,7 @@ class BGGComplex:
                 if dims[j] == 0 and dims[j - 1] == 0:
                     ranks.append(0)
                     continue
-                ranks.append(rank(self.differential_matrix(j, beta), assist))
+                ranks.append(rank(self.differential_matrix(j, beta)))
             # exactness: at top ker = 0; interior ker phi_j = im phi_{j+1};
             # at level 0 the augmentation absorbs m_nu dimensions
             good = True
@@ -805,7 +805,7 @@ class DoubleComplex:
         return (other, cap) if mode == "row" else (cap, other)
 
     def _line_exactness(self, mods: list, omega: Weight, mode: str, cap: int,
-                        elt_for, assist=None) -> dict | None:
+                        elt_for) -> dict | None:
         """Rank-exactness of one row or column on a fixed-weight window.
 
         mods: list of (w1, w2) pairs ordered from the top of the line down;
@@ -829,7 +829,7 @@ class DoubleComplex:
                 continue
             elt, tgt_fb = elt_for(k)
             mm = self._map_matrix(slices[k], slices[k + 1], elt, tgt_fb)
-            ranks.append(rank(mm, assist))
+            ranks.append(rank(mm))
         # exact at every position except the last (the augmentation end)
         good = dims[0] - ranks[0] == 0 if ranks else True
         for k in range(1, len(ranks)):
@@ -864,7 +864,7 @@ class DoubleComplex:
                     out.add(wt)
         return sorted(out, key=lambda w: w.coords)
 
-    def verify_rows(self, k2cap: int, k1lim: int, assist=None) -> dict:
+    def verify_rows(self, k2cap: int, k1lim: int) -> dict:
         """Interior exactness of every row on all slices of a finite window,
         with every slice dimension certified against the character oracle."""
         G = self.G
@@ -880,14 +880,14 @@ class DoubleComplex:
                 return y, self.fiber(*mods[k + 1])
 
             for omega in self._window_weights(chain[-1], w2, k1lim, k2cap):
-                rec = self._line_exactness(mods, omega, "row", k2cap, elt_for, assist)
+                rec = self._line_exactness(mods, omega, "row", k2cap, elt_for)
                 if rec is not None:
                     ok = ok and rec["exact"]
                     recs.append(rec)
             rows.append({"fixed_col": str(w2), "slices": recs})
         return {"ok": ok, "direction": "rows", "lines": rows}
 
-    def verify_columns(self, k1cap: int, k2lim: int, assist=None) -> dict:
+    def verify_columns(self, k1cap: int, k2lim: int) -> dict:
         """Interior exactness of every column, mirrored through the algebra
         involution."""
         G = self.G
@@ -906,7 +906,7 @@ class DoubleComplex:
                 return x, self.fiber(*mods[k + 1])
 
             for omega in self._window_weights(w1, chain[-1], k1cap, k2lim):
-                rec = self._line_exactness(mods, omega, "col", k1cap, elt_for, assist)
+                rec = self._line_exactness(mods, omega, "col", k1cap, elt_for)
                 if rec is not None:
                     ok = ok and rec["exact"]
                     recs.append(rec)

@@ -216,7 +216,7 @@ class RootSystem:
         table = _POS_ROOT_COUNT[fam]
         want = table(self.rank) if callable(table) else table[self.rank]
         if len(self.positive_roots) != want:
-            raise AssertionError("positive root count mismatch for %s" % self.ctype)
+            raise CertificationError("positive root count mismatch for %s" % self.ctype)
 
     # -- conversions ------------------------------------------------------
 

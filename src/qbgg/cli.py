@@ -11,7 +11,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .cartan import ParabolicData, RootSystem
@@ -100,10 +99,6 @@ def _config_echo(args) -> dict:
         if hasattr(args, key):
             out[key] = getattr(args, key)
     return out
-
-
-def _assist_point(args) -> Fraction | None:
-    return Fraction(3, 2) if getattr(args, "assist", False) else None
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +210,7 @@ def cmd_bgg_verify(args) -> int:
         return rep["ok"], rep
 
     def exact():
-        rep = bgg.verify_exactness(height, assist=_assist_point(args))
+        rep = bgg.verify_exactness(height)
         return rep["ok"], rep
 
     _check(checks, "bgg.squared_zero", "composites vanish exactly", squared)
@@ -236,11 +231,11 @@ def cmd_double_verify(args) -> int:
         return rep["ok"], rep
 
     def rows():
-        rep = dc.verify_rows(k2cap=1, k1lim=1, assist=_assist_point(args))
+        rep = dc.verify_rows(k2cap=1, k1lim=1)
         return rep["ok"], rep
 
     def cols():
-        rep = dc.verify_columns(k1cap=1, k2lim=1, assist=_assist_point(args))
+        rep = dc.verify_columns(k1cap=1, k2lim=1)
         return rep["ok"], rep
 
     _check(checks, "double.anticommute",
@@ -278,7 +273,6 @@ def cmd_all(args) -> int:
     height = args.height
     if height is None:
         height = DEFAULT_HEIGHTS.get((args.type, args.s), 3)
-    assist = _assist_point(args)
 
     _check(checks, "dims.identity", "dimension identity",
            lambda: (lambda rep: (rep["ok"], {"levels": len(rep["levels"])}))(
@@ -307,7 +301,7 @@ def cmd_all(args) -> int:
                bgg.verify_squared_zero()))
     _check(checks, "bgg.exactness", "slicewise exactness to height %d" % height,
            lambda: (lambda rep: (rep["ok"], {"slices": len(rep["slices"])}))(
-               bgg.verify_exactness(height, assist=assist)))
+               bgg.verify_exactness(height)))
 
     dc = DoubleComplex(G, uq=bgg.uq)
     k1, k2 = args.box
@@ -316,10 +310,10 @@ def cmd_all(args) -> int:
                dc.verify_anticommute(k1cap=k1, k2cap=k2)))
     _check(checks, "double.rows", "row exactness",
            lambda: (lambda rep: (rep["ok"], {"lines": len(rep["lines"])}))(
-               dc.verify_rows(k2cap=1, k1lim=1, assist=assist)))
+               dc.verify_rows(k2cap=1, k1lim=1)))
     _check(checks, "double.columns", "column exactness",
            lambda: (lambda rep: (rep["ok"], {"lines": len(rep["lines"])}))(
-               dc.verify_columns(k1cap=1, k2lim=1, assist=assist)))
+               dc.verify_columns(k1cap=1, k2lim=1)))
 
     _check(checks, "podles.calculus", "rank-one sphere calculus",
            lambda: (lambda rep: (rep["ok"], {}))(qsphere.verify_calculus()))
@@ -352,11 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "empty for the Borel case")
         p.add_argument("--output", default=None, help="write JSON here")
         p.add_argument("--assist", action="store_true",
-                       help="prefer pivots that survive numeric evaluation "
-                            "(results stay exact)")
+                       help="accepted and echoed in the report; no effect")
         p.add_argument("--threads", type=int,
                        default=int(os.environ.get("QBGG_THREADS", "1")),
-                       help="worker count hint (reports are deterministic)")
+                       help="accepted and echoed in the report; no effect")
         if height:
             p.add_argument("--height", type=int, default=None,
                            help="weight-slice height cap")

@@ -1,15 +1,11 @@
 """Exact arithmetic in Q(q) and exact linear algebra over it.
 
 Elements of Q(q) are stored as normalized fractions of integer Laurent
-polynomials in q.  All computations are exact.  Linear algebra has two
-paths:
-
-* `Echelon`, a sparse incremental row echelon with leftmost pivots, for
-  quotients built one relation at a time (Serre quotients, module slices,
-  cyclic lifts) and for reducing vectors modulo them;
-* batch fraction-free (Bareiss) elimination over Z[q, q^-1] behind `rank`,
-  `kernel_basis` and `solve`.  There an optional evaluation point q0 only
-  guides pivot selection, never certifies a result.
+polynomials in q.  All computations are exact.  Linear algebra has one
+path: `Echelon`, a sparse incremental row echelon with leftmost pivots.  It
+builds quotients one relation at a time (Serre quotients, module slices,
+cyclic lifts), reduces vectors modulo them, and sits behind `rank`,
+`kernel_basis` and `solve_in_span`.
 """
 from __future__ import annotations
 
@@ -456,14 +452,6 @@ class Echelon:
         return vec
 
 
-class SolveInconsistent(Exception):
-    """The linear system has no solution."""
-
-
-class SolveUnderdetermined(Exception):
-    """The linear system has more than one solution."""
-
-
 class QMatrix:
     """Dense matrix over Q(q)."""
 
@@ -477,13 +465,6 @@ class QMatrix:
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entries are not %d x %d" % (rows, cols))
         self.entries = entries
-
-    @staticmethod
-    def identity(n: int) -> "QMatrix":
-        m = QMatrix(n, n)
-        for i in range(n):
-            m.entries[i][i] = RatFunc.one()
-        return m
 
     @staticmethod
     def from_rows(rows: list[list[RatFunc]], cols: int | None = None) -> "QMatrix":
@@ -523,71 +504,55 @@ class QMatrix:
         return [[e.evaluate(q0) for e in row] for row in self.entries]
 
 
-def _clear_row_denominators(rows: list[list[RatFunc]]) -> list[list[Laurent]]:
-    out = []
-    for r in rows:
-        den = Laurent.const(1)
-        for e in r:
-            if not e.is_zero():
-                den = laurent_divexact(den * e.den, laurent_gcd(den, e.den))
-        out.append([laurent_divexact(e.num * den, e.den) if not e.is_zero() else Laurent()
-                    for e in r])
-    return out
-
-
-def _echelon_laurent(mat: list[list[Laurent]], cols: int, assist: Fraction | None):
-    """Fraction-free (Bareiss) forward elimination.
-
-    Returns (echelon rows, pivot column list).  Pivot rows are chosen in a
-    deterministic order; with `assist` set, rows whose candidate pivot does not
-    vanish at the evaluation point are preferred (still verified symbolically).
-    """
-    rows = [list(r) for r in mat]
-    n = len(rows)
-    piv_cols: list[int] = []
-    prev = Laurent.const(1)
-    r0 = 0
-    for col in range(cols):
-        pick = -1
-        if assist is not None:
-            for i in range(r0, n):
-                if not rows[i][col].is_zero() and rows[i][col].evaluate(assist) != 0:
-                    pick = i
-                    break
-        if pick < 0:
-            for i in range(r0, n):
-                if not rows[i][col].is_zero():
-                    pick = i
-                    break
-        if pick < 0:
-            continue
-        rows[r0], rows[pick] = rows[pick], rows[r0]
-        p = rows[r0][col]
-        for i in range(r0 + 1, n):
-            if all(rows[i][j].is_zero() for j in range(col, cols)):
-                continue
-            ri = rows[i]
-            head = ri[col]
-            one = Laurent.const(1)
-            for j in range(col, cols):
-                val = p * ri[j] - head * rows[r0][j]
-                ri[j] = val if prev == one else laurent_divexact(val, prev)
-            ri[col] = Laurent()
-        prev = p
-        piv_cols.append(col)
-        r0 += 1
-        if r0 == n:
+def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
+    """Clear denominators, remove content, make the first nonzero entry have
+    positive leading coefficient."""
+    den = Laurent.const(1)
+    for e in vec:
+        if not e.is_zero():
+            den = laurent_divexact(den * e.den, laurent_gcd(den, e.den))
+    pols = [laurent_divexact(e.num * den, e.den) if not e.is_zero() else Laurent() for e in vec]
+    g = Laurent()
+    for p in pols:
+        g = laurent_gcd(g, p)
+    if not g.is_zero():
+        pols = [laurent_divexact(p, g) if not p.is_zero() else p for p in pols]
+    for p in pols:
+        if not p.is_zero():
+            if p.leading_coeff() < 0:
+                pols = [-x for x in pols]
             break
-    return rows[:r0], piv_cols
+    return [RatFunc(p, _normalized=True) for p in pols]
 
 
-def rank(m: QMatrix, assist: Fraction | None = None) -> int:
+def _echelon_of(rows: list[list[RatFunc]]) -> Echelon:
+    ech = Echelon()
+    for r in rows:
+        ech.insert(dict(enumerate(r)))
+    return ech
+
+
+def _null_vector(ech: Echelon, cols: int, free: int, value: RatFunc) -> list[RatFunc]:
+    """The null vector of ech's rows that is `value` at the non-pivot column
+    `free` and zero at every other non-pivot column.
+
+    Every row holds only entries right of its pivot, so back-substituting
+    over the pivots in descending order fixes each pivot entry from columns
+    already known."""
+    sol = [RatFunc.zero()] * cols
+    sol[free] = value
+    for p in sorted(ech.rows, reverse=True):
+        acc = RatFunc.zero()
+        for j, c in ech.rows[p].items():
+            if not sol[j].is_zero():
+                acc = acc + c * sol[j]
+        sol[p] = -acc
+    return sol
+
+
+def rank(m: QMatrix) -> int:
     """Exact rank over Q(q)."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    lrows = _clear_row_denominators(m.entries)
-    _, piv = _echelon_laurent(lrows, m.cols, assist)
-    return len(piv)
+    return len(_echelon_of(m.entries))
 
 
 def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
@@ -611,68 +576,26 @@ def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
     return [RatFunc(p, _normalized=True) for p in pols]
 
 
-def kernel_basis(m: QMatrix, assist: Fraction | None = None) -> list[list[RatFunc]]:
-    """Basis of the right null space, denominator-cleared and content-free."""
-    if m.cols == 0:
-        return []
-    if m.rows == 0:
-        basis = []
-        for j in range(m.cols):
-            v = [RatFunc.zero() for _ in range(m.cols)]
-            v[j] = RatFunc.one()
-            basis.append(v)
-        return basis
-    lrows = _clear_row_denominators(m.entries)
-    ech, piv = _echelon_laurent(lrows, m.cols, assist)
-    piv_set = set(piv)
-    free = [j for j in range(m.cols) if j not in piv_set]
-    basis = []
-    for f in free:
-        sol = [RatFunc.zero() for _ in range(m.cols)]
-        sol[f] = RatFunc.one()
-        for r in range(len(piv) - 1, -1, -1):
-            pc = piv[r]
-            acc = RatFunc.zero()
-            for j in range(pc + 1, m.cols):
-                if not sol[j].is_zero() and not ech[r][j].is_zero():
-                    acc = acc + RatFunc(ech[r][j], _normalized=False) * sol[j]
-            sol[pc] = -(acc / RatFunc(ech[r][pc], _normalized=False))
-        basis.append(normalize_vector(sol))
-    return basis
+def kernel_basis(m: QMatrix) -> list[list[RatFunc]]:
+    """Basis of the right null space, denominator-cleared and content-free:
+    one vector per non-pivot column f, which is 1 at f and 0 at every other
+    non-pivot column before normalization."""
+    ech = _echelon_of(m.entries)
+    return [normalize_vector(_null_vector(ech, m.cols, f, RatFunc.one()))
+            for f in range(m.cols) if f not in ech.rows]
 
 
-def solve(m: QMatrix, b: list[RatFunc], assist: Fraction | None = None) -> list[RatFunc]:
-    """Solve m x = b; raises SolveInconsistent / SolveUnderdetermined."""
-    aug_rows = [list(r) + [b[i]] for i, r in enumerate(m.entries)]
-    lrows = _clear_row_denominators(aug_rows)
-    ech, piv = _echelon_laurent(lrows, m.cols + 1, assist)
-    if m.cols in piv:
-        raise SolveInconsistent("right-hand side not in column span")
-    if len(piv) < m.cols:
-        raise SolveUnderdetermined("solution space has positive dimension")
-    sol = [RatFunc.zero() for _ in range(m.cols)]
-    for r in range(len(piv) - 1, -1, -1):
-        pc = piv[r]
-        acc = RatFunc(ech[r][m.cols], _normalized=False)
-        for j in range(pc + 1, m.cols):
-            if not sol[j].is_zero() and not ech[r][j].is_zero():
-                acc = acc - RatFunc(ech[r][j], _normalized=False) * sol[j]
-        sol[pc] = acc / RatFunc(ech[r][pc], _normalized=False)
-    return sol
-
-
-def solve_in_span(basis_vectors: list[list[RatFunc]], target: list[RatFunc],
-                  assist: Fraction | None = None) -> list[RatFunc] | None:
-    """Express target as a combination of the given (independent) vectors.
+def solve_in_span(basis_vectors: list[list[RatFunc]],
+                  target: list[RatFunc]) -> list[RatFunc] | None:
+    """Express target as a combination of the given independent vectors.
 
     Returns the coefficient vector, or None if target is outside the span.
+    Raises ValueError when the vectors are dependent.
     """
-    if not basis_vectors:
-        return [] if all(t.is_zero() for t in target) else None
-    n = len(target)
-    m = QMatrix(n, len(basis_vectors),
-                [[basis_vectors[j][i] for j in range(len(basis_vectors))] for i in range(n)])
-    try:
-        return solve(m, list(target), assist)
-    except SolveInconsistent:
+    k = len(basis_vectors)
+    ech = _echelon_of([[v[i] for v in basis_vectors] + [t] for i, t in enumerate(target)])
+    if k in ech.rows:
         return None
+    if len(ech) < k:
+        raise ValueError("basis vectors are linearly dependent")
+    return _null_vector(ech, k + 1, k, -RatFunc.one())[:k]

@@ -157,7 +157,7 @@ def levi_irrep(P: ParabolicData, lam: Weight) -> tuple[CharMap, int]:
     dim = sum(ch.values())
     dim2 = levi_dim_weyl(P, lam)
     if dim != dim2:
-        raise AssertionError("Freudenthal and Weyl dimension disagree: %d vs %d" % (dim, dim2))
+        raise CertificationError("Freudenthal and Weyl dimension disagree: %d vs %d" % (dim, dim2))
     return ch, dim
 
 

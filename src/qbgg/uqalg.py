@@ -144,15 +144,6 @@ class UqAlgebra:
 
     # -- structure maps ---------------------------------------------------
 
-    def weight_of(self, nw: NormalWord) -> tuple[int, ...]:
-        """Root coordinates of the Q-weight (E letters count +, F letters -)."""
-        out = [0] * self.r
-        for j in nw[0]:
-            out[j - 1] -= 1
-        for i in nw[2]:
-            out[i - 1] += 1
-        return tuple(out)
-
     def counit(self, x: AlgElement) -> RatFunc:
         out = RatFunc.zero()
         for (fw, kv, ew), c in x.items():

@@ -8,21 +8,10 @@ normal-form engine and kill the highest weight vector.
 """
 from __future__ import annotations
 
-from .cartan import ParabolicData, RootSystem, Weight
+from .cartan import ParabolicData, Weight
 from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
                      kernel_basis, normalize_vector)
 from .uqalg import AlgElement, NMinusWeightSpace, UqAlgebra, _words_of_content
-
-
-def _offset_coords(rs: RootSystem, lam: Weight, nu: Weight) -> tuple[int, ...] | None:
-    """Root coordinates of lam - nu if in Q^+, else None."""
-    try:
-        rc = rs.weight_root_coords_int(lam - nu)
-    except ValueError:
-        return None
-    if any(c < 0 for c in rc):
-        return None
-    return rc
 
 
 class ModuleSlice:
@@ -282,7 +271,7 @@ class StandardMapFamily:
             fam = self._family(lam)
             sv = singular_vectors(fam, beta)
             if len(sv) != 1:
-                raise AssertionError(
+                raise CertificationError(
                     "singular space at arrow %s -> %s has dimension %d"
                     % (a.source, a.target, len(sv)))
             self.raw[(a.source.matrix, a.target.matrix)] = sv[0]
@@ -391,13 +380,13 @@ def _proportionality(a: list[RatFunc], b: list[RatFunc]) -> RatFunc:
     ratio = None
     for x, y in zip(a, b):
         if x.is_zero() != y.is_zero():
-            raise AssertionError("vectors are not proportional")
+            raise CertificationError("vectors are not proportional")
         if not y.is_zero():
             r = x / y
             if ratio is None:
                 ratio = r
             elif ratio != r:
-                raise AssertionError("vectors are not proportional")
+                raise CertificationError("vectors are not proportional")
     if ratio is None:
-        raise AssertionError("zero composite in a square")
+        raise CertificationError("zero composite in a square")
     return ratio

@@ -237,7 +237,7 @@ class BruhatGraph:
                     rhs ^= pr
             if vec == 0:
                 if rhs:
-                    raise AssertionError("square sign constraints are inconsistent")
+                    raise CertificationError("square sign constraints are inconsistent")
                 continue
             p = (vec & -vec).bit_length() - 1
             pivots[p] = (vec, rhs)
@@ -271,7 +271,7 @@ def kostant_decompose(P: ParabolicData, W: WeylGroup, w: WeylElement,
         wup = by_matrix.get(_mat_mul(wS.inv_matrix, w.matrix))  # wS^{-1} * w
         if wup is not None and wS.length + wup.length == w.length:
             return wS, wup
-    raise AssertionError("no Kostant decomposition found")
+    raise ValueError("no Kostant decomposition found")
 
 
 def incomparability_report(G: BruhatGraph, mu: Weight | None = None) -> dict:
