@@ -16,6 +16,10 @@ from .uqalg import AlgElement, UqAlgebra, scaled
 from .verma import (SliceFamily, StandardMapFamily, dot_offset)
 
 
+# extra letters allowed per Levi node beyond the quotient-root box of a WSlice
+LEVI_SLACK = 2
+
+
 class TruncationError(Exception):
     """A verification window was too small to contain all needed relations."""
 
@@ -194,14 +198,9 @@ class LeviModuleData:
         self.P = P
         self.lam = lam
         rs = uq.rs
-        ch, dim = levi_irrep(P, lam)
-        self.dim = dim
         fam = SliceFamily(uq, lam, P.S)
-        offsets = []
-        for wt in ch:
-            off = rs.weight_root_coords_int(lam - wt)
-            offsets.append(off)
-        offsets.sort(key=lambda b: (sum(b), b))
+        self.dim = fam.levi_dim
+        offsets = sorted((off for off, _ in fam.levi_offsets), key=lambda b: (sum(b), b))
         self.basis: list[tuple[tuple[int, ...], int]] = []
         self.slices = {}
         for off in offsets:
@@ -209,11 +208,10 @@ class LeviModuleData:
             self.slices[off] = sl
             for k in range(sl.dim):
                 self.basis.append((off, k))
-        if len(self.basis) != dim:
+        if len(self.basis) != self.dim:
             raise CertificationError("Levi basis count is not the dimension")
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.weights = [lam - rs.root_to_weight(off) for off, _ in self.basis]
-        self._fam = fam
 
     def matrix_F(self, i: int) -> list[list[RatFunc]]:
         rs = self.uq.rs
@@ -446,23 +444,19 @@ class WSlice:
     vanishes; dimension claims are certified against the character oracle.
     """
 
-    def __init__(self, fiber: TensorFiber, omega: Weight,
-                 k1cap: int, k2cap: int, levi_slack: int = 2,
-                 ws_cache=None):
-        from .uqalg import _WeightSpaceCache
+    def __init__(self, fiber: TensorFiber, omega: Weight, k1cap: int, k2cap: int):
         self.fiber = fiber
         self.uq = fiber.uq
         self.P = fiber.P
         self.omega = omega
         self.k1cap = k1cap
         self.k2cap = k2cap
-        self.ws = ws_cache if ws_cache is not None else _WeightSpaceCache(self.uq)
         rs = self.uq.rs
         s = self.P.s
         if s is None and self.P.S:
             raise ValueError("window caps need a single crossed node")
         hr = rs.highest_root()
-        slack = [levi_slack if (i + 1) in self.P.S else 0 for i in range(rs.rank)]
+        slack = [LEVI_SLACK if (i + 1) in self.P.S else 0 for i in range(rs.rank)]
         self.capF = tuple(k1cap * hr[i] + slack[i] for i in range(rs.rank))
         self.capE = tuple(k2cap * hr[i] + slack[i] for i in range(rs.rank))
         self._scount = (lambda c: sum(c)) if s is None else (lambda c: c[s - 1])
@@ -472,7 +466,7 @@ class WSlice:
         pos = 0
         for cf, ce, t in self.cells:
             self._offset[(cf, ce, t)] = pos
-            pos += self.ws.get(cf).dim * self.ws.get(ce).dim
+            pos += self.uq.weight_space(cf).dim * self.uq.weight_space(ce).dim
         self.total = pos
         self._ech = Echelon()
         for row in self._absorption_rows():
@@ -487,8 +481,8 @@ class WSlice:
         """Representative free monomials for the residual basis positions."""
         info = []
         for cf, ce, t in self.cells:
-            fsp = self.ws.get(cf)
-            esp = self.ws.get(ce)
+            fsp = self.uq.weight_space(cf)
+            esp = self.uq.weight_space(ce)
             for u in fsp.basis_words:
                 for v in esp.basis_words:
                     info.append((u, v, t))
@@ -553,8 +547,8 @@ class WSlice:
             if off is None:
                 return None
             scal = c * self._absorb_k(kv, ce, t)
-            fsp = self.ws.get(cf)
-            esp = self.ws.get(ce)
+            fsp = self.uq.weight_space(cf)
+            esp = self.uq.weight_space(ce)
             fc = fsp.reduce_coords({fw: RatFunc.one()})
             ec = esp.reduce_coords({ew: RatFunc.one()})
             edim = esp.dim
@@ -576,8 +570,8 @@ class WSlice:
                 gelt = uq.F(i) if letter[0] == "F" else uq.E(i)
                 mat = self.fiber.generator_matrix(letter)
                 for cf, ce, t in self._cells(base_omega):
-                    fsp = self.ws.get(cf)
-                    esp = self.ws.get(ce)
+                    fsp = self.uq.weight_space(cf)
+                    esp = self.uq.weight_space(ce)
                     for u in fsp.basis_words:
                         for v in esp.basis_words:
                             base = {(u, (0,) * uq.r, v): RatFunc.one()}
@@ -659,15 +653,12 @@ class DoubleComplex:
     commute, which reduces to commutator identities against the generator.
     """
 
-    def __init__(self, G, uq: UqAlgebra | None = None, levi_slack: int = 2):
+    def __init__(self, G, uq: UqAlgebra | None = None):
         self.G = G
         rs = G.P.rs
         self.rs = rs
         self.uq = uq if uq is not None else UqAlgebra(rs)
         self.maps = StandardMapFamily(G, Weight((0,) * rs.rank), self.uq)
-        self.levi_slack = levi_slack
-        from .uqalg import _WeightSpaceCache
-        self.wscache = _WeightSpaceCache(self.uq)
         self._fibers: dict[tuple, TensorFiber] = {}
         self._slices: dict[tuple, WSlice] = {}
         zero = Weight((0,) * rs.rank)
@@ -685,8 +676,7 @@ class DoubleComplex:
         key = (w1.matrix, w2.matrix, omega.coords, k1cap, k2cap)
         sl = self._slices.get(key)
         if sl is None:
-            sl = WSlice(self.fiber(w1, w2), omega, k1cap, k2cap, self.levi_slack,
-                        ws_cache=self.wscache)
+            sl = WSlice(self.fiber(w1, w2), omega, k1cap, k2cap)
             self._slices[key] = sl
         return sl
 
@@ -735,8 +725,8 @@ class DoubleComplex:
                         continue
                     if any(ce[i] > (k2cap - 1) * hr[i] for i in range(rs.rank)):
                         continue
-                    fw = self.wscache.get(cf).basis_words[0]
-                    ew = self.wscache.get(ce).basis_words[0]
+                    fw = uq.weight_space(cf).basis_words[0]
+                    ew = uq.weight_space(ce).basis_words[0]
                     u = uq.multiply(uq.fword(fw),
                                     uq.from_letters([("E", i) for i in ew]))
                     prod = uq.multiply(u, comm)

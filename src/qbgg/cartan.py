@@ -299,11 +299,6 @@ class ParabolicData:
                                     if all(b[j - 1] == 0 for j in self.complement)]
         self.quotient_roots = [b for b in rs.positive_roots
                                if any(b[j - 1] != 0 for j in self.complement)]
-        two_rho_S = [0] * rs.rank
-        for b in self.levi_positive_roots:
-            for j, c in enumerate(b):
-                two_rho_S[j] += c
-        self._two_rho_S_root = tuple(two_rho_S)
 
     @property
     def irreducible_flag(self) -> bool:

@@ -283,13 +283,12 @@ def cmd_all(args) -> int:
 
     def pbw():
         from .bgg import _enumerate_offsets
-        from .uqalg import NMinusWeightSpace
         uq = UqAlgebra(P.rs)
         bad = []
         for beta in _enumerate_offsets(P.rs, 4):
             if sum(beta) == 0:
                 continue
-            if NMinusWeightSpace(uq, beta).dim != kostant_partition(P.rs, beta):
+            if uq.weight_space(beta).dim != kostant_partition(P.rs, beta):
                 bad.append(list(beta))
         return not bad, {"bad": bad}
 

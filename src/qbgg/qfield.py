@@ -36,10 +36,6 @@ class Laurent:
         self.c = c
 
     @staticmethod
-    def zero() -> "Laurent":
-        return Laurent()
-
-    @staticmethod
     def const(n: int) -> "Laurent":
         return Laurent({0: n})
 
@@ -553,27 +549,6 @@ def _null_vector(ech: Echelon, cols: int, free: int, value: RatFunc) -> list[Rat
 def rank(m: QMatrix) -> int:
     """Exact rank over Q(q)."""
     return len(_echelon_of(m.entries))
-
-
-def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
-    """Clear denominators, remove content, make the first nonzero entry have
-    positive leading coefficient."""
-    den = Laurent.const(1)
-    for e in vec:
-        if not e.is_zero():
-            den = laurent_divexact(den * e.den, laurent_gcd(den, e.den))
-    pols = [laurent_divexact(e.num * den, e.den) if not e.is_zero() else Laurent() for e in vec]
-    g = Laurent()
-    for p in pols:
-        g = laurent_gcd(g, p)
-    if not g.is_zero():
-        pols = [laurent_divexact(p, g) if not p.is_zero() else p for p in pols]
-    for p in pols:
-        if not p.is_zero():
-            if p.leading_coeff() < 0:
-                pols = [-x for x in pols]
-            break
-    return [RatFunc(p, _normalized=True) for p in pols]
 
 
 def kernel_basis(m: QMatrix) -> list[list[RatFunc]]:

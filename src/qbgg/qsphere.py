@@ -9,8 +9,7 @@ actions of the raising and lowering generators on column indices.
 """
 from __future__ import annotations
 
-from .qfield import (QMatrix, RatFunc, add_into, kernel_basis, normalize_vector,
-                     rank)
+from .qfield import QMatrix, RatFunc, add_into, kernel_basis, rank
 
 # normal monomial: exponents (i, j, k, l) of a^i b^j c^k d^l with i*l == 0
 Mono = tuple[int, int, int, int]
@@ -445,8 +444,7 @@ def sphere_relation() -> dict:
         len(rows)))
     out = {"ok": len(ker) == 1, "kernel_dim": len(ker)}
     if len(ker) == 1:
-        v = normalize_vector(ker[0])
-        out["relation"] = {elems[i][0]: str(c) for i, c in enumerate(v)
+        out["relation"] = {elems[i][0]: str(c) for i, c in enumerate(ker[0])
                           if not c.is_zero()}
     return out
 

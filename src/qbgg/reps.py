@@ -226,8 +226,7 @@ def verify_dim_identity(G, with_weights: bool = True) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _kostant_partition_cached(key: tuple, beta: tuple) -> int:
-    roots = key
+def _kostant_partition_cached(roots: tuple, beta: tuple) -> int:
     return _kp(roots, beta, 0)
 
 
@@ -246,11 +245,15 @@ def _kp(roots: tuple, beta: tuple, start: int) -> int:
     return total
 
 
-def kostant_partition(rs: RootSystem, beta: tuple[int, ...]) -> int:
-    """Number of ways to write beta as a sum of positive roots."""
+def kostant_partition(rs: RootSystem, beta: tuple[int, ...],
+                      roots: list[tuple[int, ...]] | None = None) -> int:
+    """Number of ways to write beta as a sum of the given positive roots
+    (all of them when roots is None; an empty list partitions only zero)."""
     if any(c < 0 for c in beta):
         return 0
-    return _kostant_partition_cached(tuple(rs.positive_roots), tuple(beta))
+    if roots is None:
+        roots = rs.positive_roots
+    return _kostant_partition_cached(tuple(roots), tuple(beta))
 
 
 def gvm_char(P: ParabolicData, lam: Weight, max_height: int) -> CharMap:

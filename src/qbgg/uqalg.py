@@ -36,7 +36,7 @@ class UqAlgebra:
         self.r = rs.rank
         self._zero_k = (0,) * self.r
         self._mul_letter_cache: dict[tuple[NormalWord, tuple], AlgElement] = {}
-        self._word_cache: dict[tuple[tuple, ...], AlgElement] = {}
+        self._weight_spaces: dict[tuple[int, ...], NMinusWeightSpace] = {}
         # (alpha_i, alpha_j) as integers
         self._aa = rs.bform
         # denominators (q^{d_i} - q^{-d_i}) for the E-F commutator
@@ -238,12 +238,20 @@ class UqAlgebra:
                 out[word] = cur
         return out
 
+    def weight_space(self, beta: tuple[int, ...]) -> NMinusWeightSpace:
+        """The weight-beta Serre quotient, built once per algebra; it is
+        read-only after construction, so every module shares it."""
+        ws = self._weight_spaces.get(beta)
+        if ws is None:
+            ws = self._weight_spaces[beta] = NMinusWeightSpace(self, beta)
+        return ws
+
 
 class NMinusWeightSpace:
     """The weight-beta component of the lower triangular part as a quotient of
     the free span of F-words by the Serre ideal slice."""
 
-    def __init__(self, uq: UqAlgebra, beta: tuple[int, ...], check_dim: bool = True):
+    def __init__(self, uq: UqAlgebra, beta: tuple[int, ...]):
         self.uq = uq
         self.beta = beta
         rs = uq.rs
@@ -272,13 +280,12 @@ class NMinusWeightSpace:
         # word indices of the basis words: the columns without a pivot
         self.basis_pos = [k for k in range(len(self.words)) if k not in self._ech.rows]
         self.basis_words = [self.words[k] for k in self.basis_pos]
-        if check_dim:
-            from .reps import kostant_partition
-            expect = kostant_partition(rs, beta)
-            if self.dim != expect:
-                raise CertificationError(
-                    "weight space dimension %d != partition count %d at %s"
-                    % (self.dim, expect, beta))
+        from .reps import kostant_partition
+        expect = kostant_partition(rs, beta)
+        if self.dim != expect:
+            raise CertificationError(
+                "weight space dimension %d != partition count %d at %s"
+                % (self.dim, expect, beta))
 
     @property
     def dim(self) -> int:
@@ -336,15 +343,3 @@ def _split_contents(content: tuple[int, ...]) -> list[tuple[int, ...]]:
     rec(0, ())
     return out
 
-
-class _WeightSpaceCache:
-    def __init__(self, uq: UqAlgebra):
-        self.uq = uq
-        self._spaces: dict[tuple[int, ...], NMinusWeightSpace] = {}
-
-    def get(self, beta: tuple[int, ...]) -> NMinusWeightSpace:
-        ws = self._spaces.get(beta)
-        if ws is None:
-            ws = NMinusWeightSpace(self.uq, beta)
-            self._spaces[beta] = ws
-        return ws

@@ -10,27 +10,24 @@ from __future__ import annotations
 
 from .cartan import ParabolicData, Weight
 from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
-                     kernel_basis, normalize_vector)
-from .uqalg import AlgElement, NMinusWeightSpace, UqAlgebra, _words_of_content
+                     kernel_basis)
+from .reps import kostant_partition, levi_irrep
+from .uqalg import AlgElement, UqAlgebra, _words_of_content
 
 
 class ModuleSlice:
     """Weight-offset slice of a highest-weight module induced from a Levi
     simple module (plain Verma when S is empty)."""
 
-    def __init__(self, uq: UqAlgebra, lam: Weight, beta: tuple[int, ...],
-                 S: frozenset[int] = frozenset(), check_dim: bool = True):
-        self.uq = uq
-        self.lam = lam
+    def __init__(self, family: SliceFamily, beta: tuple[int, ...]):
+        self.uq = uq = family.uq
+        self.lam = lam = family.lam
         self.beta = beta
-        self.S = frozenset(S)
-        self.ws = NMinusWeightSpace(uq, beta)
+        self.S = family.S
+        self.ws = uq.weight_space(beta)
         self._ech = Echelon()
-        rs = uq.rs
         for i in sorted(self.S):
             m = lam.coords[i - 1] + 1
-            if m < 1:
-                raise ValueError("lam is not S-dominant")
             rest = list(beta)
             rest[i - 1] -= m
             if any(c < 0 for c in rest):
@@ -41,17 +38,11 @@ class ModuleSlice:
         # columns are word indices of the Serre quotient's basis words
         self._basis_pos = [k for k in self.ws.basis_pos if k not in self._ech.rows]
         self.basis_words = [self.ws.words[k] for k in self._basis_pos]
-        if check_dim and self.S:
-            from .reps import gvm_char
-            ht = sum(beta)
-            P = ParabolicData(rs, self.S)
-            ch = gvm_char(P, lam, ht)
-            target = lam - rs.root_to_weight(beta)
-            expect = ch.get(target, 0)
-            if self.dim != expect:
-                raise CertificationError(
-                    "induced module slice dim %d != character value %d at %s"
-                    % (self.dim, expect, beta))
+        expect = family.induced_dim(beta)
+        if self.dim != expect:
+            raise CertificationError(
+                "induced module slice dim %d != character value %d at %s"
+                % (self.dim, expect, beta))
 
     @property
     def dim(self) -> int:
@@ -71,20 +62,34 @@ class ModuleSlice:
 
 
 class SliceFamily:
-    """Cache of module slices for a fixed highest weight."""
+    """Cache of module slices for a fixed S-dominant highest weight lam,
+    with the character of the simple Levi module on top: its dimension and
+    each weight as (root offset below lam, multiplicity)."""
 
     def __init__(self, uq: UqAlgebra, lam: Weight, S: frozenset[int] = frozenset()):
         self.uq = uq
         self.lam = lam
         self.S = frozenset(S)
+        self.P = ParabolicData(uq.rs, self.S)
+        ch, self.levi_dim = levi_irrep(self.P, lam)
+        self.levi_offsets = [(uq.rs.weight_root_coords_int(lam - wt), m)
+                             for wt, m in ch.items()]
         self._slices: dict[tuple[int, ...], ModuleSlice] = {}
 
     def get(self, beta: tuple[int, ...]) -> ModuleSlice:
         sl = self._slices.get(beta)
         if sl is None:
-            sl = ModuleSlice(self.uq, self.lam, beta, self.S)
+            sl = ModuleSlice(self, beta)
             self._slices[beta] = sl
         return sl
+
+    def induced_dim(self, beta: tuple[int, ...]) -> int:
+        """Dimension of the beta-slice by the character identity: the Levi
+        character times partition counts into the quotient roots."""
+        rs = self.uq.rs
+        return sum(m * kostant_partition(rs, tuple(b - o for b, o in zip(beta, off)),
+                                         self.P.quotient_roots)
+                   for off, m in self.levi_offsets)
 
 
 def evaluate_on_highest(uq: UqAlgebra, lam: Weight, x: AlgElement) -> dict[tuple[int, ...], RatFunc]:
@@ -140,7 +145,6 @@ def singular_vectors(family: SliceFamily, beta: tuple[int, ...]) -> list[AlgElem
         coords_list = kernel_basis(QMatrix.from_rows(rows, src.dim))
     out = []
     for coords in coords_list:
-        coords = normalize_vector(coords)
         x: AlgElement = {}
         for w, c in zip(src.basis_words, coords):
             if not c.is_zero():
@@ -156,14 +160,6 @@ class LowestSliceFamily:
     def __init__(self, uq: UqAlgebra, lam: Weight):
         self.uq = uq
         self.lam = lam
-        self._spaces: dict[tuple[int, ...], NMinusWeightSpace] = {}
-
-    def space(self, beta: tuple[int, ...]) -> NMinusWeightSpace:
-        sp = self._spaces.get(beta)
-        if sp is None:
-            sp = NMinusWeightSpace(self.uq, beta)
-            self._spaces[beta] = sp
-        return sp
 
     def _k_scalar(self, kv: tuple[int, ...], eword_content: tuple[int, ...]) -> RatFunc:
         # weight of (E-word) ksi is -lam + sum of alphas in the word
@@ -198,12 +194,12 @@ class LowestSliceFamily:
         return out
 
     def f_action_matrix(self, beta: tuple[int, ...], i: int) -> QMatrix:
-        src = self.space(beta)
+        src = self.uq.weight_space(beta)
         tgt_beta = list(beta)
         tgt_beta[i - 1] -= 1
         if tgt_beta[i - 1] < 0:
             return QMatrix(0, src.dim)
-        tgt = self.space(tuple(tgt_beta))
+        tgt = self.uq.weight_space(tuple(tgt_beta))
         m = QMatrix(tgt.dim, src.dim)
         for cidx, u in enumerate(src.basis_words):
             col = tgt.reduce_coords(self.f_apply(i, u))
@@ -212,7 +208,7 @@ class LowestSliceFamily:
         return m
 
     def annihilated_by_all_f(self, beta: tuple[int, ...]) -> list[list[RatFunc]]:
-        src = self.space(beta)
+        src = self.uq.weight_space(beta)
         if src.dim == 0:
             return []
         rows: list[list[RatFunc]] = []
@@ -220,7 +216,7 @@ class LowestSliceFamily:
             rows.extend(self.f_action_matrix(beta, i).entries)
         if not rows:
             return [[RatFunc.one()]] if src.dim == 1 else []
-        return [normalize_vector(v) for v in kernel_basis(QMatrix.from_rows(rows, src.dim))]
+        return kernel_basis(QMatrix.from_rows(rows, src.dim))
 
     def coords_of(self, x: AlgElement, beta: tuple[int, ...]) -> list[RatFunc]:
         """Coordinates of a pure E-word element in the beta-slice basis."""
@@ -229,7 +225,7 @@ class LowestSliceFamily:
             if fw or any(kv):
                 raise ValueError("element is not in the E-part")
             by_word[ew] = by_word.get(ew, RatFunc.zero()) + c
-        return self.space(beta).reduce_coords(by_word)
+        return self.uq.weight_space(beta).reduce_coords(by_word)
 
 
 def dot_offset(G, w_short, w_long, mu: Weight) -> tuple[int, ...]:

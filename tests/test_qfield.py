@@ -216,3 +216,5 @@ def test_kernel_vectors_vanish_on_other_free_columns(rows):
     for f, v in zip(free, ker):
         assert all(x.is_zero() for x in m.apply(v))
         assert all(v[g].is_zero() == (g != f) for g in free)
+        # kernel_basis already normalizes, so callers need not do it again
+        assert normalize_vector(v) == v

@@ -195,27 +195,40 @@ def test_weight_space_dims_match_partition(name):
 _WRONG_COUNT_SCRIPT = """
 import sys
 from qbgg import reps
-from qbgg.cartan import RootSystem
+from qbgg.cartan import RootSystem, Weight
 from qbgg.qfield import CertificationError
 from qbgg.uqalg import NMinusWeightSpace, UqAlgebra
+from qbgg.verma import ModuleSlice, SliceFamily
 
 if not sys.flags.optimize:
     sys.exit("not running under -O")
-reps.kostant_partition = lambda rs, beta: 3
+uq = UqAlgebra(RootSystem("A2"))
+%s
 try:
-    ws = NMinusWeightSpace(UqAlgebra(RootSystem("A2")), (1, 1))
+    built = %s
 except CertificationError as exc:
     print("refused:", exc)
 else:
-    print("accepted dim", ws.dim)
+    print("accepted dim", built.dim)
 """
 
 
-def test_weight_space_certificate_survives_optimize():
-    # python -O strips assert statements; the Kostant count check must still
-    # refuse a wrong partition count (the true dimension at (1, 1) is 2)
+@pytest.mark.parametrize("setup,build", [
+    # the true dimension of the Serre quotient at (1, 1) is 2
+    pytest.param("reps.kostant_partition = lambda rs, beta: 3",
+                 "NMinusWeightSpace(uq, (1, 1))", id="kostant"),
+    # the family's character count is one too large
+    pytest.param("fam = SliceFamily(uq, Weight((1, 0)), {1})\n"
+                 "count = fam.induced_dim\n"
+                 "fam.induced_dim = lambda beta: count(beta) + 1",
+                 "ModuleSlice(fam, (1, 1))", id="induced"),
+])
+def test_weight_space_certificate_survives_optimize(setup, build):
+    # python -O strips assert statements; the dimension certificates must
+    # still refuse a wrong count
     src = str(Path(qbgg.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-O", "-c", _WRONG_COUNT_SCRIPT],
+    proc = subprocess.run([sys.executable, "-O", "-c",
+                           _WRONG_COUNT_SCRIPT % (setup, build)],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,8 @@
 """Induced-module weight slices, singular vectors, and the standard maps."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from qbgg.cartan import ParabolicData, RootSystem, Weight
@@ -36,6 +38,38 @@ def test_parabolic_slice_dims_match_induced_character():
         off = rs.weight_root_coords_int(lam - wt)
         if 0 < sum(off) <= 3:
             assert fam.get(off).dim == mult
+
+
+@pytest.mark.parametrize("name,S,lams", [
+    ("A3", (1, 3), [(0, 0, 0), (1, 0, 2), (2, -3, 0), (0, -1, 1)]),
+    ("C3", (1, 2), [(0, 0, 0), (1, 1, -2), (0, 2, -1)]),
+    ("G2", (1,), [(0, 0), (1, -2), (3, 0), (2, -1)]),
+    # every node in S: the quotient roots are empty and only the Levi
+    # character itself is left
+    ("A2", (1, 2), [(0, 0), (1, 0), (2, 1)]),
+], ids=["A3", "C3", "G2", "A2-every-node"])
+def test_family_induced_dim_matches_gvm_char(name, S, lams):
+    rs = RootSystem(name)
+    P = ParabolicData(rs, set(S))
+    uq = UqAlgebra(rs)
+    offsets = [b for b in itertools.product(range(5), repeat=rs.rank) if sum(b) <= 4]
+    for coords in lams:
+        lam = Weight(coords)
+        fam = SliceFamily(uq, lam, P.S)
+        ch = gvm_char(P, lam, 4)
+        for beta in offsets:
+            assert fam.induced_dim(beta) == ch.get(lam - rs.root_to_weight(beta), 0), \
+                (lam, beta)
+        assert fam.levi_dim == sum(m for _, m in fam.levi_offsets)
+
+
+def test_weight_spaces_are_shared():
+    rs = RootSystem("A2")
+    uq = UqAlgebra(rs)
+    assert uq.weight_space((2, 1)) is uq.weight_space((2, 1))
+    fam1 = SliceFamily(uq, Weight((1, 0)), {1})
+    fam2 = SliceFamily(uq, Weight((3, -2)), {1})
+    assert fam1.get((1, 2)).ws is fam2.get((1, 2)).ws is uq.weight_space((1, 2))
 
 
 def test_evaluate_on_highest_k_eigenvalue():
