@@ -1,7 +1,8 @@
 """Exact arithmetic in Q(q) and exact linear algebra over it.
 
 Elements of Q(q) are stored as normalized fractions of integer Laurent
-polynomials in q.  All computations are exact.  Linear algebra has one
+polynomials in q.  All computations are exact, and normal forms use integers
+only (`laurent_gcd`, `laurent_divexact`).  Linear algebra has one
 path: `Echelon`, a sparse incremental row echelon with leftmost pivots.  It
 builds quotients one relation at a time (Serre quotients, module slices,
 cyclic lifts), reduces vectors modulo them, and sits behind `rank`,
@@ -12,7 +13,7 @@ from __future__ import annotations
 from bisect import insort
 from fractions import Fraction
 from math import gcd as _intgcd
-from typing import Hashable, Iterable, Iterator, TypeVar
+from typing import Hashable, Iterator, TypeVar
 
 Key = TypeVar("Key", bound=Hashable)
 
@@ -22,18 +23,8 @@ class Laurent:
 
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: dict[int, int] | Iterable[tuple[int, int]] | None = None):
-        c: dict[int, int] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for e, v in items:
-                if v:
-                    nv = c.get(e, 0) + v
-                    if nv:
-                        c[e] = nv
-                    else:
-                        c.pop(e, None)
-        self.c = c
+    def __init__(self, coeffs: dict[int, int] | None = None):
+        self.c = {e: v for e, v in coeffs.items() if v} if coeffs else {}
 
     @staticmethod
     def const(n: int) -> "Laurent":
@@ -63,21 +54,18 @@ class Laurent:
         return self.c[self.degree()]
 
     def content(self) -> int:
-        g = 0
-        for v in self.c.values():
-            g = _intgcd(g, abs(v))
-        return g
+        return _intgcd(*self.c.values())
 
     def is_monomial(self) -> bool:
         return len(self.c) == 1
 
     def shift(self, k: int) -> "Laurent":
-        return Laurent({e + k: v for e, v in self.c.items()})
+        return _wrap({e + k: v for e, v in self.c.items()})
 
     def scale_int(self, n: int) -> "Laurent":
         if n == 0:
             return Laurent()
-        return Laurent({e: v * n for e, v in self.c.items()})
+        return _wrap({e: v * n for e, v in self.c.items()})
 
     def divexact_int(self, n: int) -> "Laurent":
         out = {}
@@ -85,7 +73,7 @@ class Laurent:
             if v % n:
                 raise ArithmeticError("inexact integer division")
             out[e] = v // n
-        return Laurent(out)
+        return _wrap(out)
 
     def __add__(self, other: "Laurent") -> "Laurent":
         c = dict(self.c)
@@ -95,15 +83,13 @@ class Laurent:
                 c[e] = nv
             else:
                 c.pop(e, None)
-        out = Laurent()
-        out.c = c
-        return out
+        return _wrap(c)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -v for e, v in self.c.items()})
+        return _wrap({e: -v for e, v in self.c.items()})
 
     def __mul__(self, other: "Laurent") -> "Laurent":
         c: dict[int, int] = {}
@@ -115,9 +101,7 @@ class Laurent:
                     c[e] = nv
                 else:
                     c.pop(e, None)
-        out = Laurent()
-        out.c = c
-        return out
+        return _wrap(c)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Laurent) and self.c == other.c
@@ -145,41 +129,49 @@ class Laurent:
     __repr__ = __str__
 
 
-def _poly_divmod_rational(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Division with remainder for dense coefficient lists over Q (low to high)."""
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - len(b) + 1)
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        f = a[-1] / b[-1]
-        q[k] = f
-        for i, bv in enumerate(b):
-            a[k + i] -= f * bv
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+_HEU_RETRIES = 6  # heuristic gcd attempts, each with a larger xi, before the PRS
 
 
-def _to_dense(p: Laurent) -> tuple[int, list[Fraction]]:
-    v = p.valuation()
-    d = p.degree()
-    dense = [Fraction(p.c.get(e, 0)) for e in range(v, d + 1)]
-    return v, dense
+def _wrap(c: dict[int, int]) -> Laurent:
+    """A Laurent polynomial around a dict that holds no zero coefficients."""
+    out = Laurent.__new__(Laurent)
+    out.c = c
+    return out
 
 
-def _from_dense(val: int, dense: list[Fraction]) -> Laurent:
-    out: dict[int, int] = {}
-    for i, co in enumerate(dense):
-        if co:
-            if co.denominator != 1:
-                raise ArithmeticError("inexact division")
-            out[val + i] = co.numerator
-    return Laurent(out)
+def _dense(p: Laurent) -> list[int]:
+    """Coefficients of p / q^valuation(p), low to high."""
+    v = min(p.c)
+    out = [0] * (max(p.c) - v + 1)
+    for e, x in p.c.items():
+        out[e - v] = x
+    return out
+
+
+def _primitive(d: list[int]) -> list[int]:
+    g = _intgcd(*d)
+    return d if g == 1 else [x // g for x in d]
+
+
+def _divexact_dense(a: list[int], b: list[int]) -> list[int]:
+    """Exact quotient a / b of integer coefficient lists (low to high, b's
+    last entry nonzero); raises ArithmeticError at the first leading
+    coefficient that b's does not divide, or on a nonzero remainder."""
+    nb = len(b) - 1
+    lb = b[nb]
+    r = list(a)
+    quo = [0] * (len(a) - nb)
+    for k in range(len(quo) - 1, -1, -1):
+        c = r[k + nb]
+        if c:
+            f, m = divmod(c, lb)
+            if m:
+                raise ArithmeticError("inexact Laurent division")
+            quo[k] = f
+            r[k:k + nb] = [x - f * y for x, y in zip(r[k:k + nb], b)]
+    if any(r[:nb]):
+        raise ArithmeticError("inexact Laurent division")
+    return quo
 
 
 def laurent_divexact(a: Laurent, b: Laurent) -> Laurent:
@@ -188,20 +180,70 @@ def laurent_divexact(a: Laurent, b: Laurent) -> Laurent:
         raise ZeroDivisionError("division by zero Laurent polynomial")
     if a.is_zero():
         return Laurent()
-    if b.is_monomial():
-        e, v = next(iter(b.c.items()))
-        out = {}
-        for ea, va in a.c.items():
-            if va % v:
-                raise ArithmeticError("inexact division")
-            out[ea - e] = va // v
-        return Laurent(out)
-    va, da = _to_dense(a)
-    vb, db = _to_dense(b)
-    quo, rem = _poly_divmod_rational(da, db)
-    if rem:
-        raise ArithmeticError("inexact Laurent division")
-    return _from_dense(va - vb, quo)
+    quo = _divexact_dense(_dense(a), _dense(b))
+    v = min(a.c) - min(b.c)
+    return _wrap({v + i: x for i, x in enumerate(quo) if x})
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of primitive integer polynomials by a primitive remainder
+    sequence: pseudo-remainders with their content removed."""
+    if len(a) < len(b):
+        a, b = b, a
+    while len(b) > 1:
+        r, lb = list(a), b[-1]
+        while len(r) >= len(b):
+            c, k = r[-1], len(r) - len(b)
+            r = [x * lb for x in r]
+            r[k:] = [x - c * y for x, y in zip(r[k:], b)]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _heu_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Gcd of primitive integer polynomials, up to sign: the heuristic gcd
+    of Char, Geddes and Gonnet, with `_prs_gcd` as its exact fallback.
+
+    h = gcd(a(xi), b(xi)) is read back as the polynomial G of its symmetric
+    base-xi digits, so G(xi) = h and every coefficient of G, hence its
+    content kappa, is at most xi/2 in size.  A candidate pp(G) is accepted
+    only if it divides a and b over Z (a constant always does); it is then
+    the gcd g.  Proof: write g = pp(G) * c.  g(xi) divides
+    h = kappa * pp(G)(xi), which is nonzero (see below), so c(xi) divides
+    kappa.  Let p be whichever of a, b has the smaller sup-norm m;
+    xi >= 2m + 2.  Every root alpha of p, hence of c, has |alpha| < m + 1
+    (Cauchy), so |xi - alpha| > xi - m - 1 >= xi/2 and p(xi) != 0.  If c
+    had degree >= 1 then |c(xi)| > xi/2 >= |kappa|, which is impossible;
+    so c = +-1.  A rejected candidate only costs a retry with a larger xi,
+    and after `_HEU_RETRIES` the PRS decides."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(_HEU_RETRIES):
+        ea = eb = 0
+        for x in reversed(a):
+            ea = ea * xi + x
+        for x in reversed(b):
+            eb = eb * xi + x
+        h, g = _intgcd(ea, eb), []
+        while h:
+            d = h % xi
+            if d > xi // 2:
+                d -= xi
+            g.append(d)
+            h = (h - d) // xi
+        g = _primitive(g)
+        if len(g) == 1:
+            return [1]
+        try:
+            _divexact_dense(a, g)
+            _divexact_dense(b, g)
+            return g
+        except ArithmeticError:
+            xi = xi * 73794 // 27011
+    return _prs_gcd(a, b)
 
 
 def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
@@ -212,22 +254,11 @@ def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
         return _normalize_gcd(b)
     if b.is_zero():
         return _normalize_gcd(a)
-    _, da = _to_dense(a)
-    _, db = _to_dense(b)
-    while db and any(db):
-        _, r = _poly_divmod_rational(da, db)
-        da, db = db, r
-    # clear rational content, return primitive integer polynomial
-    den_lcm = 1
-    for co in da:
-        den_lcm = den_lcm * co.denominator // _intgcd(den_lcm, co.denominator)
-    ints = [int(co * den_lcm) for co in da]
-    g = 0
-    for v in ints:
-        g = _intgcd(g, abs(v))
-    ints = [v // g for v in ints]
-    out = Laurent({i: v for i, v in enumerate(ints)})
-    return _normalize_gcd(out)
+    if a.is_monomial() or b.is_monomial():
+        return Laurent.const(1)
+    g = _heu_gcd(_primitive(_dense(a)), _primitive(_dense(b)))
+    s = 1 if g[-1] > 0 else -1
+    return _wrap({e: s * x for e, x in enumerate(g) if x})
 
 
 def _normalize_gcd(p: Laurent) -> Laurent:
@@ -260,14 +291,14 @@ class RatFunc:
             return Laurent(), Laurent.const(1)
         # shift denominator so its lowest exponent is 0
         v = den.valuation()
-        num, den = num.shift(-v), den.shift(-v)
+        if v:
+            num, den = num.shift(-v), den.shift(-v)
         if not den.is_monomial():
             g = laurent_gcd(num, den)
-            if g.degree() > 0 or not g.is_monomial():
+            # g and den have nonzero constant terms, so den / g does too
+            if g.degree() > 0:
                 num = laurent_divexact(num, g)
                 den = laurent_divexact(den, g)
-                v = den.valuation()
-                num, den = num.shift(-v), den.shift(-v)
         cg = _intgcd(num.content(), den.content())
         if cg > 1:
             num = num.divexact_int(cg)
@@ -316,7 +347,22 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if self.is_zero() or other.is_zero():
             return RatFunc.zero()
+        if len(other.num.c) == 1 and len(other.den.c) == 1:
+            return self._times_monomial(other)
+        if len(self.num.c) == 1 and len(self.den.c) == 1:
+            return other._times_monomial(self)
         return RatFunc(self.num * other.num, self.den * other.den)
+
+    def _times_monomial(self, m: "RatFunc") -> "RatFunc":
+        """self * m for m = c q^e / d0 in normal form (d0 > 0).  c, q^e and d0
+        are units of Q[q, q^-1], so num and den stay coprime and the product
+        needs no polynomial gcd, only the common integer content removed."""
+        (e, c), = m.num.c.items()
+        d0 = m.den.c[0]
+        g = _intgcd(c * self.num.content(), d0 * self.den.content())
+        return RatFunc(_wrap({k + e: v * c // g for k, v in self.num.c.items()}),
+                       _wrap({k: v * d0 // g for k, v in self.den.c.items()}),
+                       _normalized=True)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if other.is_zero():

@@ -1,16 +1,17 @@
 """End-to-end acceptance suite.
 
 Each test prints a single PASS/FAIL line for its criterion before asserting,
-so a full run yields a ten-line scoreboard.
+so a full run yields an eleven-line scoreboard.
 """
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import gcd
 
 from qbgg.bgg import BGGComplex, DoubleComplex
 from qbgg.cartan import ParabolicData, RootSystem, Weight
-from qbgg.qfield import solve_in_span
+from qbgg.qfield import Laurent, solve_in_span
 from qbgg.reps import kostant_partition, verify_dim_identity
 from qbgg.uqalg import NMinusWeightSpace, UqAlgebra
 from qbgg.verma import LowestSliceFamily, SliceFamily, dot_offset, singular_vectors
@@ -239,4 +240,55 @@ def test_criterion_10_engine_cross_validation(acceptance_report, monkeypatch):
     ok = bool(seen) and all(_rank_at(m.evaluate(q0)) == r for m, r in seen)
     acceptance_report(10, ok, "all %d certified ranks equal their specialization "
             "at q = 3/2" % len(seen))
+    assert ok
+
+
+def _euclid_gcd(a: Laurent, b: Laurent) -> dict[int, int]:
+    """Gcd by Euclid over Q on the coefficient lists of a / q^val(a) and
+    b / q^val(b), scaled to a primitive polynomial with positive leading
+    coefficient."""
+    a, b = ([Fraction(p.c.get(e, 0)) for e in range(min(p.c), max(p.c) + 1)]
+            if p.c else [] for p in (a, b))
+    while b:
+        for k in range(len(a) - len(b), -1, -1):
+            f = a[k + len(b) - 1] / b[-1]
+            a[k:k + len(b)] = [x - f * y for x, y in zip(a[k:k + len(b)], b)]
+        a = a[:len(b) - 1]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    lcm = 1
+    for x in a:
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    ints = [int(x * lcm) for x in a]
+    g = gcd(*ints) * (1 if not ints or ints[-1] > 0 else -1)
+    return {e: x // g for e, x in enumerate(ints) if x}
+
+
+def test_criterion_11_heuristic_gcd_cross_validation(acceptance_report,
+                                                      monkeypatch):
+    # every gcd the Q(q) normal form takes on these windows must equal
+    # Euclid over Q; calls to the exact fallback are counted
+    seen, fallbacks = [], []
+    heuristic, prs = qfield.laurent_gcd, qfield._prs_gcd
+
+    def recording_gcd(a, b):
+        seen.append((a, b))
+        return heuristic(a, b)
+
+    monkeypatch.setattr(qfield, "laurent_gcd", recording_gcd)
+    monkeypatch.setattr(qfield, "_prs_gcd",
+                        lambda a, b: fallbacks.append(1) or prs(a, b))
+    BGGComplex(BruhatGraph(ParabolicData(RootSystem("A2"), {1}))) \
+        .verify_exactness(4)
+    # the A2 double adds about 2,300 pairs of two non-monomials
+    for name, S in [("A1", ()), ("A2", (1,))]:
+        dc = DoubleComplex(BruhatGraph(ParabolicData(RootSystem(name), set(S))))
+        dc.verify_rows(1, 1)
+        dc.verify_columns(1, 1)
+    monkeypatch.undo()
+    ok = bool(seen) and all(heuristic(a, b).c == _euclid_gcd(a, b)
+                            for a, b in seen)
+    acceptance_report(11, ok, "heuristic gcd equals Euclid over Q on all %d "
+            "recorded pairs (%d fallbacks)" % (len(seen), len(fallbacks)))
     assert ok

@@ -3,13 +3,16 @@ evaluation at generic rational points."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qbgg import qfield
 from qbgg.qfield import (Echelon, Laurent, QMatrix, RatFunc, kernel_basis,
-                         normalize_vector, rank, solve_in_span)
+                         laurent_divexact, laurent_gcd, normalize_vector, rank,
+                         solve_in_span)
 
 Q0 = Fraction(5, 3)
 
@@ -218,3 +221,111 @@ def test_kernel_vectors_vanish_on_other_free_columns(rows):
         assert all(v[g].is_zero() == (g != f) for g in free)
         # kernel_basis already normalizes, so callers need not do it again
         assert normalize_vector(v) == v
+
+
+def _dense(p: Laurent) -> list[Fraction]:
+    if p.is_zero():
+        return []
+    v = p.valuation()
+    return [Fraction(p.c.get(e, 0)) for e in range(v, p.degree() + 1)]
+
+
+def _fraction_divmod(a: list[Fraction], b: list[Fraction]):
+    """Long division of dense coefficient lists (low to high) over Q."""
+    a = list(a)
+    quo = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        f = a[k + len(b) - 1] / b[-1]
+        quo[k] = f
+        for i, y in enumerate(b):
+            a[k + i] -= f * y
+    rem = a[:len(b) - 1]
+    while rem and not rem[-1]:
+        rem.pop()
+    return quo, rem
+
+
+def _euclid_gcd(a: Laurent, b: Laurent) -> dict[int, int]:
+    """Euclid over Q, scaled to a primitive integer polynomial with positive
+    leading coefficient and lowest exponent 0."""
+    da, db = _dense(a), _dense(b)
+    while db:
+        da, db = db, _fraction_divmod(da, db)[1]
+    lcm = 1
+    for x in da:
+        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
+    ints = [int(x * lcm) for x in da]
+    g = gcd(*ints) * (1 if not ints or ints[-1] > 0 else -1)
+    return {e: x // g for e, x in enumerate(ints) if x}
+
+
+def _fraction_quotient(a: Laurent, b: Laurent) -> dict[int, int] | None:
+    """a / b in Z[q, q^-1], or None when it is not exact."""
+    quo, rem = _fraction_divmod(_dense(a), _dense(b))
+    if rem or not quo or any(x.denominator != 1 for x in quo):
+        return None
+    v = a.valuation() - b.valuation()
+    return {v + i: int(x) for i, x in enumerate(quo) if x}
+
+
+def big_laurents():
+    # coefficients up to 10^12 make the evaluation point xi large
+    coeff = st.one_of(st.integers(-9, 9), st.integers(-10 ** 12, 10 ** 12))
+    return st.dictionaries(st.integers(-3, 4), coeff, max_size=4).map(Laurent)
+
+
+@given(big_laurents(), big_laurents(), big_laurents())
+def test_gcd_and_divexact_match_fraction_euclid(f, g, h):
+    assert laurent_gcd(f, g).c == _euclid_gcd(f, g)
+    if h.is_zero():
+        return
+    for a in (f * h, f * h + g):
+        expected = _fraction_quotient(a, h) if not a.is_zero() else {}
+        if expected is None:
+            with pytest.raises(ArithmeticError):
+                laurent_divexact(a, h)
+        else:
+            assert laurent_divexact(a, h).c == expected
+
+
+@given(big_laurents(), big_laurents(), big_laurents())
+def test_gcd_of_products_with_common_factor(f, g, h):
+    assume(not (f * h).is_zero() and not (g * h).is_zero())
+    d = laurent_gcd(f * h, g * h)
+    assert d.c == _euclid_gcd(f * h, g * h)
+    # the primitive part of h divides the gcd
+    assert _fraction_quotient(d, laurent_gcd(h, Laurent())) is not None
+
+
+@settings(max_examples=50)
+@given(big_laurents(), big_laurents(), big_laurents())
+def test_gcd_fallback_matches_fraction_euclid(f, g, h):
+    calls = []
+    prs = qfield._prs_gcd
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qfield, "_HEU_RETRIES", 0)
+        mp.setattr(qfield, "_prs_gcd", lambda a, b: calls.append(1) or prs(a, b))
+        a, b = f * h, g * h
+        assert laurent_gcd(a, b).c == _euclid_gcd(a, b)
+    # every gcd of two non-monomials went through the fallback
+    assert calls or len(a.c) < 2 or len(b.c) < 2
+
+
+def test_divexact_raises_when_inexact():
+    with pytest.raises(ArithmeticError):
+        laurent_divexact(Laurent({2: 1, 0: 1}), Laurent({1: 1, 0: 1}))
+    with pytest.raises(ArithmeticError):
+        laurent_divexact(Laurent({1: 3}), Laurent.const(2))
+
+
+def monomials():
+    return st.tuples(st.integers(-4, 4), st.integers(-30, 30).filter(bool),
+                     st.integers(1, 30)).map(
+        lambda t: RatFunc(Laurent({t[0]: t[1]}), Laurent.const(t[2])))
+
+
+@given(monomials(), ratfuncs())
+def test_monomial_product_matches_general_path(a, b):
+    general = RatFunc(a.num * b.num, a.den * b.den)
+    for p in (a * b, b * a):
+        assert (p.num.c, p.den.c) == (general.num.c, general.den.c)
