@@ -13,7 +13,8 @@ from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
                      rank)
 from .reps import levi_irrep
 from .uqalg import AlgElement, UqAlgebra, scaled
-from .verma import (SliceFamily, StandardMapFamily, dot_offset)
+from .verma import (SliceFamily, StandardMapFamily, dot_offset,
+                    evaluate_on_highest)
 
 
 # extra letters allowed per Levi node beyond the quotient-root box of a WSlice
@@ -22,6 +23,12 @@ LEVI_SLACK = 2
 
 class TruncationError(Exception):
     """A verification window was too small to contain all needed relations."""
+
+
+def _scount(s: int | None, c: tuple[int, ...]) -> int:
+    """Quotient letters in a content: its entry at the crossed node s, or its
+    height when there is none."""
+    return sum(c) if s is None else c[s - 1]
 
 
 def _enumerate_offsets(rs: RootSystem, max_height: int) -> list[tuple[int, ...]]:
@@ -195,7 +202,6 @@ class LeviModuleData:
 
     def __init__(self, uq: UqAlgebra, P: ParabolicData, lam: Weight):
         self.uq = uq
-        self.P = P
         self.lam = lam
         rs = uq.rs
         fam = SliceFamily(uq, lam, P.S)
@@ -213,51 +219,26 @@ class LeviModuleData:
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.weights = [lam - rs.root_to_weight(off) for off, _ in self.basis]
 
-    def matrix_F(self, i: int) -> list[list[RatFunc]]:
-        rs = self.uq.rs
-        n = self.dim
-        m = [[RatFunc.zero()] * n for _ in range(n)]
+    def matrix(self, x: AlgElement) -> list[list[RatFunc]]:
+        """Matrix of a Levi-part element: x applied to each basis word on the
+        highest weight vector, each F-content part reduced in its slice."""
+        uq = self.uq
+        m = [[RatFunc.zero()] * self.dim for _ in range(self.dim)]
         for cidx, (off, k) in enumerate(self.basis):
-            src = self.slices[off]
-            word = src.basis_words[k]
-            noff = list(off)
-            noff[i - 1] += 1
-            noff = tuple(noff)
-            if noff not in self.slices:
-                continue
-            tgt = self.slices[noff]
-            coords = tgt.reduce_coords({(i,) + word: RatFunc.one()})
-            for ridx, v in enumerate(coords):
-                if not v.is_zero():
-                    m[self.index[(noff, ridx)]][cidx] = v
+            word = self.slices[off].basis_words[k]
+            vec = evaluate_on_highest(uq, self.lam, uq.multiply(x, uq.fword(word)))
+            parts: dict[tuple[int, ...], dict[tuple[int, ...], RatFunc]] = {}
+            for w, c in vec.items():
+                parts.setdefault(tuple(w.count(i) for i in range(1, uq.r + 1)), {})[w] = c
+            for noff, part in parts.items():
+                # a content outside the module's weights is a zero slice
+                tgt = self.slices.get(noff)
+                if tgt is None:
+                    continue
+                for ridx, v in enumerate(tgt.reduce_coords(part)):
+                    if not v.is_zero():
+                        m[self.index[(noff, ridx)]][cidx] = v
         return m
-
-    def matrix_E(self, i: int) -> list[list[RatFunc]]:
-        from .verma import evaluate_on_highest
-        n = self.dim
-        m = [[RatFunc.zero()] * n for _ in range(n)]
-        ei = self.uq.E(i)
-        for cidx, (off, k) in enumerate(self.basis):
-            src = self.slices[off]
-            word = src.basis_words[k]
-            noff = list(off)
-            noff[i - 1] -= 1
-            noff = tuple(noff)
-            if noff not in self.slices:
-                continue
-            tgt = self.slices[noff]
-            prod = self.uq.multiply(ei, self.uq.fword(word))
-            vec = evaluate_on_highest(self.uq, self.lam, prod)
-            coords = tgt.reduce_coords(vec)
-            for ridx, v in enumerate(coords):
-                if not v.is_zero():
-                    m[self.index[(noff, ridx)]][cidx] = v
-        return m
-
-    def k_exponents(self, j: int) -> list[int]:
-        """Exponent of the K_j eigenvalue q^{(alpha_j, wt)} per basis vector."""
-        rs = self.uq.rs
-        return [rs.d[j - 1] * wt.coords[j - 1] for wt in self.weights]
 
 
 class TensorFiber:
@@ -283,90 +264,29 @@ class TensorFiber:
         self._gen_mats: dict[tuple, list[list[RatFunc]]] = {}
         self._lift: list[AlgElement] | None = None
 
-    def _dual_matrix(self, letter: tuple) -> list[list[RatFunc]]:
-        """Action on the dual module: transpose of the antipode image."""
-        nd = self.nu_data
-        n = nd.dim
-        if letter[0] == "F":
-            i = letter[1]
-            # kappa(F_i) = -K_i F_i
-            base = nd.matrix_F(i)
-            kexp = nd.k_exponents(i)
-            out = [[RatFunc.zero()] * n for _ in range(n)]
-            for rr in range(n):
-                for cc in range(n):
-                    v = base[rr][cc]
-                    if not v.is_zero():
-                        # transpose of -K_i F_i
-                        out[cc][rr] = -(RatFunc.q_power(kexp[rr]) * v)
-            return out
-        if letter[0] == "E":
-            i = letter[1]
-            # kappa(E_i) = -E_i K_i^{-1}
-            base = nd.matrix_E(i)
-            kexp = nd.k_exponents(i)
-            out = [[RatFunc.zero()] * n for _ in range(n)]
-            for rr in range(n):
-                for cc in range(n):
-                    v = base[rr][cc]
-                    if not v.is_zero():
-                        out[cc][rr] = -(v * RatFunc.q_power(-kexp[cc]))
-            return out
-        raise ValueError(letter)
-
     def generator_matrix(self, letter: tuple) -> list[list[RatFunc]]:
-        """Matrix of F_i or E_i on the tensor fiber via the coproduct."""
-        key = letter
-        m = self._gen_mats.get(key)
+        """Matrix of one letter ("F", i), ("E", i) or ("K", i, e) on the fiber:
+        the sum over the coproduct terms c a (x) b of c M_mu(a) (x)
+        M_nu(kappa(b))^T, the dual factor acting through the antipode."""
+        m = self._gen_mats.get(letter)
         if m is not None:
             return m
+        uq = self.uq
         md, nd = self.mu_data, self.nu_data
-        rs = self.uq.rs
-        n = self.dim
-        out = [[RatFunc.zero()] * n for _ in range(n)]
-        if letter[0] == "F":
-            i = letter[1]
-            mf = md.matrix_F(i)
-            kinv = md.k_exponents(i)
-            df = self._dual_matrix(("F", i))
-            # Delta(F) = F (x) 1 + K^{-1} (x) F
-            for p in range(md.dim):
-                for p2 in range(md.dim):
-                    v = mf[p2][p]
-                    if not v.is_zero():
-                        for r in range(nd.dim):
-                            out[p2 * nd.dim + r][p * nd.dim + r] = v
-            for p in range(md.dim):
-                scal = RatFunc.q_power(-kinv[p])
-                for r in range(nd.dim):
-                    for r2 in range(nd.dim):
-                        v = df[r2][r]
-                        if not v.is_zero():
-                            cur = out[p * nd.dim + r2][p * nd.dim + r]
-                            out[p * nd.dim + r2][p * nd.dim + r] = cur + scal * v
-        elif letter[0] == "E":
-            i = letter[1]
-            me = md.matrix_E(i)
-            de = self._dual_matrix(("E", i))
-            # K exponents on the dual factor: -(exponent on M(nu))
-            dk = [-x for x in nd.k_exponents(i)]
-            # Delta(E) = E (x) K + 1 (x) E
-            for p in range(md.dim):
-                for p2 in range(md.dim):
-                    v = me[p2][p]
-                    if not v.is_zero():
-                        for r in range(nd.dim):
-                            out[p2 * nd.dim + r][p * nd.dim + r] = v * RatFunc.q_power(dk[r])
-            for p in range(md.dim):
-                for r in range(nd.dim):
-                    for r2 in range(nd.dim):
-                        v = de[r2][r]
-                        if not v.is_zero():
-                            cur = out[p * nd.dim + r2][p * nd.dim + r]
-                            out[p * nd.dim + r2][p * nd.dim + r] = cur + v
-        else:
-            raise ValueError(letter)
-        self._gen_mats[key] = out
+        nn = nd.dim
+        out = [[RatFunc.zero()] * self.dim for _ in range(self.dim)]
+        for (a, b), c in uq.coproduct(uq.from_letters([letter])).items():
+            ma = md.matrix({a: RatFunc.one()})
+            mb = nd.matrix(uq.antipode({b: RatFunc.one()}))
+            a_nz = [(p2, p, v * c) for p2, row in enumerate(ma)
+                    for p, v in enumerate(row) if not v.is_zero()]
+            b_nz = [(r, r2, v) for r, row in enumerate(mb)
+                    for r2, v in enumerate(row) if not v.is_zero()]
+            for p2, p, va in a_nz:
+                for r, r2, vb in b_nz:
+                    row = out[p2 * nn + r2]
+                    row[p * nn + r] = row[p * nn + r] + va * vb
+        self._gen_mats[letter] = out
         return out
 
     def k_exponent(self, j: int, idx: int) -> int:
@@ -459,7 +379,6 @@ class WSlice:
         slack = [LEVI_SLACK if (i + 1) in self.P.S else 0 for i in range(rs.rank)]
         self.capF = tuple(k1cap * hr[i] + slack[i] for i in range(rs.rank))
         self.capE = tuple(k2cap * hr[i] + slack[i] for i in range(rs.rank))
-        self._scount = (lambda c: sum(c)) if s is None else (lambda c: c[s - 1])
         self.cells = self._cells(omega)
         # flat coordinate layout: per cell a block of fdim * edim entries
         self._offset: dict[tuple, int] = {}
@@ -492,6 +411,7 @@ class WSlice:
         """Window cells of the given total weight, largest first so that
         elimination keeps the smallest spanning cells as the basis."""
         rs = self.uq.rs
+        s = self.P.s
         cells = []
         for t in range(self.fiber.dim):
             try:
@@ -502,7 +422,7 @@ class WSlice:
                 ce = tuple(cf[i] + delta[i] for i in range(rs.rank))
                 if any(x < 0 for x in ce) or any(x > y for x, y in zip(ce, self.capE)):
                     continue
-                if self._scount(cf) > self.k1cap or self._scount(ce) > self.k2cap:
+                if _scount(s, cf) > self.k1cap or _scount(s, ce) > self.k2cap:
                     continue
                 cells.append((cf, ce, t))
         cells.sort(key=lambda c: (-(sum(c[0]) + sum(c[1])), c))
@@ -717,7 +637,7 @@ class DoubleComplex:
                 for cf, ce, t in sl.cells:
                     if t != fb.gen_index:
                         continue
-                    if sl._scount(cf) >= k1cap or sl._scount(ce) >= k2cap:
+                    if _scount(G.P.s, cf) >= k1cap or _scount(G.P.s, ce) >= k2cap:
                         continue
                     # multipliers from the genuine box: content bounded by
                     # sums of quotient roots, no surplus Levi letters
@@ -732,8 +652,8 @@ class DoubleComplex:
                     prod = uq.multiply(u, comm)
                     om2 = (omega - rs.root_to_weight(cf)
                            + rs.root_to_weight(ce))
-                    sk1 = k1cap + sl._scount(cf)
-                    sk2 = k2cap + sl._scount(ce)
+                    sk1 = k1cap + _scount(G.P.s, cf)
+                    sk2 = k2cap + _scount(G.P.s, ce)
                     sl2 = self.wslice(a1.source, a2.source, om2, sk1, sk2)
                     c2 = sl2.reduce_applied(prod, fb.gen_index)
                     if not all(c.is_zero() for c in c2):
@@ -769,10 +689,6 @@ class DoubleComplex:
                     m.entries[ridx][cidx] = v
         return m
 
-    def _scount(self, c: tuple[int, ...]) -> int:
-        s = self.G.P.s
-        return c[s - 1] if s is not None else sum(c)
-
     def _intrinsic_caps(self, fb: TensorFiber, omega: Weight,
                         mode: str, cap: int) -> tuple[int, int]:
         """Window caps making the slice the full fixed-weight piece of the
@@ -787,11 +703,11 @@ class DoubleComplex:
                 continue
             found = True
             if mode == "row":
-                other = max(other, cap - self._scount(delta))
+                other = max(other, cap - _scount(self.G.P.s, delta))
             else:
-                other = max(other, cap + self._scount(delta))
+                other = max(other, cap + _scount(self.G.P.s, delta))
         if not found:
-            return (0, 0) if mode == "row" else (0, 0)
+            return (0, 0)
         return (other, cap) if mode == "row" else (cap, other)
 
     def _line_exactness(self, mods: list, omega: Weight, mode: str, cap: int,
@@ -837,14 +753,12 @@ class DoubleComplex:
         fb = self.fiber(w1_end, w2_end)
         rs = self.rs
         qroots = self.G.P.quotient_roots if self.G.P.S else rs.positive_roots
-        sums_m = {(0,) * rs.rank}
-        for _ in range(k1lim):
-            sums_m |= {tuple(c[i] + r[i] for i in range(rs.rank))
-                       for c in sums_m for r in qroots}
-        sums_p = {(0,) * rs.rank}
-        for _ in range(k2lim):
-            sums_p |= {tuple(c[i] + r[i] for i in range(rs.rank))
-                       for c in sums_p for r in qroots}
+        # sums[k]: the sums of at most k quotient roots
+        sums = [{(0,) * rs.rank}]
+        for _ in range(max(k1lim, k2lim)):
+            sums.append(sums[-1] | {tuple(c[i] + r[i] for i in range(rs.rank))
+                                    for c in sums[-1] for r in qroots})
+        sums_m, sums_p = sums[k1lim], sums[k2lim]
         out = set()
         for t in range(fb.dim):
             for b1 in sums_m:

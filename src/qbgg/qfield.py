@@ -19,7 +19,9 @@ Key = TypeVar("Key", bound=Hashable)
 
 
 class Laurent:
-    """Integer-coefficient Laurent polynomial in q, stored sparsely."""
+    """Integer-coefficient Laurent polynomial in q, stored sparsely.  Only
+    `__init__` and `_wrap` assign `c` and nothing mutates it, so values such as
+    `_ZERO` and `_ONE` are shared."""
 
     __slots__ = ("c",)
 
@@ -137,6 +139,10 @@ def _wrap(c: dict[int, int]) -> Laurent:
     out = Laurent.__new__(Laurent)
     out.c = c
     return out
+
+
+_ZERO = _wrap({})
+_ONE = _wrap({0: 1})
 
 
 def _dense(p: Laurent) -> list[int]:
@@ -277,7 +283,7 @@ class RatFunc:
 
     def __init__(self, num: Laurent, den: Laurent | None = None, _normalized: bool = False):
         if den is None:
-            den = Laurent.const(1)
+            den = _ONE
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if not _normalized:
@@ -288,7 +294,7 @@ class RatFunc:
     @staticmethod
     def _normalize(num: Laurent, den: Laurent) -> tuple[Laurent, Laurent]:
         if num.is_zero():
-            return Laurent(), Laurent.const(1)
+            return _ZERO, _ONE
         # shift denominator so its lowest exponent is 0
         v = den.valuation()
         if v:
@@ -309,11 +315,11 @@ class RatFunc:
 
     @staticmethod
     def zero() -> "RatFunc":
-        return RatFunc(Laurent(), _normalized=True)
+        return RatFunc(_ZERO, _normalized=True)
 
     @staticmethod
     def one() -> "RatFunc":
-        return RatFunc(Laurent.const(1), _normalized=True)
+        return RatFunc(_ONE, _normalized=True)
 
     @staticmethod
     def from_int(n: int) -> "RatFunc":
@@ -370,7 +376,16 @@ class RatFunc:
         return RatFunc(self.num * other.den, self.den * other.num)
 
     def inverse(self) -> "RatFunc":
-        return RatFunc.one() / self
+        """1 / self without a gcd: swapping num and den keeps them coprime
+        with joint content 1, so shifting the new denominator to valuation 0
+        and making its leading coefficient positive gives the normal form."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero in Q(q)")
+        v = self.num.valuation()
+        num, den = self.den.shift(-v), self.num.shift(-v)
+        if den.leading_coeff() < 0:
+            num, den = -num, -den
+        return RatFunc(num, den, _normalized=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
@@ -387,7 +402,7 @@ class RatFunc:
         return self.num.evaluate(q0) / d
 
     def __str__(self) -> str:
-        if self.den == Laurent.const(1):
+        if self.den == _ONE:
             return str(self.num)
         return "(%s) / (%s)" % (self.num, self.den)
 

@@ -18,6 +18,7 @@ Elem = dict[Mono, RatFunc]
 _LETTERS = "abcd"
 # matrix-coefficient index pair (row, column) of each generator
 _IJ = {"a": (1, 1), "b": (1, 2), "c": (2, 1), "d": (2, 2)}
+_GEN = {ij: x for x, ij in _IJ.items()}
 
 
 def one() -> Elem:
@@ -142,6 +143,15 @@ def _apply_K(vec: dict, e: int) -> dict:
     return out
 
 
+def _apply(vec: dict, letter) -> dict:
+    """Action of "E", "F" or ("K", exponent) on a tensor power."""
+    if letter == "E":
+        return _apply_E(vec)
+    if letter == "F":
+        return _apply_F(vec)
+    return _apply_K(vec, letter[1])
+
+
 def pair_word(letters: str, u: list) -> RatFunc:
     """Value of a product of matrix coefficients on an enveloping-algebra
     word (entries "E", "F" or ("K", exponent))."""
@@ -149,12 +159,7 @@ def pair_word(letters: str, u: list) -> RatFunc:
     J = tuple(_IJ[x][1] for x in letters)
     vec = {J: RatFunc.one()}
     for letter in reversed(u):
-        if letter == "E":
-            vec = _apply_E(vec)
-        elif letter == "F":
-            vec = _apply_F(vec)
-        else:
-            vec = _apply_K(vec, letter[1])
+        vec = _apply(vec, letter)
     return vec.get(I, RatFunc.zero())
 
 
@@ -221,37 +226,17 @@ def verify_relations() -> dict:
 # ---------------------------------------------------------------------------
 # differential operators: dual action on column indices
 
-def _column_action(x: Elem, mode: str) -> Elem:
-    """Apply the raising ("E"), lowering ("F") or grading ("K", with
-    exponent packed as mode "K<e>") generator to the column indices."""
+def _column_action(x: Elem, letter) -> Elem:
+    """Apply "E", "F" or ("K", exponent) to the column indices: the pairing's
+    tensor-power action, with each word re-spelled from its (row, column)
+    pairs and multiplied out."""
     out: Elem = {}
     for m, c in x.items():
         word = _word(m)
-        n = len(word)
-        cols = [_IJ[ch][1] for ch in word]
-        if mode == "E":
-            # Delta(E) = E (x) K + 1 (x) E: K factors after the acting slot
-            for s in range(n):
-                if cols[s] == 2:
-                    f = c
-                    for t in range(s + 1, n):
-                        f = f * RatFunc.q_power(1 if cols[t] == 1 else -1)
-                    repl = {"b": "a", "d": "c"}[word[s]]
-                    nw = word[:s] + repl + word[s + 1:]
-                    add_into(out, mul_all([gen(ch) for ch in nw]), f)
-        elif mode == "F":
-            # Delta(F) = F (x) 1 + K^{-1} (x) F: inverse K factors before
-            for s in range(n):
-                if cols[s] == 1:
-                    f = c
-                    for t in range(s):
-                        f = f * RatFunc.q_power(-1 if cols[t] == 1 else 1)
-                    repl = {"a": "b", "c": "d"}[word[s]]
-                    nw = word[:s] + repl + word[s + 1:]
-                    add_into(out, mul_all([gen(ch) for ch in nw]), f)
-        else:
-            e = int(mode[1:])
-            add_into(out, {m: c * RatFunc.q_power(weight(m) * e)})
+        rows = [_IJ[ch][0] for ch in word]
+        for cols, f in _apply({tuple(_IJ[ch][1] for ch in word): c}, letter).items():
+            nw = [_GEN[ij] for ij in zip(rows, cols)]
+            add_into(out, mul_all([gen(ch) for ch in nw]), f)
     return out
 
 
@@ -392,7 +377,7 @@ def verify_volume_form(max_degree: int = 4) -> dict:
     for name in B_GENS:
         g = b_gen(name)
         for e in (2, -2):
-            t = _column_action(g, "K%d" % e)
+            t = _column_action(g, ("K", e))
             diff = dict(t)
             add_into(diff, g, RatFunc.from_int(-1))
             if diff:
@@ -402,7 +387,7 @@ def verify_volume_form(max_degree: int = 4) -> dict:
     for name in B_GENS:
         g = b_gen(name)
         lhs = mul(g, one())
-        rhs = mul(one(), _column_action(g, "K0"))
+        rhs = mul(one(), _column_action(g, ("K", 0)))
         diff = dict(lhs)
         add_into(diff, rhs, RatFunc.from_int(-1))
         if diff:

@@ -8,8 +8,8 @@ with coefficients in Q(q).  The defining relations are
     E_i F_j - F_j E_i = delta_ij (K_i - K_i^{-1}) / (q^{d_i} - q^{-d_i})
 
 The quantum Serre relations are not used as rewriting rules; weight
-components of the lower/upper triangular parts are handled as quotients of
-free word spaces in wordspace.py style helpers below.
+components of the lower/upper triangular parts are quotients of free word
+spaces (`NMinusWeightSpace` below).
 """
 from __future__ import annotations
 

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from qbgg.bgg import DoubleComplex, LeviModuleData
+from qbgg.bgg import DoubleComplex, LeviModuleData, TensorFiber
 from qbgg.cartan import ParabolicData, RootSystem, Weight
-from qbgg.qfield import QMatrix, RatFunc
+from qbgg.qfield import QMatrix, RatFunc, add_into
+from qbgg.uqalg import UqAlgebra
 from qbgg.weyl import BruhatGraph
 
 
@@ -30,8 +31,8 @@ def test_levi_module_commutator(cp2):
     P = cp2.G.P
     data = LeviModuleData(uq, P, Weight((1, 0)))
     assert data.dim == 2
-    e = QMatrix.from_rows(data.matrix_E(1), data.dim)
-    f = QMatrix.from_rows(data.matrix_F(1), data.dim)
+    e = QMatrix.from_rows(data.matrix(uq.E(1)), data.dim)
+    f = QMatrix.from_rows(data.matrix(uq.F(1)), data.dim)
     comm = e.matmul(f)
     fe = f.matmul(e)
     d = uq.rs.d[0]
@@ -40,27 +41,101 @@ def test_levi_module_commutator(cp2):
         for c in range(data.dim):
             expect = RatFunc.zero()
             if r == c:
-                k = data.k_exponents(1)[r]
+                k = d * data.weights[r].coords[0]
                 expect = (RatFunc.q_power(k) - RatFunc.q_power(-k)) / den
             assert comm.entries[r][c] - fe.entries[r][c] == expect
 
 
-def test_tensor_fiber_commutator(cp2):
-    uq = cp2.uq
-    w0, w1 = cp2._chain()[0], cp2._chain()[1]
-    fb = cp2.fiber(w1, w0)
-    e = QMatrix.from_rows(fb.generator_matrix(("E", 1)), fb.dim)
-    f = QMatrix.from_rows(fb.generator_matrix(("F", 1)), fb.dim)
-    den = RatFunc.q_power(1) - RatFunc.q_power(-1)
-    comm = e.matmul(f)
-    fe = f.matmul(e)
-    for r in range(fb.dim):
-        for c in range(fb.dim):
-            expect = RatFunc.zero()
-            if r == c:
-                k = fb.k_exponent(1, r)
-                expect = (RatFunc.q_power(k) - RatFunc.q_power(-k)) / den
-            assert comm.entries[r][c] - fe.entries[r][c] == expect
+# (type, Levi nodes, mu, nu) of a fiber M(mu) (x) M(nu)*
+_FIBERS = {
+    # Levi A1 of the projective plane: the fiber of cp2.fiber(w1, w0)
+    "A2": ("A2", {1}, (1, -2), (0, -3)),
+    # Levi B2 with d = (2, 1) and cubic Serre relations; dim 16 * 4
+    "B3": ("B3", {2, 3}, (-2, 1, 1), (-1, 0, 1)),
+    # Levi A2 inside C3; dim 8 * 3
+    "C3": ("C3", {1, 2}, (1, 1, -3), (0, 1, -2)),
+}
+
+
+def _fiber(case: str) -> TensorFiber:
+    name, S, mu, nu = _FIBERS[case]
+    rs = RootSystem(name)
+    return TensorFiber(UqAlgebra(rs), ParabolicData(rs, S), Weight(mu), Weight(nu))
+
+
+def _vanishes(fb: TensorFiber, terms) -> bool:
+    """Whether sum c * (product of letters) kills every fiber basis vector."""
+    cols = {}
+    for _, letters in terms:
+        for letter in letters:
+            if letter not in cols:
+                m = fb.generator_matrix(letter)
+                cols[letter] = [{r: m[r][c] for r in range(fb.dim)
+                                 if not m[r][c].is_zero()} for c in range(fb.dim)]
+    for t in range(fb.dim):
+        total: dict = {}
+        for coeff, letters in terms:
+            vec = {t: coeff}
+            for letter in reversed(letters):
+                nxt: dict = {}
+                for c, x in vec.items():
+                    add_into(nxt, cols[letter][c], x)
+                vec = nxt
+            add_into(total, vec)
+        if total:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("case", list(_FIBERS))
+def test_tensor_fiber_commutator(case):
+    # the coproduct-and-antipode action satisfies the defining relations of
+    # U_q(l), with the real d_i of each Levi node
+    fb = _fiber(case)
+    rs = fb.uq.rs
+    one = RatFunc.one()
+    S = sorted(fb.P.S)
+    for i in S:
+        assert not _vanishes(fb, [(one, [("E", i)])])
+        assert not _vanishes(fb, [(one, [("F", i)])])
+        k = fb.generator_matrix(("K", i, 1))
+        for r in range(fb.dim):
+            for c in range(fb.dim):
+                expect = RatFunc.q_power(fb.k_exponent(i, r)) if r == c else RatFunc.zero()
+                assert k[r][c] == expect
+        den = RatFunc.q_power(rs.d[i - 1]) - RatFunc.q_power(-rs.d[i - 1])
+        for j in S:
+            comm = [(one, [("E", i), ("F", j)]), (-one, [("F", j), ("E", i)])]
+            if i == j:
+                comm += [(-one / den, [("K", i, 1)]), (one / den, [("K", i, -1)])]
+            assert _vanishes(fb, comm)
+            aij = rs.bform[i - 1][j - 1]
+            for x, e in (("E", aij), ("F", -aij)):
+                assert _vanishes(fb, [(one, [("K", i, 1), (x, j), ("K", i, -1)]),
+                                      (-RatFunc.q_power(e), [(x, j)])])
+            if i != j:
+                serre = fb.uq.serre_fword_elements(i, j)
+                for x in ("E", "F"):
+                    assert _vanishes(fb, [(c, [(x, a) for a in w])
+                                          for w, c in serre.items()])
+
+
+@pytest.mark.parametrize("case", list(_FIBERS))
+def test_levi_matrix_is_multiplicative(case):
+    fb = _fiber(case)
+    uq = fb.uq
+    S = sorted(fb.P.S)
+    i, j = S[0], S[-1]
+    words = [[("E", i), ("F", j)], [("F", i), ("K", j, -1)],
+             [("K", i, 1), ("E", j), ("F", i)], [("F", j), ("F", i), ("E", i)]]
+    for data in (fb.mu_data, fb.nu_data):
+        for wx in words:
+            for wy in words:
+                x, y = uq.from_letters(wx), uq.from_letters(wy)
+                lhs = QMatrix.from_rows(data.matrix(uq.multiply(x, y)), data.dim)
+                rhs = QMatrix.from_rows(data.matrix(x), data.dim).matmul(
+                    QMatrix.from_rows(data.matrix(y), data.dim))
+                assert lhs.entries == rhs.entries
 
 
 def test_cyclic_lift(cp2):

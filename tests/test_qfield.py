@@ -329,3 +329,14 @@ def test_monomial_product_matches_general_path(a, b):
     general = RatFunc(a.num * b.num, a.den * b.den)
     for p in (a * b, b * a):
         assert (p.num.c, p.den.c) == (general.num.c, general.den.c)
+
+
+@given(ratfuncs())
+def test_inverse_matches_general_path(a):
+    # the gcd-free swap must land on the normal form that division computes
+    if a.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        return
+    inv, general = a.inverse(), RatFunc.one() / a
+    assert (inv.num.c, inv.den.c) == (general.num.c, general.den.c)
