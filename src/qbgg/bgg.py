@@ -8,6 +8,8 @@ linear algebra on weight slices.
 """
 from __future__ import annotations
 
+import itertools
+
 from .cartan import ParabolicData, RootSystem, Weight
 from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
                      rank)
@@ -29,6 +31,40 @@ def _scount(s: int | None, c: tuple[int, ...]) -> int:
     """Quotient letters in a content: its entry at the crossed node s, or its
     height when there is none."""
     return sum(c) if s is None else c[s - 1]
+
+
+def _exact(dims: list[int], ranks: list[int], aug: int | None) -> bool:
+    """Rank-exactness of a line listed top-down, ranks[k] being the rank of
+    the map out of position k: every position but the last has kernel equal
+    to the incoming image; the last has cokernel aug (unchecked when None)."""
+    good = all(dims[k] - ranks[k] == (ranks[k - 1] if k else 0)
+               for k in range(len(dims) - 1))
+    if aug is not None and dims:
+        good = good and dims[-1] - (ranks[-1] if ranks else 0) == aug
+    return good
+
+
+def _quotient_sums(P: ParabolicData, cap: int) -> dict[tuple[int, tuple[int, ...]], int]:
+    """{(size, root sum): count} over the multisets of at most cap roots of
+    P.quotient_roots."""
+    r = P.rs.rank
+    out = {(0, (0,) * r): 1}
+    for root in P.quotient_roots:
+        new = dict(out)
+        frontier = out
+        for _ in range(cap):
+            nxt: dict = {}
+            for (deg, c), m in frontier.items():
+                if deg < cap:
+                    key = (deg + 1, tuple(c[i] + root[i] for i in range(r)))
+                    nxt[key] = nxt.get(key, 0) + m
+            if not nxt:
+                break
+            for key, m in nxt.items():
+                new[key] = new.get(key, 0) + m
+            frontier = nxt
+        out = new
+    return out
 
 
 def _enumerate_offsets(rs: RootSystem, max_height: int) -> list[tuple[int, ...]]:
@@ -57,50 +93,33 @@ class BGGComplex:
         self.uq = uq if uq is not None else UqAlgebra(rs)
         self.maps = StandardMapFamily(G, self.mu, self.uq)
 
-    def level_offsets(self, beta: tuple[int, ...]) -> list[list[tuple[tuple[int, ...], object] | None]]:
-        """For the weight mu - beta: per level, per coset, the module offset
-        (or None when the slice is empty)."""
+    def level_slices(self, j: int, beta: tuple[int, ...]) -> list[tuple[object, object]]:
+        """The cosets of level j, each with its module's slice at the weight
+        mu - beta, or None when that slice is empty."""
         rs = self.rs
         nu = self.mu - rs.root_to_weight(beta)
         out = []
-        for lvl in self.G.levels:
-            row = []
-            for w in lvl:
-                lam = self.G.W.shifted_act(w, self.mu)
-                try:
-                    off = rs.weight_root_coords_int(lam - nu)
-                except ValueError:
-                    row.append(None)
-                    continue
-                row.append(off if all(c >= 0 for c in off) else None)
-            out.append(row)
+        for w in self.G.levels[j]:
+            lam = self.G.W.shifted_act(w, self.mu)
+            try:
+                off = rs.weight_root_coords_int(lam - nu)
+            except ValueError:
+                off = None
+            if off is None or any(c < 0 for c in off):
+                out.append((w, None))
+            else:
+                out.append((w, self.maps._family(lam).get(off)))
         return out
 
     def slice_dims(self, beta: tuple[int, ...]) -> list[int]:
-        offs = self.level_offsets(beta)
-        dims = []
-        for j, lvl in enumerate(self.G.levels):
-            total = 0
-            for w, off in zip(lvl, offs[j]):
-                if off is not None:
-                    fam = self.maps._family(self.G.W.shifted_act(w, self.mu))
-                    total += fam.get(off).dim
-            dims.append(total)
-        return dims
+        return [sum(sl.dim for _, sl in self.level_slices(j, beta) if sl is not None)
+                for j in range(len(self.G.levels))]
 
     def differential_matrix(self, j: int, beta: tuple[int, ...]) -> QMatrix:
         """Matrix of the level-j differential C_j -> C_{j-1} on the mu - beta
         weight slice."""
-        G = self.G
-        offs = self.level_offsets(beta)
-        src_slices = []
-        for w, off in zip(G.levels[j], offs[j]):
-            fam = self.maps._family(G.W.shifted_act(w, self.mu))
-            src_slices.append((w, fam.get(off) if off is not None else None))
-        tgt_slices = []
-        for w, off in zip(G.levels[j - 1], offs[j - 1]):
-            fam = self.maps._family(G.W.shifted_act(w, self.mu))
-            tgt_slices.append((w, fam.get(off) if off is not None else None))
+        src_slices = self.level_slices(j, beta)
+        tgt_slices = self.level_slices(j - 1, beta)
         src_dim = sum(s.dim for _, s in src_slices if s is not None)
         tgt_dim = sum(s.dim for _, s in tgt_slices if s is not None)
         m = QMatrix(tgt_dim, src_dim)
@@ -167,7 +186,6 @@ class BGGComplex:
             nu = self.mu - rs.root_to_weight(beta)
             m_nu = full_char.get(nu, 0)
             dims = self.slice_dims(beta)
-            top = len(dims) - 1
             euler = sum((-1) ** j * d for j, d in enumerate(dims))
             euler_ok = euler == m_nu
             ranks = []
@@ -176,17 +194,8 @@ class BGGComplex:
                     ranks.append(0)
                     continue
                 ranks.append(rank(self.differential_matrix(j, beta)))
-            # exactness: at top ker = 0; interior ker phi_j = im phi_{j+1};
-            # at level 0 the augmentation absorbs m_nu dimensions
-            good = True
-            if dims:
-                if len(dims) > 1:
-                    good = good and (ranks[top - 1] == dims[top])
-                    for j in range(1, top):
-                        good = good and (dims[j] - ranks[j - 1] == ranks[j])
-                    good = good and (ranks[0] == dims[0] - m_nu)
-                else:
-                    good = dims[0] == m_nu
+            # levels run bottom-up; at level 0 the augmentation absorbs m_nu
+            good = _exact(dims[::-1], ranks[::-1], m_nu)
             ok = ok and good and euler_ok
             records.append({"offset": list(beta), "dims": dims, "ranks": ranks,
                             "target_mult": m_nu, "euler_ok": euler_ok, "exact": good})
@@ -418,7 +427,7 @@ class WSlice:
                 delta = rs.weight_root_coords_int(omega - self.fiber.weights[t])
             except ValueError:
                 continue
-            for cf in self._boxed(self.capF):
+            for cf in itertools.product(*(range(c + 1) for c in self.capF)):
                 ce = tuple(cf[i] + delta[i] for i in range(rs.rank))
                 if any(x < 0 for x in ce) or any(x > y for x, y in zip(ce, self.capE)):
                     continue
@@ -427,26 +436,6 @@ class WSlice:
                 cells.append((cf, ce, t))
         cells.sort(key=lambda c: (-(sum(c[0]) + sum(c[1])), c))
         return cells
-
-    def _boxed(self, cap: tuple[int, ...]):
-        rs = self.uq.rs
-        out = [()]
-        for i in range(rs.rank):
-            out = [c + (v,) for c in out for v in range(cap[i] + 1)]
-        return out
-
-    def _absorb_k(self, kv: tuple[int, ...], ce: tuple[int, ...], t: int) -> RatFunc:
-        """Scalar from moving K^kv rightward past an E-word of content ce
-        onto the fiber vector."""
-        rs = self.uq.rs
-        exp = 0
-        for j in range(rs.rank):
-            if kv[j]:
-                w = self.fiber.k_exponent(j + 1, t)
-                for i in range(rs.rank):
-                    w += ce[i] * rs.bform[j][i]
-                exp += kv[j] * w
-        return RatFunc.q_power(exp)
 
     def _free_vector(self, x: AlgElement, t: int) -> dict[int, RatFunc] | None:
         """Flat sparse coordinates of (algebra element) applied to fiber
@@ -466,7 +455,10 @@ class WSlice:
             off = self._offset.get((cf, ce, t))
             if off is None:
                 return None
-            scal = c * self._absorb_k(kv, ce, t)
+            scal = c
+            if any(kv):  # K^kv moves past the E-word onto the fiber vector
+                wt = self.fiber.weights[t] + rs.root_to_weight(ce)
+                scal = c * self.uq.k_scalar(kv, wt.coords)
             fsp = self.uq.weight_space(cf)
             esp = self.uq.weight_space(ce)
             fc = fsp.reduce_coords({fw: RatFunc.one()})
@@ -522,44 +514,21 @@ class WSlice:
         return [vec.get(k, RatFunc.zero()) for k in self._basis_pos]
 
     def oracle_dim(self) -> int:
-        """Product-character dimension of the same filtration piece."""
+        """Product-character dimension of the same filtration piece: symmetric
+        powers of the (abelian) quotient on both sides."""
         rs = self.uq.rs
-        qroots = self.P.quotient_roots if self.P.S else rs.positive_roots
-
-        # symmetric powers of the (abelian) quotient on both sides
-        def sym(cap: int) -> dict[tuple[int, tuple[int, ...]], int]:
-            out = {(0, (0,) * rs.rank): 1}
-            for r in qroots:
-                new = dict(out)
-                frontier = dict(out)
-                k = 1
-                while k <= cap and frontier:
-                    nxt: dict = {}
-                    for (deg, c), m in frontier.items():
-                        if deg + 1 > cap:
-                            continue
-                        key = (deg + 1, tuple(c[i] + r[i] for i in range(rs.rank)))
-                        nxt[key] = nxt.get(key, 0) + m
-                    for key, m in nxt.items():
-                        new[key] = new.get(key, 0) + m
-                    frontier = nxt
-                    k += 1
-                out = new
-            return out
-
-        sm = sym(self.k1cap)
-        sp = sym(self.k2cap)
+        sp: dict[tuple[int, ...], int] = {}
+        for (_, c), m in _quotient_sums(self.P, self.k2cap).items():
+            sp[c] = sp.get(c, 0) + m
+        sm = _quotient_sums(self.P, self.k1cap)
         total = 0
         for t in range(self.fiber.dim):
             try:
                 delta = rs.weight_root_coords_int(self.omega - self.fiber.weights[t])
             except ValueError:
                 continue
-            for (d1, c1), m1 in sm.items():
-                need = tuple(c1[i] + delta[i] for i in range(rs.rank))
-                for (d2, c2), m2 in sp.items():
-                    if c2 == need:
-                        total += m1 * m2
+            for (_, c), m in sm.items():
+                total += m * sp.get(tuple(c[i] + delta[i] for i in range(rs.rank)), 0)
         return total
 
 
@@ -647,9 +616,7 @@ class DoubleComplex:
                         continue
                     fw = uq.weight_space(cf).basis_words[0]
                     ew = uq.weight_space(ce).basis_words[0]
-                    u = uq.multiply(uq.fword(fw),
-                                    uq.from_letters([("E", i) for i in ew]))
-                    prod = uq.multiply(u, comm)
+                    prod = uq.multiply(uq.fword(fw, ew), comm)
                     om2 = (omega - rs.root_to_weight(cf)
                            + rs.root_to_weight(ce))
                     sk1 = k1cap + _scount(G.P.s, cf)
@@ -672,54 +639,44 @@ class DoubleComplex:
                 })
         return {"ok": ok, "k1cap": k1cap, "k2cap": k2cap, "pairs": records}
 
-    def _map_matrix(self, src: WSlice, tgt: WSlice, elt: AlgElement,
-                    tgt_fiber: TensorFiber) -> QMatrix:
+    def _map_matrix(self, src: WSlice, tgt: WSlice, elt: AlgElement) -> QMatrix:
         """Matrix of the module map sending the source generator to
         elt (x) target generator, on the given slices."""
         uq = self.uq
         lift = src.fiber.cyclic_lift()
         m = QMatrix(tgt.dim, src.dim)
         for cidx, (fw, ew, t) in enumerate(src.basis_monomials()):
-            u = uq.multiply(uq.fword(fw), uq.from_letters([("E", i) for i in ew]))
-            u = uq.multiply(u, lift[t])
+            u = uq.multiply(uq.fword(fw, ew), lift[t])
             prod = uq.multiply(u, elt)
-            coords = tgt.reduce_applied(prod, tgt_fiber.gen_index)
+            coords = tgt.reduce_applied(prod, tgt.fiber.gen_index)
             for ridx, v in enumerate(coords):
                 if not v.is_zero():
                     m.entries[ridx][cidx] = v
         return m
 
-    def _intrinsic_caps(self, fb: TensorFiber, omega: Weight,
-                        mode: str, cap: int) -> tuple[int, int]:
-        """Window caps making the slice the full fixed-weight piece of the
-        filtration by the capped side."""
-        rs = self.rs
-        other = 0
-        found = False
-        for t in range(fb.dim):
-            try:
-                delta = rs.weight_root_coords_int(omega - fb.weights[t])
-            except ValueError:
-                continue
-            found = True
-            if mode == "row":
-                other = max(other, cap - _scount(self.G.P.s, delta))
-            else:
-                other = max(other, cap + _scount(self.G.P.s, delta))
-        if not found:
-            return (0, 0)
-        return (other, cap) if mode == "row" else (cap, other)
-
-    def _line_exactness(self, mods: list, omega: Weight, mode: str, cap: int,
-                        elt_for) -> dict | None:
+    def _line_exactness(self, mods: list, omega: Weight, rows: bool, cap: int,
+                        maps: list[AlgElement]) -> dict | None:
         """Rank-exactness of one row or column on a fixed-weight window.
 
         mods: list of (w1, w2) pairs ordered from the top of the line down;
-        the map at step k sends the module of mods[k] to that of mods[k + 1].
-        mode "row" caps the raising side, mode "col" the lowering side."""
+        maps[k] sends the generator of mods[k] into the module of mods[k + 1].
+        Each slice is the full fixed-weight piece of the filtration by the
+        capped side: the raising side on a row, the lowering side on a column."""
+        rs = self.rs
         slices = []
-        for (w1, w2) in mods:
-            k1, k2 = self._intrinsic_caps(self.fiber(w1, w2), omega, mode, cap)
+        for w1, w2 in mods:
+            fb = self.fiber(w1, w2)
+            counts = []
+            for t in range(fb.dim):
+                try:
+                    delta = rs.weight_root_coords_int(omega - fb.weights[t])
+                except ValueError:
+                    continue
+                counts.append(_scount(self.G.P.s, delta))
+            k1 = k2 = 0
+            if counts:
+                other = max([0] + [cap - c if rows else cap + c for c in counts])
+                k1, k2 = (other, cap) if rows else (cap, other)
             sl = self.wslice(w1, w2, omega, k1, k2)
             if sl.dim != sl.oracle_dim():
                 raise TruncationError(
@@ -733,14 +690,9 @@ class DoubleComplex:
             if dims[k] == 0 or dims[k + 1] == 0:
                 ranks.append(0)
                 continue
-            elt, tgt_fb = elt_for(k)
-            mm = self._map_matrix(slices[k], slices[k + 1], elt, tgt_fb)
-            ranks.append(rank(mm))
-        # exact at every position except the last (the augmentation end)
-        good = dims[0] - ranks[0] == 0 if ranks else True
-        for k in range(1, len(ranks)):
-            good = good and (dims[k] - ranks[k] == ranks[k - 1])
-        return {"omega": list(omega.coords), "dims": dims, "ranks": ranks, "exact": good}
+            ranks.append(rank(self._map_matrix(slices[k], slices[k + 1], maps[k])))
+        return {"omega": list(omega.coords), "dims": dims, "ranks": ranks,
+                "exact": _exact(dims, ranks, None)}
 
     def _chain(self) -> list:
         levels = self.G.levels
@@ -752,13 +704,9 @@ class DoubleComplex:
         """Weights where the terminal module of a line has nonzero slices."""
         fb = self.fiber(w1_end, w2_end)
         rs = self.rs
-        qroots = self.G.P.quotient_roots if self.G.P.S else rs.positive_roots
-        # sums[k]: the sums of at most k quotient roots
-        sums = [{(0,) * rs.rank}]
-        for _ in range(max(k1lim, k2lim)):
-            sums.append(sums[-1] | {tuple(c[i] + r[i] for i in range(rs.rank))
-                                    for c in sums[-1] for r in qroots})
-        sums_m, sums_p = sums[k1lim], sums[k2lim]
+        sums = _quotient_sums(self.G.P, max(k1lim, k2lim))
+        sums_m = {c for d, c in sums if d <= k1lim}
+        sums_p = {c for d, c in sums if d <= k2lim}
         out = set()
         for t in range(fb.dim):
             for b1 in sums_m:
@@ -768,51 +716,35 @@ class DoubleComplex:
                     out.add(wt)
         return sorted(out, key=lambda w: w.coords)
 
-    def verify_rows(self, k2cap: int, k1lim: int) -> dict:
-        """Interior exactness of every row on all slices of a finite window,
-        with every slice dimension certified against the character oracle."""
-        G = self.G
-        ok = True
-        rows = []
+    def _verify_lines(self, rows: bool, cap: int, lim: int) -> dict:
+        """Interior exactness of every row (or column) on all slices of a
+        finite window, with every slice dimension certified against the
+        character oracle.  A row fixes the column coset, caps the raising
+        side at cap and runs the lowering side to lim; a column fixes the row
+        coset, swaps the two sides and maps through the involution images of
+        the row intertwiners."""
         chain = self._chain()
-        for w2 in chain:
+        maps = []
+        for k in range(len(chain) - 1):
+            y = self.maps.y_signed(chain[k + 1], chain[k])
+            maps.append(y if rows else self.uq.eta(y))
+        ok = True
+        lines = []
+        for fixed in chain:
+            mods = [(w, fixed) if rows else (fixed, w) for w in chain]
             recs = []
-            mods = [(w1, w2) for w1 in chain]
-
-            def elt_for(k, mods=mods):
-                y = self.maps.y_signed(mods[k + 1][0], mods[k][0])
-                return y, self.fiber(*mods[k + 1])
-
-            for omega in self._window_weights(chain[-1], w2, k1lim, k2cap):
-                rec = self._line_exactness(mods, omega, "row", k2cap, elt_for)
+            for omega in self._window_weights(*mods[-1], *((lim, cap) if rows else (cap, lim))):
+                rec = self._line_exactness(mods, omega, rows, cap, maps)
                 if rec is not None:
                     ok = ok and rec["exact"]
                     recs.append(rec)
-            rows.append({"fixed_col": str(w2), "slices": recs})
-        return {"ok": ok, "direction": "rows", "lines": rows}
+            lines.append({"fixed_col" if rows else "fixed_row": str(fixed), "slices": recs})
+        return {"ok": ok, "direction": "rows" if rows else "columns", "lines": lines}
+
+    def verify_rows(self, k2cap: int, k1lim: int) -> dict:
+        """Interior exactness of every row; see `_verify_lines`."""
+        return self._verify_lines(True, k2cap, k1lim)
 
     def verify_columns(self, k1cap: int, k2lim: int) -> dict:
-        """Interior exactness of every column, mirrored through the algebra
-        involution."""
-        G = self.G
-        ok = True
-        cols = []
-        chain = self._chain()
-        for w1 in chain:
-            recs = []
-            mods = [(w1, w2) for w2 in chain]
-
-            def elt_for(k, mods=mods):
-                x = self.x_element(mods[k + 1][1], mods[k][1])
-                s = G.sign(mods[k + 1][1], mods[k][1])
-                if s == -1:
-                    x = {nw: -c for nw, c in x.items()}
-                return x, self.fiber(*mods[k + 1])
-
-            for omega in self._window_weights(w1, chain[-1], k1cap, k2lim):
-                rec = self._line_exactness(mods, omega, "col", k1cap, elt_for)
-                if rec is not None:
-                    ok = ok and rec["exact"]
-                    recs.append(rec)
-            cols.append({"fixed_row": str(w1), "slices": recs})
-        return {"ok": ok, "direction": "columns", "lines": cols}
+        """Interior exactness of every column; see `_verify_lines`."""
+        return self._verify_lines(False, k1cap, k2lim)

@@ -6,6 +6,7 @@ Simple roots are numbered 1..rank in the standard (Bourbaki) labelling.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -105,20 +106,10 @@ def symmetrizers(a: list[list[int]]) -> list[int]:
                         stack.append(j)
                     elif ratio[j] != want:
                         raise ValueError("matrix is not symmetrizable")
-    den_lcm = 1
-    for f in ratio:
-        den_lcm = den_lcm * f.denominator // _gcd(den_lcm, f.denominator)
+    den_lcm = math.lcm(*(f.denominator for f in ratio))
     d = [int(f * den_lcm) for f in ratio]
-    g = 0
-    for v in d:
-        g = _gcd(g, v)
+    g = math.gcd(*d)
     return [v // g for v in d]
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _mat_inverse(a: list[list[int]]) -> list[list[Fraction]]:

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -94,8 +93,9 @@ def _emit(report: dict, args) -> int:
 
 
 def _config_echo(args) -> dict:
-    out = {"type": args.type, "s": args.s}
-    for key in ("height", "box", "assist", "threads"):
+    # schema-1 reports keep the fields of two retired no-op options
+    out = {"type": args.type, "s": args.s, "assist": False, "threads": 1}
+    for key in ("height", "box"):
         if hasattr(args, key):
             out[key] = getattr(args, key)
     return out
@@ -344,11 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated 1-based Levi node indices; "
                             "empty for the Borel case")
         p.add_argument("--output", default=None, help="write JSON here")
-        p.add_argument("--assist", action="store_true",
-                       help="accepted and echoed in the report; no effect")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("QBGG_THREADS", "1")),
-                       help="accepted and echoed in the report; no effect")
         if height:
             p.add_argument("--height", type=int, default=None,
                            help="weight-slice height cap")

@@ -13,6 +13,8 @@ spaces (`NMinusWeightSpace` below).
 """
 from __future__ import annotations
 
+import itertools
+
 from .cartan import RootSystem
 from .qfield import (CertificationError, Echelon, Laurent, RatFunc, add_into,
                      qbinomial)
@@ -139,8 +141,15 @@ class UqAlgebra:
             out = nxt
         return out
 
-    def fword(self, word: tuple[int, ...]) -> AlgElement:
-        return {(tuple(word), self._zero_k, ()): RatFunc.one()}
+    def fword(self, word: tuple[int, ...], eword: tuple[int, ...] = ()) -> AlgElement:
+        """The normal monomial F-word * E-word."""
+        return {(tuple(word), self._zero_k, tuple(eword)): RatFunc.one()}
+
+    def k_scalar(self, kv: tuple[int, ...], wt: tuple[int, ...]) -> RatFunc:
+        """The eigenvalue q^{sum_j kv_j d_j wt_j} of K^kv on a vector of
+        weight wt (fundamental-weight coordinates)."""
+        d = self.rs.d
+        return RatFunc.q_power(sum(kv[j] * d[j] * wt[j] for j in range(self.r)))
 
     # -- structure maps ---------------------------------------------------
 
@@ -271,7 +280,7 @@ class NMinusWeightSpace:
                 rest = tuple(b - c for b, c in zip(beta, scontent))
                 if any(c < 0 for c in rest):
                     continue
-                for left_content in _split_contents(rest):
+                for left_content in itertools.product(*(range(c + 1) for c in rest)):
                     right_content = tuple(a - b for a, b in zip(rest, left_content))
                     for left in _words_of_content(left_content):
                         for right in _words_of_content(right_content):
@@ -301,15 +310,6 @@ class NMinusWeightSpace:
         res = self.residue(vec_by_word)
         return [res.get(k, RatFunc.zero()) for k in self.basis_pos]
 
-    def reduce_element(self, x: AlgElement) -> list[RatFunc]:
-        """Reduce an element supported on pure F-words of weight beta."""
-        by_word: dict[tuple[int, ...], RatFunc] = {}
-        for (fw, kv, ew), c in x.items():
-            if ew or any(kv):
-                raise ValueError("element is not in the F-part")
-            by_word[fw] = by_word.get(fw, RatFunc.zero()) + c
-        return self.reduce_coords(by_word)
-
 
 def _words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:
     """All words using letter i exactly content[i-1] times."""
@@ -327,19 +327,3 @@ def _words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:
 
     rec(list(content), ())
     return out
-
-
-def _split_contents(content: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All componentwise splittings low <= content."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, acc: tuple[int, ...]) -> None:
-        if pos == len(content):
-            out.append(acc)
-            return
-        for c in range(content[pos] + 1):
-            rec(pos + 1, acc + (c,))
-
-    rec(0, ())
-    return out
-

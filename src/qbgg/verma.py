@@ -95,13 +95,10 @@ class SliceFamily:
 def evaluate_on_highest(uq: UqAlgebra, lam: Weight, x: AlgElement) -> dict[tuple[int, ...], RatFunc]:
     """Apply an algebra element to the highest weight vector: E-parts vanish,
     K-parts become q-power scalars, F-words remain."""
-    rs = uq.rs
     out: dict[tuple[int, ...], RatFunc] = {}
     for (fw, kv, ew), c in x.items():
-        if ew:
-            continue
-        exp = sum(kv[j] * rs.d[j] * lam.coords[j] for j in range(rs.rank))
-        add_into(out, {fw: c}, RatFunc.q_power(exp))
+        if not ew:
+            add_into(out, {fw: c * uq.k_scalar(kv, lam.coords) if any(kv) else c})
     return out
 
 

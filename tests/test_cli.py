@@ -77,15 +77,17 @@ def test_bgg_verify_report_shape(capsys):
         assert {"offset", "dims", "ranks", "exact"} <= set(rec)
 
 
-def test_assist_flag_gives_identical_report(capsys):
-    base = ["bgg", "verify", "--type", "A2", "--s", "1", "--height", "3"]
-    _, rep1 = _run(capsys, base)
-    _, rep2 = _run(capsys, base + ["--assist"])
-    for rep in (rep1, rep2):
-        for c in rep["checks"]:
-            c.pop("elapsed_ms")
-        rep["config"].pop("assist", None)
-    assert rep1 == rep2
+def test_retired_flags_exit_two_and_config_keeps_their_fields(capsys):
+    base = ["cartan", "info", "--type", "A1", "--s", ""]
+    for extra in (["--assist"], ["--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(base + extra)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    code, rep = _run(capsys, base)
+    assert code == 0
+    assert rep["config"]["assist"] is False
+    assert rep["config"]["threads"] == 1
 
 
 def test_podles_demo(capsys):

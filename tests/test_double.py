@@ -169,6 +169,25 @@ def test_rank_one_rows_and_columns(rank_one):
             assert rec["exact"]
 
 
+@pytest.mark.parametrize("name", ["rank_one", "cp2"], ids=["A1", "A2"])
+def test_columns_mirror_rows(request, name):
+    # the involution carries the module of (w1, w2) at weight omega to that of
+    # (w2, w1) at -omega and the row maps to the column maps, so with the
+    # windows swapped each column repeats a row; asymmetric windows catch a
+    # column walk that swaps the two caps
+    dc = request.getfixturevalue(name)
+    rows = dc.verify_rows(k2cap=1, k1lim=2)
+    cols = dc.verify_columns(k1cap=1, k2lim=2)
+
+    def records(rep, key, sign):
+        return sorted((line[key], [sign * x for x in rec["omega"]], rec["dims"],
+                       rec["ranks"]) for line in rep["lines"] for rec in line["slices"])
+
+    row_recs = records(rows, "fixed_col", -1)
+    assert row_recs
+    assert records(cols, "fixed_row", 1) == row_recs
+
+
 def test_x_elements_mirror_y(rank_one):
     # the column maps are the eta-images of the row maps
     dc = rank_one
