@@ -28,7 +28,10 @@ class UsageError(Exception):
     pass
 
 
-def _parse_parabolic(args) -> ParabolicData:
+def _parse_parabolic(args, irreducible: bool = False) -> ParabolicData:
+    """The parabolic of --type and --s; with irreducible, refused unless it
+    is an irreducible flag, the scope of the dimension identities and the
+    double complex."""
     try:
         rs = RootSystem(args.type)
     except (ValueError, KeyError) as exc:
@@ -42,7 +45,11 @@ def _parse_parabolic(args) -> ParabolicData:
                 raise UsageError("bad index in --s: %r" % part)
     if any(i < 1 or i > rs.rank for i in S):
         raise UsageError("--s indices must lie in 1..%d" % rs.rank)
-    return ParabolicData(rs, S)
+    P = ParabolicData(rs, S)
+    if irreducible and not P.irreducible_flag:
+        raise UsageError("not an irreducible flag: --s must miss exactly "
+                         "one cominuscule node")
+    return P
 
 
 def _check_window(args) -> None:
@@ -155,7 +162,7 @@ def cmd_weyl_graph(args) -> int:
 
 
 def cmd_dims_verify(args) -> int:
-    P = _parse_parabolic(args)
+    P = _parse_parabolic(args, irreducible=True)
     checks: list = []
     G = BruhatGraph(P)
 
@@ -221,7 +228,7 @@ def cmd_bgg_verify(args) -> int:
 
 
 def cmd_double_verify(args) -> int:
-    P = _parse_parabolic(args)
+    P = _parse_parabolic(args, irreducible=True)
     checks: list = []
     dc = DoubleComplex(_chain_graph(P))
     k1, k2 = args.box
@@ -267,7 +274,7 @@ def cmd_podles_demo(args) -> int:
 
 
 def cmd_all(args) -> int:
-    P = _parse_parabolic(args)
+    P = _parse_parabolic(args, irreducible=True)
     checks: list = []
     G = _chain_graph(P)
     height = args.height

@@ -9,10 +9,14 @@ actions of the raising and lowering generators on column indices.
 """
 from __future__ import annotations
 
+from itertools import product
+
 from .qfield import QMatrix, RatFunc, add_into, kernel_basis, rank
 
 # normal monomial: exponents (i, j, k, l) of a^i b^j c^k d^l with i*l == 0
 Mono = tuple[int, int, int, int]
+# Every Elem is built through add_into, which drops cancelled entries, so two
+# elements are equal exactly when their dicts compare equal.
 Elem = dict[Mono, RatFunc]
 
 _LETTERS = "abcd"
@@ -109,47 +113,24 @@ def degree(m: Mono) -> int:
 # ---------------------------------------------------------------------------
 # dual pairing through tensor powers of the two-dimensional representation
 
-def _apply_E(vec: dict) -> dict:
-    out: dict = {}
-    for J, c in vec.items():
-        for s in range(len(J)):
-            if J[s] == 2:
-                f = c
-                for t in range(s + 1, len(J)):
-                    f = f * RatFunc.q_power(1 if J[t] == 1 else -1)
-                K = J[:s] + (1,) + J[s + 1:]
-                add_into(out, {K: f})
-    return out
-
-
-def _apply_F(vec: dict) -> dict:
-    out: dict = {}
-    for J, c in vec.items():
-        for s in range(len(J)):
-            if J[s] == 1:
-                f = c
-                for t in range(s):
-                    f = f * RatFunc.q_power(-1 if J[t] == 1 else 1)
-                K = J[:s] + (2,) + J[s + 1:]
-                add_into(out, {K: f})
-    return out
-
-
-def _apply_K(vec: dict, e: int) -> dict:
-    out: dict = {}
-    for J, c in vec.items():
-        exp = sum(1 if x == 1 else -1 for x in J) * e
-        out[J] = c * RatFunc.q_power(exp)
-    return out
-
-
 def _apply(vec: dict, letter) -> dict:
-    """Action of "E", "F" or ("K", exponent) on a tensor power."""
-    if letter == "E":
-        return _apply_E(vec)
-    if letter == "F":
-        return _apply_F(vec)
-    return _apply_K(vec, letter[1])
+    """Action of "E", "F" or ("K", exponent) on a tensor power of the
+    two-dimensional module through the iterated coproduct.  Index 1 has
+    K-weight +1 and index 2 has -1; E at position s picks up K on every later
+    factor, F picks up K^{-1} on every earlier one, and K^e acts on all."""
+    out: dict = {}
+    for J, c in vec.items():
+        wts = [1 if j == 1 else -1 for j in J]
+        if letter == "E" or letter == "F":
+            src, dst = (2, 1) if letter == "E" else (1, 2)
+            for s, j in enumerate(J):
+                if j == src:
+                    e = sum(wts[s + 1:]) if letter == "E" else -sum(wts[:s])
+                    add_into(out, {J[:s] + (dst,) + J[s + 1:]:
+                                   c * RatFunc.q_power(e)})
+        else:
+            out[J] = c * RatFunc.q_power(letter[1] * sum(wts))
+    return out
 
 
 def pair_word(letters: str, u: list) -> RatFunc:
@@ -184,10 +165,10 @@ def verify_relations() -> dict:
     relation space has dimension six, every normal-form rewrite is a pairing
     identity, and products agree with concatenation on samples."""
     words = _spanning_words(3)
-    from itertools import product as iproduct
-    monos2 = ["".join(p) for p in iproduct(_LETTERS, repeat=2)]
-    rows = [[pair_word(m, u) for u in words] for m in monos2]
-    image_rank = rank(QMatrix.from_rows(rows, len(words)))
+    monos2 = ["".join(p) for p in product(_LETTERS, repeat=2)]
+    # one table: the unit and every degree-two monomial on every word
+    table = {m: [pair_word(m, u) for u in words] for m in [""] + monos2}
+    image_rank = rank(QMatrix.from_rows([table[m] for m in monos2], len(words)))
     kernel_dim = len(monos2) - image_rank
     # the six rewriting relations and the determinant identity
     gap = RatFunc.q_power(1) - RatFunc.q_power(-1)
@@ -200,22 +181,16 @@ def verify_relations() -> dict:
         ("da", [("ad", RatFunc.one()), ("bc", gap)]),
         ("ad", [("", RatFunc.one()), ("bc", RatFunc.q_power(-1))]),
     ]
-    rel_ok = True
-    for lhs, rhs in relations:
-        for u in words:
-            v = pair_word(lhs, u)
-            for mono, c in rhs:
-                v = v - c * pair_word(mono, u)
-            if not v.is_zero():
-                rel_ok = False
+    rel_ok = all(
+        table[lhs][p] == sum((c * table[m][p] for m, c in rhs), RatFunc.zero())
+        for lhs, rhs in relations for p in range(len(words)))
     # normal-form products match concatenated words on samples
     samples = ["da", "dc", "add", "dda", "abcd", "dcba", "bdac", "ddaa"]
     prod_ok = True
     for s in samples:
         prod = mul_all([gen(x) for x in s])
         for u in _spanning_words(len(s)):
-            v = pair_elem(prod, u) - pair_word(s, u)
-            if not v.is_zero():
+            if pair_elem(prod, u) != pair_word(s, u):
                 prod_ok = False
     ok = kernel_dim == 6 and rel_ok and prod_ok
     return {"ok": ok, "degree2_kernel_dim": kernel_dim,
@@ -270,7 +245,8 @@ def monomials_of_weight(w: int, max_degree: int) -> list[Mono]:
     return out
 
 
-def _span_dim(vectors: list[Elem], basis: list[Mono]) -> int:
+def _rows(vectors: list[Elem], basis: list[Mono]) -> list[list[RatFunc]]:
+    """Coordinates of each element on a list of normal monomials."""
     idx = {m: p for p, m in enumerate(basis)}
     rows = []
     for v in vectors:
@@ -278,9 +254,11 @@ def _span_dim(vectors: list[Elem], basis: list[Mono]) -> int:
         for m, c in v.items():
             row[idx[m]] = c
         rows.append(row)
-    if not rows:
-        return 0
-    return rank(QMatrix.from_rows(rows, len(basis)))
+    return rows
+
+
+def _span_dim(vectors: list[Elem], basis: list[Mono]) -> int:
+    return rank(QMatrix.from_rows(_rows(vectors, basis), len(basis)))
 
 
 def component_fiber_dims(max_degree: int) -> dict:
@@ -327,9 +305,7 @@ def b_window(max_degree: int) -> list[Elem]:
 def verify_leibniz(max_degree: int = 3) -> dict:
     """Both differentials satisfy the plain Leibniz rule on products of
     sphere elements (the grading twist is trivial in weight zero)."""
-    elems = []
-    for name in B_GENS:
-        elems.append(b_gen(name))
+    elems = [b_gen(name) for name in B_GENS]
     pairs_ok = True
     checked = 0
     pool = list(elems)
@@ -338,13 +314,9 @@ def verify_leibniz(max_degree: int = 3) -> dict:
     for f in pool:
         for g in elems:
             for D in (del_hol, del_antihol):
-                lhs = D(mul(f, g))
-                rhs: Elem = {}
-                add_into(rhs, mul(D(f), g))
+                rhs = mul(D(f), g)
                 add_into(rhs, mul(f, D(g)))
-                diff = dict(lhs)
-                add_into(diff, rhs, RatFunc.from_int(-1))
-                if diff:
+                if D(mul(f, g)) != rhs:
                     pairs_ok = False
                 checked += 1
     return {"ok": pairs_ok, "products_checked": checked}
@@ -358,11 +330,7 @@ def verify_d_squared(max_degree: int = 4) -> dict:
     checked = 0
     for m in monomials_of_weight(0, max_degree):
         x = {m: RatFunc.one()}
-        lhs = del_hol(del_antihol(x))
-        rhs = del_antihol(del_hol(x))
-        diff = dict(lhs)
-        add_into(diff, rhs, RatFunc.from_int(-1))
-        if diff:
+        if del_hol(del_antihol(x)) != del_antihol(del_hol(x)):
             ok = False
         checked += 1
     return {"ok": ok, "elements_checked": checked}
@@ -372,32 +340,27 @@ def verify_volume_form(max_degree: int = 4) -> dict:
     """The unit of the top component is a volume form: it is coinvariant,
     the grading twist fixes the sphere subalgebra so it is central, and it
     generates the top component over the subalgebra on the window."""
-    # twist acts trivially on weight-zero elements
+    # the grading twist sigma = K^2 on column indices fixes weight zero
     twist_ok = True
     for name in B_GENS:
         g = b_gen(name)
         for e in (2, -2):
-            t = _column_action(g, ("K", e))
-            diff = dict(t)
-            add_into(diff, g, RatFunc.from_int(-1))
-            if diff:
+            if _column_action(g, ("K", e)) != g:
                 twist_ok = False
-    # centrality: left and twisted right multiples of the unit agree
+    # centrality: g * vol equals vol * sigma(g), with vol the unit
     central_ok = True
+    vol = one()
     for name in B_GENS:
         g = b_gen(name)
-        lhs = mul(g, one())
-        rhs = mul(one(), _column_action(g, ("K", 0)))
-        diff = dict(lhs)
-        add_into(diff, rhs, RatFunc.from_int(-1))
-        if diff:
+        if mul(g, vol) != mul(vol, _column_action(g, ("K", 2))):
             central_ok = False
-    # generation: the window of the top component equals the subalgebra window
+    # generation: the window of the top component equals the subalgebra
+    # window; vol is the unit, so the multiples f * vol are the f themselves
     window = monomials_of_weight(0, max_degree)
-    multiples = [mul(f, one()) for f in b_window(max_degree)]
+    multiples = b_window(max_degree)
     gen_dim = _span_dim(multiples, window)
-    sub_dim = _span_dim([{m: RatFunc.one()} for f in b_window(max_degree)
-                         for m in f], window)
+    sub_dim = _span_dim([{m: RatFunc.one()} for f in multiples for m in f],
+                        window)
     gen_ok = gen_dim == sub_dim and gen_dim > 0
     ok = twist_ok and central_ok and gen_ok
     return {"ok": ok, "twist_fixes_subalgebra": twist_ok,
@@ -416,17 +379,8 @@ def sphere_relation() -> dict:
         for r in range(p, 3):
             elems.append((names[p] + "*" + names[r],
                           mul(b_gen(names[p]), b_gen(names[r]))))
-    basis = monomials_of_weight(0, 4)
-    idx = {m: p for p, m in enumerate(basis)}
-    rows = []
-    for _, e in elems:
-        row = [RatFunc.zero()] * len(basis)
-        for m, c in e.items():
-            row[idx[m]] = c
-        rows.append(row)
-    ker = kernel_basis(QMatrix.from_rows(
-        [[rows[i][j] for i in range(len(rows))] for j in range(len(basis))],
-        len(rows)))
+    rows = _rows([e for _, e in elems], monomials_of_weight(0, 4))
+    ker = kernel_basis(QMatrix.from_rows(list(zip(*rows)), len(rows)))
     out = {"ok": len(ker) == 1, "kernel_dim": len(ker)}
     if len(ker) == 1:
         out["relation"] = {elems[i][0]: str(c) for i, c in enumerate(ker[0])

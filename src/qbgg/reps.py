@@ -190,7 +190,7 @@ def char_equal(a: CharMap, b: CharMap) -> bool:
     return {k: v for k, v in a.items() if v} == {k: v for k, v in b.items() if v}
 
 
-def verify_dim_identity(G, with_weights: bool = True) -> dict:
+def verify_dim_identity(G) -> dict:
     """Degreewise comparison of exterior powers of the quotient with the sum
     of Levi modules at dot-orbit points, as dimensions and as characters."""
     P = G.P
@@ -212,14 +212,12 @@ def verify_dim_identity(G, with_weights: bool = True) -> dict:
         dim_sum = sum(dims)
         rec = {"degree": j, "exterior_dim": ext_dim, "module_dims": dims,
                "dims_match": ext_dim == dim_sum}
-        ok = ok and rec["dims_match"]
-        if with_weights:
-            total: CharMap = {}
-            for ch in lam_chars:
-                for wt, m in ch.items():
-                    total[wt] = total.get(wt, 0) + m
-            rec["weights_match"] = char_equal(ext, total)
-            ok = ok and rec["weights_match"]
+        total: CharMap = {}
+        for ch in lam_chars:
+            for wt, m in ch.items():
+                total[wt] = total.get(wt, 0) + m
+        rec["weights_match"] = char_equal(ext, total)
+        ok = ok and rec["dims_match"] and rec["weights_match"]
         levels_out.append(rec)
     return {"ok": ok, "levels": levels_out,
             "quotient_dim": len(qw), "coset_count": sum(len(l) for l in G.levels)}

@@ -132,8 +132,8 @@ class UqAlgebra:
             out = self.multiply(out, p)
         return out
 
-    def from_letters(self, letters: list[tuple], coeff: RatFunc | None = None) -> AlgElement:
-        out = {((), self._zero_k, ()): coeff if coeff is not None else RatFunc.one()}
+    def from_letters(self, letters: list[tuple]) -> AlgElement:
+        out = self.one()
         for letter in letters:
             nxt: AlgElement = {}
             for nw, c in out.items():

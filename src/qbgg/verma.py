@@ -273,7 +273,6 @@ class StandardMapFamily:
         return (a.source.matrix, a.target.matrix)
 
     def _normalize_squares(self) -> None:
-        uq = self.uq
         scale: dict[tuple, RatFunc] = {}
         # spanning tree over the arrow set: fix arrows from a BFS tree to 1,
         # then force equality square by square
@@ -309,7 +308,7 @@ class StandardMapFamily:
                 unfixed = [k for k in keys if k not in fixed]
                 if len(unfixed) == 0 or len(unfixed) > 1:
                     continue
-                c = self._square_ratio(w1, w2, w3, w4, scale)
+                c = self._square_ratio(self.raw, (w1, w2, w3, w4), scale)
                 k = unfixed[0]
                 # composite(w1->w2->w4) = c * composite(w1->w3->w4) currently;
                 # adjust the unfixed arrow to make them equal
@@ -322,11 +321,10 @@ class StandardMapFamily:
         for a in self.G.arrows:
             k = self._key(a)
             self.scaled[k] = {nw: c * scale[k] for nw, c in self.raw[k].items()}
-            fixed.add(k)
         # final verification: both composites of every square agree exactly
-        for (w1, w2, w3, w4) in squares:
-            r = self._square_ratio_scaled(w1, w2, w3, w4)
-            if r != RatFunc.one():
+        # for the scaled maps that the complex uses
+        for sq in squares:
+            if self._square_ratio(self.scaled, sq) != RatFunc.one():
                 raise CertificationError("square normalization failed")
 
     def _composite(self, y_first: AlgElement, y_second: AlgElement,
@@ -340,23 +338,20 @@ class StandardMapFamily:
         fam = self._family(lam)
         return fam.get(beta).reduce_element(prod)
 
-    def _square_ratio(self, w1, w2, w3, w4, scale) -> RatFunc:
+    def _square_ratio(self, maps: dict, square, scale: dict | None = None) -> RatFunc:
+        """The c with composite(w1->w2->w4) = c * composite(w1->w3->w4) for
+        the intertwiners in maps, each times its entry of scale if given."""
+        w1, w2, w3, w4 = square
         k12 = (w1.matrix, w2.matrix)
         k24 = (w2.matrix, w4.matrix)
         k13 = (w1.matrix, w3.matrix)
         k34 = (w3.matrix, w4.matrix)
-        c1 = self._composite(self.raw[k12], self.raw[k24], w1, w4)
-        c2 = self._composite(self.raw[k13], self.raw[k34], w1, w4)
-        s1 = scale[k12] * scale[k24]
-        s2 = scale[k13] * scale[k34]
-        return _proportionality(c1, c2) * s1 / s2
-
-    def _square_ratio_scaled(self, w1, w2, w3, w4) -> RatFunc:
-        c1 = self._composite(self.scaled[(w1.matrix, w2.matrix)],
-                             self.scaled[(w2.matrix, w4.matrix)], w1, w4)
-        c2 = self._composite(self.scaled[(w1.matrix, w3.matrix)],
-                             self.scaled[(w3.matrix, w4.matrix)], w1, w4)
-        return _proportionality(c1, c2)
+        c1 = self._composite(maps[k12], maps[k24], w1, w4)
+        c2 = self._composite(maps[k13], maps[k34], w1, w4)
+        r = _proportionality(c1, c2)
+        if scale is None:
+            return r
+        return r * (scale[k12] * scale[k24]) / (scale[k13] * scale[k34])
 
     def y(self, source, target) -> AlgElement:
         """Scaled intertwiner for the arrow source -> target (no sign)."""

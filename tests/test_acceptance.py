@@ -59,7 +59,7 @@ def test_criterion_1_dimension_identity(acceptance_report):
     ok = True
     for G in _family_graphs():
         assert G.P.irreducible_flag
-        rep = verify_dim_identity(G, with_weights=True)
+        rep = verify_dim_identity(G)
         ok = ok and rep["ok"]
     elapsed = time.monotonic() - t0
     ok = ok and elapsed < 60.0

@@ -50,6 +50,23 @@ def test_empty_windows_exit_two_before_building(capsys, monkeypatch, argv):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["dims", "verify", "--type", "C3", "--s", "2,3"],
+    ["dims", "verify", "--type", "A2", "--s", ""],
+    ["double", "verify", "--type", "G2", "--s", "1", "--box", "1,1"],
+    ["all", "--type", "G2", "--s", "1"],
+])
+def test_non_irreducible_flags_exit_two_before_building(capsys, monkeypatch,
+                                                         argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a coset graph outside an irreducible flag")
+    monkeypatch.setattr("qbgg.cli.BruhatGraph", refuse)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_reports_deterministic(capsys):
     def snapshot():
         code, rep = _run(capsys, ["weyl", "graph", "--type", "A2", "--s", "1"])

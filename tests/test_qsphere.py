@@ -1,11 +1,16 @@
 """Rank-one coordinate algebra and the quantum-sphere calculus."""
 from __future__ import annotations
 
+from itertools import product
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbgg import qsphere as qs
-from qbgg.qfield import RatFunc
+from qbgg.cartan import RootSystem
+from qbgg.qfield import RatFunc, add_into
+from qbgg.uqalg import UqAlgebra
 
 
 def test_relations_certified_against_pairing():
@@ -92,6 +97,70 @@ def test_volume_form():
     rep = qs.verify_volume_form(4)
     assert rep["ok"]
     assert rep["generated_dim"] == rep["subalgebra_window_dim"]
+
+
+def test_central_check_fails_for_a_nontrivial_twist(monkeypatch):
+    # a twist that scales by q moves every generator, so neither the twist
+    # check nor the centrality check may pass
+    column_action = qs._column_action
+
+    def scaled_twist(x, letter):
+        out = column_action(x, letter)
+        if letter[0] == "K" and letter[1]:
+            return {m: c * RatFunc.q_power(1) for m, c in out.items()}
+        return out
+
+    monkeypatch.setattr(qs, "_column_action", scaled_twist)
+    rep = qs.verify_volume_form(4)
+    assert not rep["twist_fixes_subalgebra"]
+    assert not rep["central"]
+    assert not rep["ok"]
+
+
+def _rho(nw, j: int):
+    """rho(nw) e_j = c e_i on the two-dimensional module of U_q(sl_2) as
+    (i, c), or None when it is zero; rho(E) e_2 = e_1, rho(F) e_1 = e_2 and
+    rho(K) e_j = q^{+-1} e_j."""
+    fw, (k,), ew = nw
+    for _ in ew:
+        if j != 2:
+            return None
+        j = 1
+    c = RatFunc.q_power(k if j == 1 else -k)
+    for _ in fw:
+        if j != 1:
+            return None
+        j = 2
+    return j, c
+
+
+def _tensor_action(terms: dict, J: tuple) -> dict:
+    """Apply sum c * (x_1 (x) ... (x) x_n) to the basis tensor e_J."""
+    out: dict = {}
+    for nws, c in terms.items():
+        images = [_rho(nw, j) for nw, j in zip(nws, J)]
+        if None not in images:
+            for _, v in images:
+                c = c * v
+            add_into(out, {tuple(i for i, _ in images): c})
+    return out
+
+
+@pytest.mark.parametrize("letter", ["E", "F", ("K", 1), ("K", -2)],
+                         ids=["E", "F", "K1", "K-2"])
+def test_apply_is_the_algebra_coproduct(letter):
+    uq = UqAlgebra(RootSystem("A1"))
+    x = (uq.E(1) if letter == "E" else uq.F(1) if letter == "F"
+         else uq.K(1, letter[1]))
+    delta = uq.coproduct(x)
+    # (1 (x) Delta) Delta for the third tensor power
+    delta3: dict = {}
+    for (a, b), c in delta.items():
+        for (b1, b2), c2 in uq.coproduct({b: RatFunc.one()}).items():
+            add_into(delta3, {(a, b1, b2): c2}, c)
+    for n, terms in ((2, delta), (3, delta3)):
+        for J in product((1, 2), repeat=n):
+            assert qs._apply({J: RatFunc.one()}, letter) == _tensor_action(terms, J)
 
 
 def test_sphere_relation_unique():
