@@ -170,6 +170,12 @@ class RootSystem:
                for i in range(self.rank) for j in range(self.rank)):
             raise CertificationError("symmetrized Cartan form is not symmetric")
         self.cartan_inv = _mat_inverse(self.cartan)
+        # det clears every denominator of A^-1; adj = det A^-1 and
+        # gram[i][j] = det (omega_i, omega_j) = d_j adj[j][i] are integral
+        self.det = math.lcm(*(f.denominator for row in self.cartan_inv for f in row))
+        self.adj = [[int(f * self.det) for f in row] for row in self.cartan_inv]
+        self.gram = [[self.d[j] * self.adj[j][i] for j in range(self.rank)]
+                     for i in range(self.rank)]
         self.positive_roots = self._build_positive_roots()
         self._check_root_count()
         self._root_set = set(self.positive_roots)
@@ -229,29 +235,30 @@ class RootSystem:
                     out[k] += c * self.cartan[k][j]
         return Weight(tuple(out))
 
+    def _scaled_root_coords(self, w: Weight) -> list[int]:
+        return [sum(a * x for a, x in zip(row, w.coords)) for row in self.adj]
+
     def weight_root_coords(self, w: Weight) -> tuple[Fraction, ...]:
         """Coordinates of a weight in the simple-root basis (may be fractional)."""
-        return tuple(sum(self.cartan_inv[i][k] * w.coords[k] for k in range(self.rank))
-                     for i in range(self.rank))
+        return tuple(Fraction(c, self.det) for c in self._scaled_root_coords(w))
 
     def weight_root_coords_int(self, w: Weight) -> RootCoords:
-        rc = self.weight_root_coords(w)
-        if any(f.denominator != 1 for f in rc):
+        rc = self._scaled_root_coords(w)
+        if any(c % self.det for c in rc):
             raise ValueError("weight %s is not in the root lattice" % (w,))
-        return tuple(int(f) for f in rc)
+        return tuple(c // self.det for c in rc)
 
     # -- the invariant form ----------------------------------------------
 
+    def inner_scaled(self, a: Weight, b: Weight) -> int:
+        """det times the invariant form: an integer."""
+        y = b.coords
+        return sum(x * sum(g * v for g, v in zip(row, y))
+                   for x, row in zip(a.coords, self.gram) if x)
+
     def inner(self, a: Weight, b: Weight) -> Fraction:
         """Invariant form with (alpha_i, alpha_i) = 2 d_i; exact rational."""
-        # (omega_i, omega_j) = d_j * (A^-1)_{ji}
-        out = Fraction(0)
-        for i, x in enumerate(a.coords):
-            if x:
-                for j, y in enumerate(b.coords):
-                    if y:
-                        out += x * y * self.d[j] * self.cartan_inv[j][i]
-        return out
+        return Fraction(self.inner_scaled(a, b), self.det)
 
     def pairing_coroot(self, w: Weight, i: int) -> int:
         """<w, alpha_i^vee> = coordinate of w at the fundamental weight i."""
@@ -308,7 +315,7 @@ class ParabolicData:
     def alpha_s_coefficient(self, w: Weight) -> Fraction:
         if self.s is None:
             raise ValueError("S does not miss exactly one node")
-        return self.rs.weight_root_coords(w)[self.s - 1]
+        return Fraction(self.rs._scaled_root_coords(w)[self.s - 1], self.rs.det)
 
     def in_QS(self, w: Weight) -> bool:
         """Is w in the lattice spanned by the simple roots in S."""

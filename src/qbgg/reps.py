@@ -2,7 +2,9 @@
 
 Weight multiplicities come from Freudenthal's recursion run inside the
 Levi subsystem; dimensions are cross-checked against the Weyl dimension
-formula.  Everything is exact.
+formula.  Both run on the invariant form scaled by `RootSystem.det`, which
+is integral; Freudenthal's formula and Weyl's are ratios of values of that
+form, so the scale cancels and every multiplicity and dimension is exact.
 """
 from __future__ import annotations
 
@@ -35,30 +37,28 @@ def _dominantize_S(P: ParabolicData, mu: Weight) -> Weight:
         for j in S0:
             if coords[j] < 0:
                 c = coords[j]
-                alpha = rs.simple_root(j + 1)
                 for k in range(rs.rank):
-                    coords[k] -= c * alpha.coords[k]
+                    coords[k] -= c * rs.cartan[k][j]
                 changed = True
     return Weight(tuple(coords))
 
 
 def _levi_orbit(P: ParabolicData, mu: Weight) -> list[Weight]:
-    rs = P.rs
-    S0 = sorted(P.S)
-    seen = {mu}
-    frontier = [mu]
+    simples = [(i - 1, P.rs.simple_root(i).coords) for i in sorted(P.S)]
+    seen = {mu.coords}
+    frontier = [mu.coords]
     while frontier:
         nxt = []
         for w in frontier:
-            for i in S0:
-                c = w.coords[i - 1]
+            for j, alpha in simples:
+                c = w[j]
                 if c:
-                    r = w - rs.simple_root(i).scale(c)
+                    r = tuple(x - c * a for x, a in zip(w, alpha))
                     if r not in seen:
                         seen.add(r)
                         nxt.append(r)
         frontier = nxt
-    return list(seen)
+    return [Weight(w) for w in seen]
 
 
 def levi_weight_multiplicities(P: ParabolicData, lam: Weight) -> CharMap:
@@ -75,8 +75,13 @@ def levi_weight_multiplicities(P: ParabolicData, lam: Weight) -> CharMap:
     pos = P.levi_positive_roots
     pos_w = [rs.root_to_weight(b) for b in pos]
 
-    def casimir(mu: Weight) -> Fraction:
-        return rs.inner(mu, mu) + rs.inner(mu, two_rho)
+    cas: dict[Weight, int] = {}
+
+    def casimir(mu: Weight) -> int:
+        c = cas.get(mu)
+        if c is None:
+            c = cas[mu] = rs.inner_scaled(mu, mu) + rs.inner_scaled(mu, two_rho)
+        return c
 
     c_lam = casimir(lam)
 
@@ -94,22 +99,21 @@ def levi_weight_multiplicities(P: ParabolicData, lam: Weight) -> CharMap:
                 c = casimir(cand)
                 if c > c_lam or (c == c_lam and cand != lam):
                     continue
-                diff = rs.weight_root_coords(lam - cand)
-                if any(f.denominator != 1 or f < 0 for f in diff):
+                if any(x < 0 for x in rs.weight_root_coords_int(lam - cand)):
                     continue
                 seen.add(cand)
                 nxt.append(cand)
         frontier = nxt
 
-    def ht_from_top(mu: Weight) -> Fraction:
-        return sum(rs.weight_root_coords(lam - mu))
+    def ht_from_top(mu: Weight) -> int:
+        return sum(rs.weight_root_coords_int(lam - mu))
 
     order = sorted(seen, key=lambda mu: (ht_from_top(mu), mu.coords))
     dom_mult: CharMap = {lam: 1}
     for mu in order:
         if mu == lam:
             continue
-        acc = Fraction(0)
+        acc = 0
         for aw in pos_w:
             k = 1
             while True:
@@ -119,10 +123,9 @@ def levi_weight_multiplicities(P: ParabolicData, lam: Weight) -> CharMap:
                     break
                 m_up = dom_mult.get(_dominantize_S(P, up), 0)
                 if m_up:
-                    acc += 2 * m_up * rs.inner(up, aw)
+                    acc += 2 * m_up * rs.inner_scaled(up, aw)
                 k += 1
-        den = c_lam - casimir(mu)
-        m = acc / den
+        m = Fraction(acc, c_lam - casimir(mu))
         if m.denominator != 1 or m < 0:
             raise CertificationError("multiplicity %s is not a natural number" % m)
         if m:
@@ -138,13 +141,13 @@ def levi_dim_weyl(P: ParabolicData, lam: Weight) -> int:
     """Weyl dimension formula over the Levi positive roots."""
     rs = P.rs
     two_rho = _two_rho_S_weight(P)
-    num = Fraction(1)
-    den = Fraction(1)
+    num = den = 1
     for b in P.levi_positive_roots:
         bw = rs.root_to_weight(b)
-        num *= rs.inner(lam, bw) + rs.inner(two_rho, bw) / 2
-        den *= rs.inner(two_rho, bw) / 2
-    d = num / den
+        # each factor (lam + rho_S, b) / (rho_S, b), scaled by 2 det
+        num *= 2 * rs.inner_scaled(lam, bw) + rs.inner_scaled(two_rho, bw)
+        den *= rs.inner_scaled(two_rho, bw)
+    d = Fraction(num, den)
     if d.denominator != 1 or d <= 0:
         raise CertificationError("Weyl dimension %s is not a positive integer" % d)
     return int(d)
@@ -169,21 +172,19 @@ def quotient_weights(P: ParabolicData) -> list[Weight]:
 
 def exterior_power_char(rank: int, weights: list[Weight], k: int) -> CharMap:
     """Character of the k-th exterior power of a multiplicity-free weight list."""
-    out: CharMap = {}
-    n = len(weights)
+    out: dict[tuple[int, ...], int] = {}
+    coords = [w.coords for w in weights]
+    n = len(coords)
 
-    def rec(start: int, left: int, acc: Weight) -> None:
+    def rec(start: int, left: int, acc: tuple[int, ...]) -> None:
         if left == 0:
             out[acc] = out.get(acc, 0) + 1
             return
         for i in range(start, n - left + 1):
-            rec(i + 1, left - 1, acc + weights[i])
+            rec(i + 1, left - 1, tuple(x + y for x, y in zip(acc, coords[i])))
 
-    zero = Weight((0,) * rank)
-    if k == 0:
-        return {zero: 1}
-    rec(0, k, zero)
-    return out
+    rec(0, k, (0,) * rank)
+    return {Weight(w): m for w, m in out.items()}
 
 
 def char_equal(a: CharMap, b: CharMap) -> bool:

@@ -110,20 +110,12 @@ class WeylGroup:
         """Action matrix on fundamental-weight coordinates (integral)."""
         m = self._fund_mats.get(w.matrix)
         if m is None:
+            # A w adj = det (A w A^-1): columns are the images of the omega_j
             rs = self.rs
-            r = rs.rank
-            # columns: image of omega_j in fundamental coordinates
-            cols = []
-            for j in range(r):
-                rc = [rs.cartan_inv[i][j] for i in range(r)]  # omega_j in root coords
-                img = [sum(Fraction(w.matrix[i][k]) * rc[k] for k in range(r))
-                       for i in range(r)]
-                fc = [sum(Fraction(rs.cartan[i][k]) * img[k] for k in range(r))
-                      for i in range(r)]
-                if any(f.denominator != 1 for f in fc):
-                    raise CertificationError("w maps a weight off the weight lattice")
-                cols.append([int(f) for f in fc])
-            m = tuple(tuple(cols[j][i] for j in range(r)) for i in range(r))
+            scaled = _mat_mul(_mat_mul(rs.cartan, w.matrix), rs.adj)
+            if any(x % rs.det for row in scaled for x in row):
+                raise CertificationError("w maps a weight off the weight lattice")
+            m = tuple(tuple(x // rs.det for x in row) for row in scaled)
             self._fund_mats[w.matrix] = m
         return m
 

@@ -1,9 +1,11 @@
 """Root system data against classical tables."""
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbgg.cartan import ParabolicData, RootSystem, Weight
@@ -53,6 +55,56 @@ def test_weight_root_coordinate_roundtrip(name, coords):
     beta = tuple(coords[:rs.rank])
     w = rs.root_to_weight(beta)
     assert rs.weight_root_coords_int(w) == beta
+
+
+_RANK_LE_8 = ([f + str(r) for f, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+               for r in range(lo, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
+
+@lru_cache(maxsize=None)
+def _with_reference_inverse(name: str) -> tuple[RootSystem, list[list[Fraction]]]:
+    """The root system and A^-1, found by solving A x = e_j column by column."""
+    rs = RootSystem(name)
+    n = rs.rank
+    cols = []
+    for j in range(n):
+        m = [[Fraction(v) for v in row] + [Fraction(int(i == j))]
+             for i, row in enumerate(rs.cartan)]
+        for c in range(n):
+            p = next(i for i in range(c, n) if m[i][c])
+            m[c], m[p] = m[p], m[c]
+            for i in range(n):
+                if i != c and m[i][c]:
+                    f = m[i][c] / m[c][c]
+                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+        cols.append([m[i][n] / m[i][i] for i in range(n)])
+    return rs, [[cols[j][i] for j in range(n)] for i in range(n)]
+
+
+_coords8 = st.lists(st.integers(-4, 4), min_size=8, max_size=8)
+
+
+@pytest.mark.parametrize("name", _RANK_LE_8)
+@settings(max_examples=20, deadline=None)
+@given(xs=_coords8, ys=_coords8)
+def test_integer_form_matches_the_fraction_form(name, xs, ys):
+    rs, inv = _with_reference_inverse(name)
+    n = rs.rank
+    x, y = xs[:n], ys[:n]
+    # (omega_i, omega_j) = d_j (A^-1)_{ji}
+    form = sum(x[i] * y[j] * rs.d[j] * inv[j][i] for i in range(n) for j in range(n))
+    assert rs.inner_scaled(Weight(tuple(x)), Weight(tuple(y))) == rs.det * form
+    assert rs.inner(Weight(tuple(x)), Weight(tuple(y))) == form
+    rc = rs.weight_root_coords(Weight(tuple(x)))
+    assert all(type(c) is Fraction for c in rc)
+    assert rc == tuple(sum(inv[i][k] * x[k] for k in range(n)) for i in range(n))
+
+
+@pytest.mark.parametrize("name", ["A2", "E6"])
+def test_weight_root_coords_int_rejects_a_weight_off_the_root_lattice(name):
+    rs = RootSystem(name)
+    with pytest.raises(ValueError):
+        rs.weight_root_coords_int(rs.fundamental_weight(1))
 
 
 def test_fundamental_weight_pairing():

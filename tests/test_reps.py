@@ -1,6 +1,9 @@
 """Finite-dimensional module characters and the partition-function oracle."""
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 
 from qbgg.cartan import ParabolicData, RootSystem, Weight
@@ -48,6 +51,17 @@ def test_freudenthal_adjoint_multiplicities():
         w = rs.root_to_weight(beta)
         assert ch[w] == 1
         assert ch[-w] == 1
+
+
+@pytest.mark.parametrize("name", ["A4", "B3", "C3", "D4", "G2", "F4"])
+def test_adjoint_zero_weight_multiplicity_is_the_rank(name):
+    # the highest root is the highest weight of the adjoint module, whose
+    # zero weight space is the Cartan subalgebra
+    P = _full(name)
+    rs = P.rs
+    ch = levi_weight_multiplicities(P, rs.root_to_weight(rs.highest_root()))
+    assert ch[Weight((0,) * rs.rank)] == rs.rank
+    assert sum(ch.values()) == rs.rank + 2 * len(rs.positive_roots)
 
 
 def test_char_dim_agreement():
@@ -114,6 +128,17 @@ def test_exterior_power_char():
         ch = exterior_power_char(3, qw, k)
         total += sum(ch.values())
     assert total == 16
+
+
+@pytest.mark.parametrize("name,S", [("B3", {2, 3}), ("D5", {2, 3, 4, 5}),
+                                    ("E6", {2, 3, 4, 5, 6})])
+def test_exterior_power_char_against_subsets(name, S):
+    rs = RootSystem(name)
+    qw = quotient_weights(ParabolicData(rs, S))
+    zero = Weight((0,) * rs.rank)
+    for k in range(len(qw) + 1):
+        brute = Counter(sum(sub, zero) for sub in combinations(qw, k))
+        assert exterior_power_char(rs.rank, qw, k) == dict(brute)
 
 
 def test_dim_identity_small_flags():
