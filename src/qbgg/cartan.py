@@ -169,11 +169,11 @@ class RootSystem:
         if any(self.bform[i][j] != self.bform[j][i]
                for i in range(self.rank) for j in range(self.rank)):
             raise CertificationError("symmetrized Cartan form is not symmetric")
-        self.cartan_inv = _mat_inverse(self.cartan)
-        # det clears every denominator of A^-1; adj = det A^-1 and
-        # gram[i][j] = det (omega_i, omega_j) = d_j adj[j][i] are integral
-        self.det = math.lcm(*(f.denominator for row in self.cartan_inv for f in row))
-        self.adj = [[int(f * self.det) for f in row] for row in self.cartan_inv]
+        inv = _mat_inverse(self.cartan)
+        # denom, the lcm of the denominators of A^-1, makes adj = denom A^-1
+        # and gram[i][j] = denom (omega_i, omega_j) = d_j adj[j][i] integral
+        self.denom = math.lcm(*(f.denominator for row in inv for f in row))
+        self.adj = [[int(f * self.denom) for f in row] for row in inv]
         self.gram = [[self.d[j] * self.adj[j][i] for j in range(self.rank)]
                      for i in range(self.rank)]
         self.positive_roots = self._build_positive_roots()
@@ -240,25 +240,21 @@ class RootSystem:
 
     def weight_root_coords(self, w: Weight) -> tuple[Fraction, ...]:
         """Coordinates of a weight in the simple-root basis (may be fractional)."""
-        return tuple(Fraction(c, self.det) for c in self._scaled_root_coords(w))
+        return tuple(Fraction(c, self.denom) for c in self._scaled_root_coords(w))
 
     def weight_root_coords_int(self, w: Weight) -> RootCoords:
         rc = self._scaled_root_coords(w)
-        if any(c % self.det for c in rc):
+        if any(c % self.denom for c in rc):
             raise ValueError("weight %s is not in the root lattice" % (w,))
-        return tuple(c // self.det for c in rc)
+        return tuple(c // self.denom for c in rc)
 
     # -- the invariant form ----------------------------------------------
 
     def inner_scaled(self, a: Weight, b: Weight) -> int:
-        """det times the invariant form: an integer."""
+        """denom times the invariant form (alpha_i, alpha_i) = 2 d_i: an integer."""
         y = b.coords
         return sum(x * sum(g * v for g, v in zip(row, y))
                    for x, row in zip(a.coords, self.gram) if x)
-
-    def inner(self, a: Weight, b: Weight) -> Fraction:
-        """Invariant form with (alpha_i, alpha_i) = 2 d_i; exact rational."""
-        return Fraction(self.inner_scaled(a, b), self.det)
 
     def pairing_coroot(self, w: Weight, i: int) -> int:
         """<w, alpha_i^vee> = coordinate of w at the fundamental weight i."""
@@ -315,7 +311,7 @@ class ParabolicData:
     def alpha_s_coefficient(self, w: Weight) -> Fraction:
         if self.s is None:
             raise ValueError("S does not miss exactly one node")
-        return Fraction(self.rs._scaled_root_coords(w)[self.s - 1], self.rs.det)
+        return self.rs.weight_root_coords(w)[self.s - 1]
 
     def in_QS(self, w: Weight) -> bool:
         """Is w in the lattice spanned by the simple roots in S."""

@@ -2,7 +2,7 @@
 
 Weight multiplicities come from Freudenthal's recursion run inside the
 Levi subsystem; dimensions are cross-checked against the Weyl dimension
-formula.  Both run on the invariant form scaled by `RootSystem.det`, which
+formula.  Both run on the invariant form scaled by `RootSystem.denom`, which
 is integral; Freudenthal's formula and Weyl's are ratios of values of that
 form, so the scale cancels and every multiplicity and dimension is exact.
 """
@@ -144,7 +144,7 @@ def levi_dim_weyl(P: ParabolicData, lam: Weight) -> int:
     num = den = 1
     for b in P.levi_positive_roots:
         bw = rs.root_to_weight(b)
-        # each factor (lam + rho_S, b) / (rho_S, b), scaled by 2 det
+        # each factor (lam + rho_S, b) / (rho_S, b), scaled by 2 denom
         num *= 2 * rs.inner_scaled(lam, bw) + rs.inner_scaled(two_rho, bw)
         den *= rs.inner_scaled(two_rho, bw)
     d = Fraction(num, den)

@@ -110,12 +110,12 @@ class WeylGroup:
         """Action matrix on fundamental-weight coordinates (integral)."""
         m = self._fund_mats.get(w.matrix)
         if m is None:
-            # A w adj = det (A w A^-1): columns are the images of the omega_j
+            # A w adj = denom (A w A^-1): columns are the images of the omega_j
             rs = self.rs
             scaled = _mat_mul(_mat_mul(rs.cartan, w.matrix), rs.adj)
-            if any(x % rs.det for row in scaled for x in row):
+            if any(x % rs.denom for row in scaled for x in row):
                 raise CertificationError("w maps a weight off the weight lattice")
-            m = tuple(tuple(x // rs.det for x in row) for row in scaled)
+            m = tuple(tuple(x // rs.denom for x in row) for row in scaled)
             self._fund_mats[w.matrix] = m
         return m
 

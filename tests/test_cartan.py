@@ -1,6 +1,7 @@
 """Root system data against classical tables."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,11 +42,11 @@ def test_inner_product_symmetric_and_norms():
         rs = RootSystem(name)
         for i in range(1, rs.rank + 1):
             ai = rs.simple_root(i)
-            assert rs.inner(ai, ai) == 2 * rs.d[i - 1]
+            assert rs.inner_scaled(ai, ai) == rs.denom * 2 * rs.d[i - 1]
             for j in range(1, rs.rank + 1):
                 aj = rs.simple_root(j)
-                assert rs.inner(ai, aj) == rs.inner(aj, ai)
-                assert rs.bform[i - 1][j - 1] == rs.inner(ai, aj)
+                assert rs.inner_scaled(ai, aj) == rs.inner_scaled(aj, ai)
+                assert rs.denom * rs.bform[i - 1][j - 1] == rs.inner_scaled(ai, aj)
 
 
 @given(st.sampled_from(["A2", "B2", "B3", "G2"]),
@@ -93,8 +94,8 @@ def test_integer_form_matches_the_fraction_form(name, xs, ys):
     x, y = xs[:n], ys[:n]
     # (omega_i, omega_j) = d_j (A^-1)_{ji}
     form = sum(x[i] * y[j] * rs.d[j] * inv[j][i] for i in range(n) for j in range(n))
-    assert rs.inner_scaled(Weight(tuple(x)), Weight(tuple(y))) == rs.det * form
-    assert rs.inner(Weight(tuple(x)), Weight(tuple(y))) == form
+    assert rs.denom == math.lcm(*(f.denominator for row in inv for f in row))
+    assert rs.inner_scaled(Weight(tuple(x)), Weight(tuple(y))) == rs.denom * form
     rc = rs.weight_root_coords(Weight(tuple(x)))
     assert all(type(c) is Fraction for c in rc)
     assert rc == tuple(sum(inv[i][k] * x[k] for k in range(n)) for i in range(n))
