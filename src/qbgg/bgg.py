@@ -298,10 +298,6 @@ class TensorFiber:
         self._gen_mats[letter] = out
         return out
 
-    def k_exponent(self, j: int, idx: int) -> int:
-        rs = self.uq.rs
-        return rs.d[j - 1] * self.weights[idx].coords[j - 1]
-
     def cyclic_lift(self) -> list[AlgElement]:
         """For each basis vector an element of the Levi subalgebra carrying
         the generator to it."""

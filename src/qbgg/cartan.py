@@ -22,7 +22,7 @@ _POS_ROOT_COUNT = {"A": lambda r: r * (r + 1) // 2, "B": lambda r: r * r,
 # nodes s (1-based) for which every positive root has coefficient <= 1 at s
 _COMINUSCULE_NODES = {
     "A": lambda r: set(range(1, r + 1)),
-    "B": lambda r: {1} if r >= 2 else {1},
+    "B": lambda r: {1},
     "C": lambda r: {r},
     "D": lambda r: {1, r - 1, r},
     "E": lambda r: {1, 6} if r == 6 else ({7} if r == 7 else set()),
@@ -178,7 +178,6 @@ class RootSystem:
                      for i in range(self.rank)]
         self.positive_roots = self._build_positive_roots()
         self._check_root_count()
-        self._root_set = set(self.positive_roots)
         self.rho = Weight((1,) * self.rank)
 
     def _build_positive_roots(self) -> list[RootCoords]:
@@ -256,19 +255,9 @@ class RootSystem:
         return sum(x * sum(g * v for g, v in zip(row, y))
                    for x, row in zip(a.coords, self.gram) if x)
 
-    def pairing_coroot(self, w: Weight, i: int) -> int:
-        """<w, alpha_i^vee> = coordinate of w at the fundamental weight i."""
-        return w.coords[i - 1]
-
-    def height(self, beta: RootCoords) -> int:
-        return sum(beta)
-
     def root_norm2(self, beta: RootCoords) -> int:
         return sum(beta[i] * self.bform[i][j] * beta[j]
                    for i in range(self.rank) for j in range(self.rank))
-
-    def is_positive_root(self, beta: RootCoords) -> bool:
-        return beta in self._root_set
 
     def highest_root(self) -> RootCoords:
         return self.positive_roots[-1]

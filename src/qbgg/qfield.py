@@ -5,8 +5,8 @@ polynomials in q.  All computations are exact, and normal forms use integers
 only (`laurent_gcd`, `laurent_divexact`).  Linear algebra has one
 path: `Echelon`, a sparse incremental row echelon with leftmost pivots.  It
 builds quotients one relation at a time (Serre quotients, module slices,
-cyclic lifts), reduces vectors modulo them, and sits behind `rank`,
-`kernel_basis` and `solve_in_span`.
+cyclic lifts), reduces vectors modulo them, and sits behind `rank` and
+`kernel_basis`.
 """
 from __future__ import annotations
 
@@ -332,9 +332,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.den.is_monomial()
-
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if self.is_zero():
             return other
@@ -529,37 +526,6 @@ class QMatrix:
             cols = len(rows[0]) if rows else 0
         return QMatrix(len(rows), cols, [list(r) for r in rows])
 
-    def matmul(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError("cannot multiply %d x %d by %d x %d"
-                             % (self.rows, self.cols, other.rows, other.cols))
-        out = QMatrix(self.rows, other.cols)
-        for i in range(self.rows):
-            for k in range(self.cols):
-                a = self.entries[i][k]
-                if a.is_zero():
-                    continue
-                for j in range(other.cols):
-                    b = other.entries[k][j]
-                    if not b.is_zero():
-                        out.entries[i][j] = out.entries[i][j] + a * b
-        return out
-
-    def apply(self, vec: list[RatFunc]) -> list[RatFunc]:
-        if len(vec) != self.cols:
-            raise ValueError("vector length %d != %d columns" % (len(vec), self.cols))
-        out = [RatFunc.zero() for _ in range(self.rows)]
-        for i in range(self.rows):
-            acc = RatFunc.zero()
-            for j, v in enumerate(vec):
-                if not v.is_zero():
-                    acc = acc + self.entries[i][j] * v
-            out[i] = acc
-        return out
-
-    def evaluate(self, q0: Fraction) -> list[list[Fraction]]:
-        return [[e.evaluate(q0) for e in row] for row in self.entries]
-
 
 def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
     """Clear denominators, remove content, make the first nonzero entry have
@@ -589,15 +555,15 @@ def _echelon_of(rows: list[list[RatFunc]]) -> Echelon:
     return ech
 
 
-def _null_vector(ech: Echelon, cols: int, free: int, value: RatFunc) -> list[RatFunc]:
-    """The null vector of ech's rows that is `value` at the non-pivot column
+def _null_vector(ech: Echelon, cols: int, free: int) -> list[RatFunc]:
+    """The null vector of ech's rows that is one at the non-pivot column
     `free` and zero at every other non-pivot column.
 
     Every row holds only entries right of its pivot, so back-substituting
     over the pivots in descending order fixes each pivot entry from columns
     already known."""
     sol = [RatFunc.zero()] * cols
-    sol[free] = value
+    sol[free] = RatFunc.one()
     for p in sorted(ech.rows, reverse=True):
         acc = RatFunc.zero()
         for j, c in ech.rows[p].items():
@@ -617,21 +583,5 @@ def kernel_basis(m: QMatrix) -> list[list[RatFunc]]:
     one vector per non-pivot column f, which is 1 at f and 0 at every other
     non-pivot column before normalization."""
     ech = _echelon_of(m.entries)
-    return [normalize_vector(_null_vector(ech, m.cols, f, RatFunc.one()))
+    return [normalize_vector(_null_vector(ech, m.cols, f))
             for f in range(m.cols) if f not in ech.rows]
-
-
-def solve_in_span(basis_vectors: list[list[RatFunc]],
-                  target: list[RatFunc]) -> list[RatFunc] | None:
-    """Express target as a combination of the given independent vectors.
-
-    Returns the coefficient vector, or None if target is outside the span.
-    Raises ValueError when the vectors are dependent.
-    """
-    k = len(basis_vectors)
-    ech = _echelon_of([[v[i] for v in basis_vectors] + [t] for i, t in enumerate(target)])
-    if k in ech.rows:
-        return None
-    if len(ech) < k:
-        raise ValueError("basis vectors are linearly dependent")
-    return _null_vector(ech, k + 1, k, -RatFunc.one())[:k]

@@ -239,7 +239,7 @@ def monomials_of_weight(w: int, max_degree: int) -> list[Mono]:
         for j in range(max_degree + 1 - i):
             for k in range(max_degree + 1 - i - j):
                 for l in range(max_degree + 1 - i - j - k):
-                    if i * l == 0 and i - j + k - l == w:
+                    if i * l == 0 and weight((i, j, k, l)) == w:
                         out.append((i, j, k, l))
     out.sort(key=lambda m: (degree(m), m))
     return out

@@ -253,31 +253,3 @@ def kostant_partition(rs: RootSystem, beta: tuple[int, ...],
     if roots is None:
         roots = rs.positive_roots
     return _kostant_partition_cached(tuple(roots), tuple(beta))
-
-
-def gvm_char(P: ParabolicData, lam: Weight, max_height: int) -> CharMap:
-    """Character of the parabolically induced module with simple Levi top
-    lam, truncated at offset height max_height."""
-    rs = P.rs
-    ch, _ = levi_irrep(P, lam)
-    # multiply by the geometric series over the quotient roots
-    out: CharMap = dict(ch)
-    for b in P.quotient_roots:
-        bw = rs.root_to_weight(b)
-        ht = rs.height(b)
-        new: CharMap = {}
-        for wt, m in out.items():
-            off0 = sum(rs.weight_root_coords(lam - wt))
-            k = 0
-            while off0 + k * ht <= max_height:
-                nwt = wt - bw.scale(k)
-                new[nwt] = new.get(nwt, 0) + m
-                k += 1
-        out = new
-    # drop weights beyond the height window
-    trimmed: CharMap = {}
-    for wt, m in out.items():
-        off = sum(rs.weight_root_coords(lam - wt))
-        if off <= max_height:
-            trimmed[wt] = trimmed.get(wt, 0) + m
-    return trimmed

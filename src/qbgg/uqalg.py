@@ -126,12 +126,6 @@ class UqAlgebra:
                 add_into(out, self.mul_nw(nwx, nwy), cx * cy)
         return out
 
-    def multiply_all(self, parts: list[AlgElement]) -> AlgElement:
-        out = self.one()
-        for p in parts:
-            out = self.multiply(out, p)
-        return out
-
     def from_letters(self, letters: list[tuple]) -> AlgElement:
         out = self.one()
         for letter in letters:
@@ -152,13 +146,6 @@ class UqAlgebra:
         return RatFunc.q_power(sum(kv[j] * d[j] * wt[j] for j in range(self.r)))
 
     # -- structure maps ---------------------------------------------------
-
-    def counit(self, x: AlgElement) -> RatFunc:
-        out = RatFunc.zero()
-        for (fw, kv, ew), c in x.items():
-            if not fw and not ew:
-                out = out + c
-        return out
 
     def eta(self, x: AlgElement) -> AlgElement:
         """Algebra isomorphism swapping E_i <-> F_i and inverting K_i."""

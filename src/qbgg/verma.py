@@ -150,81 +150,6 @@ def singular_vectors(family: SliceFamily, beta: tuple[int, ...]) -> list[AlgElem
     return out
 
 
-class LowestSliceFamily:
-    """Weight slices of the mirrored (lowest-weight) module: E-words acting on
-    a vector ksi with F_i ksi = 0 and K_j ksi = q^{-(alpha_j, lam)} ksi."""
-
-    def __init__(self, uq: UqAlgebra, lam: Weight):
-        self.uq = uq
-        self.lam = lam
-
-    def _k_scalar(self, kv: tuple[int, ...], eword_content: tuple[int, ...]) -> RatFunc:
-        # weight of (E-word) ksi is -lam + sum of alphas in the word
-        rs = self.uq.rs
-        exp = 0
-        for j in range(rs.rank):
-            if kv[j]:
-                wt_j = -rs.d[j] * self.lam.coords[j]
-                wt_j += sum(eword_content[k] * rs.bform[j][k] for k in range(rs.rank))
-                exp += kv[j] * wt_j
-        return RatFunc.q_power(exp)
-
-    def f_apply(self, i: int, word: tuple[int, ...]) -> dict[tuple[int, ...], RatFunc]:
-        """F_i applied to (E-word) ksi, recursively via the commutator."""
-        if not word:
-            return {}
-        uq = self.uq
-        rs = uq.rs
-        head, rest = word[0], word[1:]
-        out = {(head,) + w2: c for w2, c in self.f_apply(i, rest).items()}
-        if head == i:
-            # F_i E_i = E_i F_i - (K_i - K_i^{-1}) / (q^{d_i} - q^{-d_i})
-            content = [0] * rs.rank
-            for j in rest:
-                content[j - 1] += 1
-            kvp = tuple(int(k == i - 1) for k in range(rs.rank))
-            kvm = tuple(-int(k == i - 1) for k in range(rs.rank))
-            den = uq._efden[i]
-            scal = (self._k_scalar(kvp, tuple(content))
-                    - self._k_scalar(kvm, tuple(content))) / den
-            add_into(out, {rest: -scal})
-        return out
-
-    def f_action_matrix(self, beta: tuple[int, ...], i: int) -> QMatrix:
-        src = self.uq.weight_space(beta)
-        tgt_beta = list(beta)
-        tgt_beta[i - 1] -= 1
-        if tgt_beta[i - 1] < 0:
-            return QMatrix(0, src.dim)
-        tgt = self.uq.weight_space(tuple(tgt_beta))
-        m = QMatrix(tgt.dim, src.dim)
-        for cidx, u in enumerate(src.basis_words):
-            col = tgt.reduce_coords(self.f_apply(i, u))
-            for ridx, v in enumerate(col):
-                m.entries[ridx][cidx] = v
-        return m
-
-    def annihilated_by_all_f(self, beta: tuple[int, ...]) -> list[list[RatFunc]]:
-        src = self.uq.weight_space(beta)
-        if src.dim == 0:
-            return []
-        rows: list[list[RatFunc]] = []
-        for i in range(1, self.uq.r + 1):
-            rows.extend(self.f_action_matrix(beta, i).entries)
-        if not rows:
-            return [[RatFunc.one()]] if src.dim == 1 else []
-        return kernel_basis(QMatrix.from_rows(rows, src.dim))
-
-    def coords_of(self, x: AlgElement, beta: tuple[int, ...]) -> list[RatFunc]:
-        """Coordinates of a pure E-word element in the beta-slice basis."""
-        by_word: dict[tuple[int, ...], RatFunc] = {}
-        for (fw, kv, ew), c in x.items():
-            if fw or any(kv):
-                raise ValueError("element is not in the E-part")
-            by_word[ew] = by_word.get(ew, RatFunc.zero()) + c
-        return self.uq.weight_space(beta).reduce_coords(by_word)
-
-
 def dot_offset(G, w_short, w_long, mu: Weight) -> tuple[int, ...]:
     """Root coordinates of w_short.mu - w_long.mu (nonnegative when
     w_short is below w_long in the Bruhat order)."""

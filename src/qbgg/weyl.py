@@ -82,7 +82,6 @@ class WeylGroup:
                         raise GroupTooLarge("coset walk exceeds cap %d" % _CAP)
             frontier = new_frontier
         self.elements = sorted(elements.values(), key=lambda w: (w.length, w.word))
-        self._by_matrix = elements
         self._fund_mats: dict[Matrix, Matrix] = {}
 
     def _simple_matrix(self, i: int) -> Matrix:
@@ -95,16 +94,6 @@ class WeylGroup:
             col[i - 1] -= a[i - 1][j]
             cols.append(col)
         return tuple(tuple(cols[j][k] for j in range(r)) for k in range(r))
-
-    def simple(self, i: int) -> WeylElement:
-        return self._by_matrix[self.simple_mats[i]]
-
-    def product(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self._by_matrix[_mat_mul(a.matrix, b.matrix)]
-
-    def act_root(self, w: WeylElement, beta: tuple[int, ...]) -> tuple[int, ...]:
-        r = self.rs.rank
-        return tuple(sum(w.matrix[i][j] * beta[j] for j in range(r)) for i in range(r))
 
     def _fund_matrix(self, w: WeylElement) -> Matrix:
         """Action matrix on fundamental-weight coordinates (integral)."""
@@ -128,16 +117,6 @@ class WeylGroup:
     def shifted_act(self, w: WeylElement, lam: Weight) -> Weight:
         """Dot action w.lam = w(lam + rho) - rho."""
         return self.act(w, lam + self.rs.rho) - self.rs.rho
-
-    def length_by_inversions(self, w: WeylElement) -> int:
-        neg = 0
-        for b in self.rs.positive_roots:
-            img = self.act_root(w, b)
-            if any(c < 0 for c in img):
-                if any(c > 0 for c in img):
-                    raise CertificationError("w maps a root to a mixed-sign vector")
-                neg += 1
-        return neg
 
     def reflections(self) -> dict[Matrix, tuple[int, ...]]:
         """Map from reflection matrices to the positive root they reflect."""
@@ -253,17 +232,6 @@ class BruhatGraph:
 
     def sign(self, a: WeylElement, b: WeylElement) -> int:
         return self.signs[(a.matrix, b.matrix)]
-
-
-def kostant_decompose(P: ParabolicData, W: WeylGroup, w: WeylElement,
-                      cosets: list[WeylElement]) -> tuple[WeylElement, WeylElement]:
-    """Write w = w_S * w^S with w_S in W_S, lengths adding up; W must contain w_S."""
-    by_matrix = {c.matrix: c for c in cosets}
-    for wS in (x for x in W.elements if set(x.word) <= P.S):
-        wup = by_matrix.get(_mat_mul(wS.inv_matrix, w.matrix))  # wS^{-1} * w
-        if wup is not None and wS.length + wup.length == w.length:
-            return wS, wup
-    raise ValueError("no Kostant decomposition found")
 
 
 def incomparability_report(G: BruhatGraph, mu: Weight | None = None) -> dict:

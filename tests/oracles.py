@@ -1,0 +1,150 @@
+"""Independent reference implementations that the tests compare the library
+against.  None of them is on a certificate's path, so they live here rather
+than under `src/qbgg`."""
+from __future__ import annotations
+
+from qbgg.cartan import ParabolicData, Weight
+from qbgg.qfield import CertificationError, QMatrix, RatFunc, add_into, kernel_basis
+from qbgg.reps import CharMap, levi_irrep
+from qbgg.uqalg import AlgElement, UqAlgebra
+from qbgg.weyl import WeylElement, WeylGroup, _mat_mul
+
+
+def counit(x: AlgElement) -> RatFunc:
+    """The counit: the sum of the coefficients of the pure K-monomials."""
+    out = RatFunc.zero()
+    for (fw, kv, ew), c in x.items():
+        if not fw and not ew:
+            out = out + c
+    return out
+
+
+def gvm_char(P: ParabolicData, lam: Weight, max_height: int) -> CharMap:
+    """Character of the parabolically induced module with simple Levi top
+    lam, truncated at offset height max_height: the Levi character times
+    the geometric series over the quotient roots."""
+    rs = P.rs
+    ch, _ = levi_irrep(P, lam)
+    out: CharMap = dict(ch)
+    for b in P.quotient_roots:
+        bw = rs.root_to_weight(b)
+        ht = sum(b)
+        new: CharMap = {}
+        for wt, m in out.items():
+            off0 = sum(rs.weight_root_coords(lam - wt))
+            k = 0
+            while off0 + k * ht <= max_height:
+                nwt = wt - bw.scale(k)
+                new[nwt] = new.get(nwt, 0) + m
+                k += 1
+        out = new
+    # drop weights beyond the height window
+    trimmed: CharMap = {}
+    for wt, m in out.items():
+        off = sum(rs.weight_root_coords(lam - wt))
+        if off <= max_height:
+            trimmed[wt] = trimmed.get(wt, 0) + m
+    return trimmed
+
+
+def act_root(W: WeylGroup, w: WeylElement, beta: tuple[int, ...]) -> tuple[int, ...]:
+    r = W.rs.rank
+    return tuple(sum(w.matrix[i][j] * beta[j] for j in range(r)) for i in range(r))
+
+
+def length_by_inversions(W: WeylGroup, w: WeylElement) -> int:
+    """The number of positive roots that w sends to negative roots."""
+    neg = 0
+    for b in W.rs.positive_roots:
+        img = act_root(W, w, b)
+        if any(c < 0 for c in img):
+            if any(c > 0 for c in img):
+                raise CertificationError("w maps a root to a mixed-sign vector")
+            neg += 1
+    return neg
+
+
+def kostant_decompose(P: ParabolicData, W: WeylGroup, w: WeylElement,
+                      cosets: list[WeylElement]) -> tuple[WeylElement, WeylElement]:
+    """Write w = w_S * w^S with w_S in W_S, lengths adding up; W must contain w_S."""
+    by_matrix = {c.matrix: c for c in cosets}
+    for wS in (x for x in W.elements if set(x.word) <= P.S):
+        wup = by_matrix.get(_mat_mul(wS.inv_matrix, w.matrix))  # wS^{-1} * w
+        if wup is not None and wS.length + wup.length == w.length:
+            return wS, wup
+    raise ValueError("no Kostant decomposition found")
+
+
+class LowestSliceFamily:
+    """Weight slices of the mirrored (lowest-weight) module: E-words acting on
+    a vector ksi with F_i ksi = 0 and K_j ksi = q^{-(alpha_j, lam)} ksi."""
+
+    def __init__(self, uq: UqAlgebra, lam: Weight):
+        self.uq = uq
+        self.lam = lam
+
+    def _k_scalar(self, kv: tuple[int, ...], eword_content: tuple[int, ...]) -> RatFunc:
+        # weight of (E-word) ksi is -lam + sum of alphas in the word
+        rs = self.uq.rs
+        exp = 0
+        for j in range(rs.rank):
+            if kv[j]:
+                wt_j = -rs.d[j] * self.lam.coords[j]
+                wt_j += sum(eword_content[k] * rs.bform[j][k] for k in range(rs.rank))
+                exp += kv[j] * wt_j
+        return RatFunc.q_power(exp)
+
+    def f_apply(self, i: int, word: tuple[int, ...]) -> dict[tuple[int, ...], RatFunc]:
+        """F_i applied to (E-word) ksi, recursively via the commutator."""
+        if not word:
+            return {}
+        uq = self.uq
+        rs = uq.rs
+        head, rest = word[0], word[1:]
+        out = {(head,) + w2: c for w2, c in self.f_apply(i, rest).items()}
+        if head == i:
+            # F_i E_i = E_i F_i - (K_i - K_i^{-1}) / (q^{d_i} - q^{-d_i})
+            content = [0] * rs.rank
+            for j in rest:
+                content[j - 1] += 1
+            kvp = tuple(int(k == i - 1) for k in range(rs.rank))
+            kvm = tuple(-int(k == i - 1) for k in range(rs.rank))
+            den = uq._efden[i]
+            scal = (self._k_scalar(kvp, tuple(content))
+                    - self._k_scalar(kvm, tuple(content))) / den
+            add_into(out, {rest: -scal})
+        return out
+
+    def f_action_matrix(self, beta: tuple[int, ...], i: int) -> QMatrix:
+        src = self.uq.weight_space(beta)
+        tgt_beta = list(beta)
+        tgt_beta[i - 1] -= 1
+        if tgt_beta[i - 1] < 0:
+            return QMatrix(0, src.dim)
+        tgt = self.uq.weight_space(tuple(tgt_beta))
+        m = QMatrix(tgt.dim, src.dim)
+        for cidx, u in enumerate(src.basis_words):
+            col = tgt.reduce_coords(self.f_apply(i, u))
+            for ridx, v in enumerate(col):
+                m.entries[ridx][cidx] = v
+        return m
+
+    def annihilated_by_all_f(self, beta: tuple[int, ...]) -> list[list[RatFunc]]:
+        src = self.uq.weight_space(beta)
+        if src.dim == 0:
+            return []
+        rows: list[list[RatFunc]] = []
+        for i in range(1, self.uq.r + 1):
+            rows.extend(self.f_action_matrix(beta, i).entries)
+        if not rows:
+            return [[RatFunc.one()]] if src.dim == 1 else []
+        return kernel_basis(QMatrix.from_rows(rows, src.dim))
+
+    def coords_of(self, x: AlgElement, beta: tuple[int, ...]) -> list[RatFunc]:
+        """Coordinates of a pure E-word element in the beta-slice basis."""
+        by_word: dict[tuple[int, ...], RatFunc] = {}
+        for (fw, kv, ew), c in x.items():
+            if fw or any(kv):
+                raise ValueError("element is not in the E-part")
+            by_word[ew] = by_word.get(ew, RatFunc.zero()) + c
+        return self.uq.weight_space(beta).reduce_coords(by_word)

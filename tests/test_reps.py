@@ -8,10 +8,11 @@ import pytest
 
 from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.weyl import BruhatGraph
-from qbgg.reps import (char_equal, exterior_power_char, gvm_char,
-                       kostant_partition, levi_dim_weyl, levi_irrep,
-                       levi_weight_multiplicities, quotient_weights,
-                       verify_dim_identity)
+from qbgg.reps import (char_equal, exterior_power_char, kostant_partition,
+                       levi_dim_weyl, levi_irrep, levi_weight_multiplicities,
+                       quotient_weights, verify_dim_identity)
+
+from oracles import gvm_char
 
 
 def _full(name: str) -> ParabolicData:

@@ -1,0 +1,48 @@
+"""The library holds only code the library itself runs: every function and
+class defined under `src/qbgg` is referenced somewhere under `src/qbgg`.
+Reference implementations that only tests compare against live in
+`tests/oracles.py`."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import qbgg
+
+SRC = Path(qbgg.__file__).parent
+
+# constructors and structure kept for callers outside the package
+ALLOWED = {
+    # K_i^e: a generator constructor alongside F, E and one
+    "K",
+    # omega_i: the weight constructor alongside simple_root
+    "fundamental_weight",
+    # the adjoint action, kept for the quantum nilradical of the double
+    # complex on non-chain coset graphs
+    "adjoint",
+}
+
+
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_library_definition_is_used_by_the_library():
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                defined.setdefault(node.name, "%s:%d" % (path.name, node.lineno))
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    unused = sorted("%s (%s)" % (name, where) for name, where in defined.items()
+                    if name not in used and name not in ALLOWED
+                    and not _is_dunder(name))
+    assert unused == []
