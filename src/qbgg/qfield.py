@@ -6,14 +6,15 @@ only (`laurent_gcd`, `laurent_divexact`).  Linear algebra has one
 path: `Echelon`, a sparse incremental row echelon with leftmost pivots.  It
 builds quotients one relation at a time (Serre quotients, module slices,
 cyclic lifts), reduces vectors modulo them, and sits behind `rank` and
-`kernel_basis`.
+`kernel_basis`; `fill_to_rank` fills one from relations of known rank.
 """
 from __future__ import annotations
 
 from bisect import insort
 from fractions import Fraction
 from math import gcd as _intgcd
-from typing import Hashable, Iterator, TypeVar
+from struct import iter_unpack, pack
+from typing import Callable, Hashable, Iterable, Iterator, TypeVar
 
 Key = TypeVar("Key", bound=Hashable)
 
@@ -506,6 +507,50 @@ class Echelon:
         return vec
 
 
+_P, _A = 2 ** 31 - 1, 12345  # `fill_to_rank` reduces rows at q = _A mod _P
+
+
+def _at_a(c: RatFunc) -> int:
+    """c at q = _A mod _P; ValueError if its denominator vanishes there."""
+    num, den = (sum(v * pow(_A, e, _P) for e, v in x.c.items()) for x in (c.num, c.den))
+    return num * pow(den, -1, _P) % _P
+
+
+def _shadow_insert(rows: dict[int, bytes], vec: dict[int, int]) -> bool:
+    """`Echelon.insert` mod _P, rows packed as uint32 (column, value) pairs: True if new."""
+    keys, i = sorted(vec), 0  # keys[i:]: the columns still to visit, ascending
+    while i < len(keys):
+        p, i = keys[i], i + 1
+        f, row = vec[p], rows.get(p)
+        if f and row is not None:
+            del vec[p]
+            for k, v in iter_unpack("2I", row):
+                if k not in vec:
+                    insort(keys, k, i)
+                vec[k] = (vec.get(k, 0) - f * v) % _P
+    p = min((k for k, v in vec.items() if v), default=None)
+    if p is not None:
+        inv = pow(vec.pop(p), -1, _P)
+        rows[p] = b"".join(pack("2I", k, v * inv % _P) for k, v in vec.items() if v)
+    return p is not None
+
+
+def fill_to_rank(rows: Callable[[], Iterable[dict[int, RatFunc]]], target: int) -> Echelon:
+    """Echelon of the rows of `rows()`, a span of rank `target`: only rows independent
+    at q = _A mod _P are inserted, or all if those are too few (`uqalg` says why)."""
+    ech, shadow = Echelon(), {}
+    for vec in rows():
+        try:
+            mod = {k: _at_a(c) for k, c in vec.items()}
+        except ValueError:  # a denominator vanishes at _A
+            return _echelon_of(rows())
+        if _shadow_insert(shadow, mod):
+            if len(ech) == target:
+                raise CertificationError("relations have rank > %d mod p" % target)
+            ech.insert(vec)
+    return ech if len(ech) == target else _echelon_of(rows())
+
+
 class QMatrix:
     """Dense matrix over Q(q)."""
 
@@ -548,10 +593,10 @@ def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
     return [RatFunc(p, _normalized=True) for p in pols]
 
 
-def _echelon_of(rows: list[list[RatFunc]]) -> Echelon:
+def _echelon_of(rows: Iterable[dict[int, RatFunc]]) -> Echelon:
     ech = Echelon()
     for r in rows:
-        ech.insert(dict(enumerate(r)))
+        ech.insert(r)
     return ech
 
 
@@ -575,13 +620,13 @@ def _null_vector(ech: Echelon, cols: int, free: int) -> list[RatFunc]:
 
 def rank(m: QMatrix) -> int:
     """Exact rank over Q(q)."""
-    return len(_echelon_of(m.entries))
+    return len(_echelon_of(dict(enumerate(r)) for r in m.entries))
 
 
 def kernel_basis(m: QMatrix) -> list[list[RatFunc]]:
     """Basis of the right null space, denominator-cleared and content-free:
     one vector per non-pivot column f, which is 1 at f and 0 at every other
     non-pivot column before normalization."""
-    ech = _echelon_of(m.entries)
+    ech = _echelon_of(dict(enumerate(r)) for r in m.entries)
     return [normalize_vector(_null_vector(ech, m.cols, f))
             for f in range(m.cols) if f not in ech.rows]

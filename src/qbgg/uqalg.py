@@ -10,13 +10,21 @@ with coefficients in Q(q).  The defining relations are
 The quantum Serre relations are not used as rewriting rules; weight
 components of the lower/upper triangular parts are quotients of free word
 spaces (`NMinusWeightSpace` below).
+
+`qfield.fill_to_rank` builds these quotients, and `verma`'s module slices,
+from relations whose span R has a known rank t: |words| - K(beta) by the PBW
+theorem (Jantzen, Lectures on Quantum Groups, ch. 8), less the induced
+character for a slice.  The t rows it keeps are exact relations independent
+mod p at q = a, hence over Q(q), so they span R.  Were rank R < t, fewer rows
+would be kept and all reduced, so `uq.pbw_dims` stays exact on that side; a
+rank R > t raises only if a later row is independent mod p (acceptance 4 is exact).
 """
 from __future__ import annotations
 
 import itertools
 
 from .cartan import RootSystem
-from .qfield import (CertificationError, Echelon, Laurent, RatFunc, add_into,
+from .qfield import (CertificationError, Laurent, RatFunc, add_into, fill_to_rank,
                      qbinomial)
 
 # normal monomial: (F indices, K exponent vector, E indices), all 1-based indices
@@ -248,40 +256,37 @@ class NMinusWeightSpace:
     the free span of F-words by the Serre ideal slice."""
 
     def __init__(self, uq: UqAlgebra, beta: tuple[int, ...]):
-        self.uq = uq
         self.beta = beta
-        rs = uq.rs
         self.words = sorted(_words_of_content(beta))
         self.index = {w: k for k, w in enumerate(self.words)}
-        self._ech = Echelon()
-        r = rs.rank
-        for i in range(1, r + 1):
-            for j in range(1, r + 1):
-                if i == j:
-                    continue
-                serre = uq.serre_fword_elements(i, j)
-                scontent = [0] * r
-                some = next(iter(serre))
-                for idx in some:
-                    scontent[idx - 1] += 1
-                rest = tuple(b - c for b, c in zip(beta, scontent))
-                if any(c < 0 for c in rest):
-                    continue
-                for left_content in itertools.product(*(range(c + 1) for c in rest)):
-                    right_content = tuple(a - b for a, b in zip(rest, left_content))
-                    for left in _words_of_content(left_content):
-                        for right in _words_of_content(right_content):
-                            self._ech.insert({self.index[left + sword + right]: c
-                                              for sword, c in serre.items()})
+        from .reps import kostant_partition
+        expect = kostant_partition(uq.rs, beta)
+        # uq is not kept: it caches this space, and the cycle would outlive requests
+        self._ech = fill_to_rank(lambda: self._serre_rows(uq), len(self.words) - expect)
         # word indices of the basis words: the columns without a pivot
         self.basis_pos = [k for k in range(len(self.words)) if k not in self._ech.rows]
         self.basis_words = [self.words[k] for k in self.basis_pos]
-        from .reps import kostant_partition
-        expect = kostant_partition(rs, beta)
         if self.dim != expect:
             raise CertificationError(
                 "weight space dimension %d != partition count %d at %s"
                 % (self.dim, expect, beta))
+
+    def _serre_rows(self, uq):
+        """Rows left * S_ij * right by word index: they span the Serre slice."""
+        for i in range(1, uq.r + 1):
+            for j in range(1, uq.r + 1):
+                rest = list(self.beta)
+                rest[i - 1] += uq.rs.cartan[i - 1][j - 1] - 1
+                rest[j - 1] -= 1
+                if i == j or min(rest) < 0:
+                    continue
+                serre = uq.serre_fword_elements(i, j)
+                for left_content in itertools.product(*(range(c + 1) for c in rest)):
+                    right_content = tuple(a - b for a, b in zip(rest, left_content))
+                    for left in _words_of_content(left_content):
+                        for right in _words_of_content(right_content):
+                            yield {self.index[left + sword + right]: c
+                                   for sword, c in serre.items()}
 
     @property
     def dim(self) -> int:
@@ -299,18 +304,18 @@ class NMinusWeightSpace:
 
 
 def _words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All words using letter i exactly content[i-1] times."""
+    """All words using letter i exactly content[i-1] times, in lexicographic order."""
     out: list[tuple[int, ...]] = []
-
-    def rec(remaining: list[int], acc: tuple[int, ...]) -> None:
-        if all(c == 0 for c in remaining):
-            out.append(acc)
-            return
-        for i, c in enumerate(remaining):
-            if c:
-                remaining[i] -= 1
-                rec(remaining, acc + (i + 1,))
-                remaining[i] += 1
-
-    rec(list(content), ())
+    _extend_words(list(content), (), out)
     return out
+
+
+def _extend_words(remaining: list[int], acc: tuple[int, ...], out: list) -> None:
+    if not any(remaining):
+        out.append(acc)
+        return
+    for i, c in enumerate(remaining):
+        if c:
+            remaining[i] -= 1
+            _extend_words(remaining, acc + (i + 1,), out)
+            remaining[i] += 1

@@ -9,7 +9,7 @@ normal-form engine and kill the highest weight vector.
 from __future__ import annotations
 
 from .cartan import ParabolicData, Weight
-from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
+from .qfield import (CertificationError, QMatrix, RatFunc, add_into, fill_to_rank,
                      kernel_basis)
 from .reps import kostant_partition, levi_irrep
 from .uqalg import AlgElement, UqAlgebra, _words_of_content
@@ -21,28 +21,28 @@ class ModuleSlice:
 
     def __init__(self, family: SliceFamily, beta: tuple[int, ...]):
         self.uq = uq = family.uq
-        self.lam = lam = family.lam
+        self.lam = family.lam
         self.beta = beta
         self.S = family.S
         self.ws = uq.weight_space(beta)
-        self._ech = Echelon()
-        for i in sorted(self.S):
-            m = lam.coords[i - 1] + 1
-            rest = list(beta)
-            rest[i - 1] -= m
-            if any(c < 0 for c in rest):
-                continue
-            tail = (i,) * m
-            for u in _words_of_content(tuple(rest)):
-                self._ech.insert(self.ws.residue({u + tail: RatFunc.one()}))
+        expect = family.induced_dim(beta)
+        self._ech = fill_to_rank(self._induced_rows, self.ws.dim - expect)
         # columns are word indices of the Serre quotient's basis words
         self._basis_pos = [k for k in self.ws.basis_pos if k not in self._ech.rows]
         self.basis_words = [self.ws.words[k] for k in self._basis_pos]
-        expect = family.induced_dim(beta)
         if self.dim != expect:
             raise CertificationError(
                 "induced module slice dim %d != character value %d at %s"
                 % (self.dim, expect, beta))
+
+    def _induced_rows(self):
+        """Residues of u * F_i^m (i in S, m = <lam, alpha_i^vee> + 1): the kernel."""
+        for i in sorted(self.S):
+            tail = (i,) * (self.lam.coords[i - 1] + 1)
+            rest = tuple(b - len(tail) * (k == i - 1) for k, b in enumerate(self.beta))
+            if min(rest) >= 0:
+                for u in _words_of_content(rest):
+                    yield self.ws.residue({u + tail: RatFunc.one()})
 
     @property
     def dim(self) -> int:

@@ -4,7 +4,8 @@ than under `src/qbgg`."""
 from __future__ import annotations
 
 from qbgg.cartan import ParabolicData, Weight
-from qbgg.qfield import CertificationError, QMatrix, RatFunc, add_into, kernel_basis
+from qbgg.qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
+                         kernel_basis)
 from qbgg.reps import CharMap, levi_irrep
 from qbgg.uqalg import AlgElement, UqAlgebra
 from qbgg.weyl import WeylElement, WeylGroup, _mat_mul
@@ -17,6 +18,23 @@ def counit(x: AlgElement) -> RatFunc:
         if not fw and not ew:
             out = out + c
     return out
+
+
+def all_rows_echelon(rows) -> Echelon:
+    """The reference for `qfield.fill_to_rank`: every row that `rows()`
+    yields inserted exactly, dependent or not."""
+    ech = Echelon()
+    for r in rows():
+        ech.insert(r)
+    return ech
+
+
+def same_quotient(a: Echelon, b: Echelon, cols) -> bool:
+    """Whether two echelons have one pivot set and give every unit vector
+    e_k, k in cols, the same residue."""
+    one = RatFunc.one()
+    return set(a.rows) == set(b.rows) and all(
+        a.reduce({k: one}) == b.reduce({k: one}) for k in cols)
 
 
 def gvm_char(P: ParabolicData, lam: Weight, max_height: int) -> CharMap:

@@ -10,8 +10,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qbgg import qfield
-from qbgg.qfield import (Echelon, Laurent, QMatrix, RatFunc, kernel_basis,
-                         laurent_divexact, laurent_gcd, normalize_vector, rank)
+from qbgg.qfield import (CertificationError, Echelon, Laurent, QMatrix, RatFunc,
+                         fill_to_rank, kernel_basis, laurent_divexact, laurent_gcd,
+                         normalize_vector, rank)
+
+from oracles import all_rows_echelon, same_quotient
 
 Q0 = Fraction(5, 3)
 
@@ -149,6 +152,78 @@ def test_echelon_rank_matches_specialization(rows, data):
                 entry = RatFunc.one() if j == p else row_p.get(j, RatFunc.zero())
                 acc = acc + f * entry
             assert acc == r.get(j, RatFunc.zero())
+
+
+def _recording_inserts(mp: pytest.MonkeyPatch) -> list:
+    """Patch Echelon.insert to record every pivot it returns (None for a
+    row that reduces to zero)."""
+    seen: list = []
+    insert = Echelon.insert
+
+    def recording(self, vec):
+        seen.append(insert(self, vec))
+        return seen[-1]
+    mp.setattr(Echelon, "insert", recording)
+    return seen
+
+
+def _plain_echelon(rows) -> Echelon:
+    return all_rows_echelon(lambda: iter(rows))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_sparse_rows())
+def test_fill_to_rank_inserts_no_dependent_row(rows):
+    # interleave dependent rows: a q-multiple and a sum of two earlier rows
+    rows = rows + [{k: v * RatFunc.q_power(1) for k, v in rows[0].items()}]
+    if len(rows) >= 3:
+        dep = dict(rows[1])
+        for k, v in rows[2].items():
+            dep[k] = dep.get(k, RatFunc.zero()) + v
+        rows.insert(3, {k: v for k, v in dep.items() if not v.is_zero()})
+    plain = _plain_echelon(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _recording_inserts(mp)
+        ech = fill_to_rank(lambda: iter(rows), len(plain))
+    assert None not in seen and len(seen) == len(plain)
+    assert same_quotient(ech, plain, range(5))
+
+
+def test_fill_to_rank_falls_back_when_an_entry_vanishes_at_the_point():
+    q = RatFunc.q_power(1)
+    # q - 12345 vanishes at the point, so mod p the rows look dependent
+    rows = [{0: q - RatFunc.from_int(qfield._A), 1: RatFunc.one()},
+            {1: RatFunc.one(), 2: q},
+            {1: RatFunc.one()}]
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _recording_inserts(mp)
+        ech = fill_to_rank(lambda: iter(rows), 3)
+    # two rows kept mod p, then every row inserted exactly
+    assert len(seen) == 2 + 3
+    assert len(ech) == 3 and same_quotient(ech, _plain_echelon(rows), range(3))
+
+
+@pytest.mark.parametrize("first", [0, 1])
+def test_fill_to_rank_falls_back_when_a_denominator_vanishes(first):
+    pole = RatFunc.one() / (RatFunc.q_power(1) - RatFunc.from_int(qfield._A))
+    rows = [{1: RatFunc.one(), 2: RatFunc.q_power(2)}, {0: pole, 2: RatFunc.one()}]
+    rows = rows[first:] + rows[:first]
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _recording_inserts(mp)
+        ech = fill_to_rank(lambda: iter(rows), 2)
+    # the rows before the pole are kept, then every row is inserted exactly
+    assert len(seen) == (1 - first) + 2
+    assert len(ech) == 2 and same_quotient(ech, _plain_echelon(rows), range(3))
+
+
+def test_fill_to_rank_raises_when_the_rank_exceeds_the_target():
+    one, q = RatFunc.one(), RatFunc.q_power(1)
+    rows = [{0: one, 1: q}, {0: q, 1: q * q}, {1: one}]
+    assert len(fill_to_rank(lambda: iter(rows), 2)) == 2
+    with pytest.raises(CertificationError):
+        fill_to_rank(lambda: iter(rows), 1)
+    # too few independent rows: every row is inserted and the rank is exact
+    assert len(fill_to_rank(lambda: iter(rows[:2]), 2)) == 1
 
 
 def test_rank_frozen_examples():
