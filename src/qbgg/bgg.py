@@ -15,8 +15,7 @@ from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
                      rank)
 from .reps import levi_irrep
 from .uqalg import AlgElement, UqAlgebra, scaled
-from .verma import (SliceFamily, StandardMapFamily, dot_offset,
-                    evaluate_on_highest)
+from .verma import SliceFamily, StandardMapFamily, dot_offset
 
 
 # extra letters allowed per Levi node beyond the quotient-root box of a WSlice
@@ -118,31 +117,21 @@ class BGGComplex:
     def differential_matrix(self, j: int, beta: tuple[int, ...]) -> QMatrix:
         """Matrix of the level-j differential C_j -> C_{j-1} on the mu - beta
         weight slice."""
-        src_slices = self.level_slices(j, beta)
-        tgt_slices = self.level_slices(j - 1, beta)
-        src_dim = sum(s.dim for _, s in src_slices if s is not None)
-        tgt_dim = sum(s.dim for _, s in tgt_slices if s is not None)
-        m = QMatrix(tgt_dim, src_dim)
-        col0 = 0
-        for w_long, src in src_slices:
+        tgt_slices = [(w, s) for w, s in self.level_slices(j - 1, beta) if s is not None]
+        cols = []
+        for w_long, src in self.level_slices(j, beta):
             if src is None:
                 continue
-            row0 = 0
-            for w_short, tgt in tgt_slices:
-                if tgt is None:
-                    continue
-                key = (w_short.matrix, w_long.matrix)
-                if key in self.maps.scaled:
-                    y = self.maps.y_signed(w_short, w_long)
-                    for cidx, u in enumerate(src.basis_words):
-                        prod = self.uq.multiply(self.uq.fword(u), y)
-                        coords = tgt.reduce_element(prod)
-                        for ridx, v in enumerate(coords):
-                            if not v.is_zero():
-                                m.entries[row0 + ridx][col0 + cidx] = v
-                row0 += tgt.dim
-            col0 += src.dim
-        return m
+            ys = [self.maps.y_signed(w_short, w_long)
+                  if (w_short.matrix, w_long.matrix) in self.maps.scaled else None
+                  for w_short, _ in tgt_slices]
+            for u in src.basis_words:
+                col: list[RatFunc] = []
+                for (_, tgt), y in zip(tgt_slices, ys):
+                    col.extend([RatFunc.zero()] * tgt.dim if y is None else
+                               tgt.reduce_element(self.uq.multiply(self.uq.fword(u), y)))
+                cols.append(col)
+        return QMatrix.from_columns(cols, sum(s.dim for _, s in tgt_slices))
 
     def verify_squared_zero(self) -> dict:
         """The composite of consecutive differentials vanishes, checked as
@@ -211,7 +200,6 @@ class LeviModuleData:
 
     def __init__(self, uq: UqAlgebra, P: ParabolicData, lam: Weight):
         self.uq = uq
-        self.lam = lam
         rs = uq.rs
         fam = SliceFamily(uq, lam, P.S)
         self.dim = fam.levi_dim
@@ -232,22 +220,16 @@ class LeviModuleData:
         """Matrix of a Levi-part element: x applied to each basis word on the
         highest weight vector, each F-content part reduced in its slice."""
         uq = self.uq
-        m = [[RatFunc.zero()] * self.dim for _ in range(self.dim)]
-        for cidx, (off, k) in enumerate(self.basis):
-            word = self.slices[off].basis_words[k]
-            vec = evaluate_on_highest(uq, self.lam, uq.multiply(x, uq.fword(word)))
-            parts: dict[tuple[int, ...], dict[tuple[int, ...], RatFunc]] = {}
-            for w, c in vec.items():
-                parts.setdefault(tuple(w.count(i) for i in range(1, uq.r + 1)), {})[w] = c
-            for noff, part in parts.items():
-                # a content outside the module's weights is a zero slice
-                tgt = self.slices.get(noff)
-                if tgt is None:
-                    continue
-                for ridx, v in enumerate(tgt.reduce_coords(part)):
-                    if not v.is_zero():
-                        m[self.index[(noff, ridx)]][cidx] = v
-        return m
+        cols = []
+        for off, k in self.basis:
+            prod = uq.multiply(x, uq.fword(self.slices[off].basis_words[k]))
+            parts: dict[tuple[int, ...], AlgElement] = {}
+            for nw, c in prod.items():
+                parts.setdefault(tuple(nw[0].count(i) for i in range(1, uq.r + 1)), {})[nw] = c
+            # parts at contents outside the module's weights vanish in it
+            cols.append([v for noff, sl in self.slices.items()
+                         for v in sl.reduce_element(parts.get(noff, {}))])
+        return QMatrix.from_columns(cols, self.dim).entries
 
 
 class TensorFiber:
@@ -478,26 +460,23 @@ class WSlice:
                 gelt = uq.F(i) if letter[0] == "F" else uq.E(i)
                 mat = self.fiber.generator_matrix(letter)
                 for cf, ce, t in self._cells(base_omega):
-                    fsp = self.uq.weight_space(cf)
-                    esp = self.uq.weight_space(ce)
-                    for u in fsp.basis_words:
-                        for v in esp.basis_words:
-                            base = {(u, (0,) * uq.r, v): RatFunc.one()}
-                            prod = uq.multiply(base, gelt)
-                            row = self._free_vector(prod, t)
+                    esp = uq.weight_space(ce)
+                    # a basis word's Serre residue is its own unit vector, so
+                    # the fiber side of the relation is one entry per t2
+                    for fi, u in enumerate(uq.weight_space(cf).basis_words):
+                        for ei, v in enumerate(esp.basis_words):
+                            row = self._free_vector(uq.multiply(uq.fword(u, v), gelt), t)
                             if row is None:
                                 continue
-                            full = True
                             for t2 in range(self.fiber.dim):
                                 w = mat[t2][t]
                                 if w.is_zero():
                                     continue
-                                sub = self._free_vector(base, t2)
-                                if sub is None:
-                                    full = False
+                                off = self._offset.get((cf, ce, t2))
+                                if off is None:
                                     break
-                                add_into(row, sub, -w)
-                            if full:
+                                add_into(row, {off + fi * esp.dim + ei: -w})
+                            else:
                                 rows.append(row)
         return rows
 
@@ -640,15 +619,11 @@ class DoubleComplex:
         elt (x) target generator, on the given slices."""
         uq = self.uq
         lift = src.fiber.cyclic_lift()
-        m = QMatrix(tgt.dim, src.dim)
-        for cidx, (fw, ew, t) in enumerate(src.basis_monomials()):
+        cols = []
+        for fw, ew, t in src.basis_monomials():
             u = uq.multiply(uq.fword(fw, ew), lift[t])
-            prod = uq.multiply(u, elt)
-            coords = tgt.reduce_applied(prod, tgt.fiber.gen_index)
-            for ridx, v in enumerate(coords):
-                if not v.is_zero():
-                    m.entries[ridx][cidx] = v
-        return m
+            cols.append(tgt.reduce_applied(uq.multiply(u, elt), tgt.fiber.gen_index))
+        return QMatrix.from_columns(cols, tgt.dim)
 
     def _line_exactness(self, mods: list, omega: Weight, rows: bool, cap: int,
                         maps: list[AlgElement]) -> dict | None:

@@ -356,7 +356,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="weight-slice height cap")
         if box:
             p.add_argument("--box", type=_box, default=(2, 2),
-                           help="bidegree caps k1,k2")
+                           help="bidegree caps k1,k2 of the anticommutation "
+                                "window only; the rows and columns checks keep "
+                                "their 1,1 windows")
 
     pc = sub.add_parser("cartan", help="root system data")
     pcs = pc.add_subparsers(dest="sub", required=True)

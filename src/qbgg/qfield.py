@@ -571,6 +571,10 @@ class QMatrix:
             cols = len(rows[0]) if rows else 0
         return QMatrix(len(rows), cols, [list(r) for r in rows])
 
+    @staticmethod
+    def from_columns(cols: list[list[RatFunc]], rows: int) -> "QMatrix":
+        return QMatrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+
 
 def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
     """Clear denominators, remove content, make the first nonzero entry have

@@ -379,8 +379,9 @@ def sphere_relation() -> dict:
         for r in range(p, 3):
             elems.append((names[p] + "*" + names[r],
                           mul(b_gen(names[p]), b_gen(names[r]))))
-    rows = _rows([e for _, e in elems], monomials_of_weight(0, 4))
-    ker = kernel_basis(QMatrix.from_rows(list(zip(*rows)), len(rows)))
+    basis = monomials_of_weight(0, 4)
+    cols = _rows([e for _, e in elems], basis)
+    ker = kernel_basis(QMatrix.from_columns(cols, len(basis)))
     out = {"ok": len(ker) == 1, "kernel_dim": len(ker)}
     if len(ker) == 1:
         out["relation"] = {elems[i][0]: str(c) for i, c in enumerate(ker[0])

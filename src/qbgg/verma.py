@@ -53,11 +53,13 @@ class ModuleSlice:
         return [res.get(k, RatFunc.zero()) for k in self._basis_pos]
 
     def reduce_element(self, x: AlgElement) -> list[RatFunc]:
+        """Coordinates of x applied to the highest weight vector: E-parts
+        vanish, K-parts act by their eigenvalue on lam, F-words remain."""
         by_word: dict[tuple[int, ...], RatFunc] = {}
         for (fw, kv, ew), c in x.items():
-            if ew or any(kv):
-                raise ValueError("element is not in the F-part")
-            by_word[fw] = by_word.get(fw, RatFunc.zero()) + c
+            if not ew:
+                add_into(by_word, {fw: c * self.uq.k_scalar(kv, self.lam.coords)
+                                   if any(kv) else c})
         return self.reduce_coords(by_word)
 
 
@@ -92,38 +94,6 @@ class SliceFamily:
                    for off, m in self.levi_offsets)
 
 
-def evaluate_on_highest(uq: UqAlgebra, lam: Weight, x: AlgElement) -> dict[tuple[int, ...], RatFunc]:
-    """Apply an algebra element to the highest weight vector: E-parts vanish,
-    K-parts become q-power scalars, F-words remain."""
-    out: dict[tuple[int, ...], RatFunc] = {}
-    for (fw, kv, ew), c in x.items():
-        if not ew:
-            add_into(out, {fw: c * uq.k_scalar(kv, lam.coords) if any(kv) else c})
-    return out
-
-
-def e_action_matrix(family: SliceFamily, beta: tuple[int, ...], i: int) -> QMatrix:
-    """Matrix of E_i from the beta-slice to the (beta - alpha_i)-slice."""
-    uq = family.uq
-    src = family.get(beta)
-    tgt_beta = list(beta)
-    tgt_beta[i - 1] -= 1
-    if tgt_beta[i - 1] < 0:
-        return QMatrix(0, src.dim)
-    tgt = family.get(tuple(tgt_beta))
-    cols = []
-    ei = uq.E(i)
-    for u in src.basis_words:
-        prod = uq.multiply(ei, uq.fword(u))
-        vec = evaluate_on_highest(uq, family.lam, prod)
-        cols.append(tgt.reduce_coords(vec))
-    m = QMatrix(tgt.dim, src.dim)
-    for cidx, col in enumerate(cols):
-        for ridx, v in enumerate(col):
-            m.entries[ridx][cidx] = v
-    return m
-
-
 def singular_vectors(family: SliceFamily, beta: tuple[int, ...]) -> list[AlgElement]:
     """Vectors of the beta-slice killed by every E_i, as F-word combinations,
     denominator-free and content-free with a sign convention."""
@@ -131,17 +101,16 @@ def singular_vectors(family: SliceFamily, beta: tuple[int, ...]) -> list[AlgElem
     src = family.get(beta)
     if src.dim == 0:
         return []
+    # stacked matrices of E_i from the beta- to the (beta - alpha_i)-slice
     rows: list[list[RatFunc]] = []
     for i in range(1, uq.r + 1):
-        m = e_action_matrix(family, beta, i)
-        rows.extend(m.entries)
-    if not rows:
-        coords_list = [[RatFunc.one() if k == j else RatFunc.zero()
-                        for k in range(src.dim)] for j in range(src.dim)]
-    else:
-        coords_list = kernel_basis(QMatrix.from_rows(rows, src.dim))
+        if beta[i - 1] > 0:
+            tgt = family.get(tuple(b - (k == i - 1) for k, b in enumerate(beta)))
+            cols = [tgt.reduce_element(uq.multiply(uq.E(i), uq.fword(u)))
+                    for u in src.basis_words]
+            rows.extend(QMatrix.from_columns(cols, tgt.dim).entries)
     out = []
-    for coords in coords_list:
+    for coords in kernel_basis(QMatrix.from_rows(rows, src.dim)):
         x: AlgElement = {}
         for w, c in zip(src.basis_words, coords):
             if not c.is_zero():

@@ -159,6 +159,29 @@ def test_wslice_dim_matches_oracle(cp2):
     assert sl.dim > 0
 
 
+def test_basis_word_pairs_are_unit_vectors(cp2):
+    # `_absorption_rows` writes the fiber side of each relation as one entry
+    # per fiber index: a pair of Serre-quotient basis words reduces to its own
+    # unit vector, also where the quotient has relations
+    uq = cp2.uq
+    w0, w1 = cp2._chain()[0], cp2._chain()[1]
+    fb = cp2.fiber(w1, w0)
+    omega = fb.weights[fb.gen_index]
+    checked = with_relations = 0
+    for k1, k2 in ((1, 1), (2, 1), (1, 2)):
+        sl = cp2.wslice(w1, w0, omega, k1, k2)
+        for cf, ce, t in sl.cells:
+            off = sl._offset[(cf, ce, t)]
+            fsp, esp = uq.weight_space(cf), uq.weight_space(ce)
+            with_relations += len(fsp.words) > fsp.dim or len(esp.words) > esp.dim
+            for fi, u in enumerate(fsp.basis_words):
+                for ei, v in enumerate(esp.basis_words):
+                    assert sl._free_vector(uq.fword(u, v), t) == \
+                        {off + fi * esp.dim + ei: RatFunc.one()}
+                    checked += 1
+    assert checked and with_relations
+
+
 def test_rank_one_anticommute(rank_one):
     rep = rank_one.verify_anticommute(k1cap=2, k2cap=2)
     assert rep["ok"]

@@ -86,6 +86,11 @@ def _apply(m: QMatrix, vec: list[RatFunc]) -> list[RatFunc]:
 def test_rank_matches_numeric(rows):
     m = QMatrix.from_rows(rows, 3)
     r = rank(m)
+    # the same list read as columns is the transpose
+    mt = QMatrix.from_columns(rows, 3)
+    assert (mt.rows, mt.cols) == (3, len(rows))
+    assert mt.entries == [list(col) for col in zip(*rows)]
+    assert rank(mt) == r
     # symbolic rank >= rank at any specialization; q = 5/3 is generic here
     num = _fraction_rank([[e.evaluate(Q0) for e in row] for row in rows])
     assert r >= num
@@ -232,6 +237,11 @@ def test_rank_frozen_examples():
     assert rank(QMatrix.from_rows([[one, q], [q, q * q]], 2)) == 1
     assert rank(QMatrix.from_rows([[one, q], [q, one]], 2)) == 2
     assert rank(QMatrix(3, 4)) == 0
+    # no rows: every column is free and the kernel is the unit vectors
+    assert kernel_basis(QMatrix(0, 3)) == [[one if k == j else z for k in range(3)]
+                                           for j in range(3)]
+    empty = QMatrix.from_columns([], 4)
+    assert (empty.rows, empty.cols, rank(empty)) == (4, 0, 0)
 
 
 def test_normalize_vector_clears_denominators():

@@ -9,8 +9,7 @@ from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.qfield import RatFunc
 from qbgg.reps import kostant_partition
 from qbgg.uqalg import UqAlgebra
-from qbgg.verma import (SliceFamily, StandardMapFamily, dot_offset,
-                        evaluate_on_highest, singular_vectors)
+from qbgg.verma import SliceFamily, StandardMapFamily, dot_offset, singular_vectors
 from qbgg.weyl import BruhatGraph
 
 from oracles import gvm_char
@@ -78,10 +77,22 @@ def test_evaluate_on_highest_k_eigenvalue():
     rs = RootSystem("A2")
     uq = UqAlgebra(rs)
     lam = Weight((2, 1))
-    out = evaluate_on_highest(uq, lam, uq.K(1))
-    assert out == {(): RatFunc.q_power(rs.d[0] * 2)}
+    fam = SliceFamily(uq, lam)
+    top = fam.get((0, 0))
+    assert top.reduce_element(uq.K(1)) == [RatFunc.q_power(rs.d[0] * 2)]
     # E kills the highest vector
-    assert not evaluate_on_highest(uq, lam, uq.E(2))
+    assert all(c.is_zero() for c in top.reduce_element(uq.E(2)))
+    # a mixed F.K.E element: its E-term vanishes, and its F.K term gives the
+    # F-part's coordinates times the K eigenvalue on lam
+    kv = (1, -1)
+    c = RatFunc.q_power(1) + RatFunc.one()
+    x = {((1, 2), kv, ()): c, ((2, 1), kv, (1,)): RatFunc.one()}
+    scal = uq.k_scalar(kv, lam.coords)
+    assert scal != RatFunc.one()
+    sl = fam.get((1, 1))
+    f_part = sl.reduce_coords({(1, 2): RatFunc.one()})
+    assert any(not a.is_zero() for a in f_part)
+    assert sl.reduce_element(x) == [a * c * scal for a in f_part]
 
 
 def test_rank_one_singular_vector_power():
