@@ -122,16 +122,15 @@ class BGGComplex:
         for w_long, src in self.level_slices(j, beta):
             if src is None:
                 continue
-            ys = [self.maps.y_signed(w_short, w_long)
-                  if (w_short.matrix, w_long.matrix) in self.maps.scaled else None
-                  for w_short, _ in tgt_slices]
+            # rows are keyed by (target slice number, word index)
+            ys = [(n, self.maps.y_signed(w_short, w_long), tgt)
+                  for n, (w_short, tgt) in enumerate(tgt_slices)
+                  if (w_short.matrix, w_long.matrix) in self.maps.scaled]
             for u in src.basis_words:
-                col: list[RatFunc] = []
-                for (_, tgt), y in zip(tgt_slices, ys):
-                    col.extend([RatFunc.zero()] * tgt.dim if y is None else
-                               tgt.reduce_element(self.uq.multiply(self.uq.fword(u), y)))
-                cols.append(col)
-        return QMatrix.from_columns(cols, sum(s.dim for _, s in tgt_slices))
+                cols.append({(n, k): v for n, y, tgt in ys
+                             for k, v in tgt.reduce_element(
+                                 self.uq.multiply(self.uq.fword(u), y)).items()})
+        return QMatrix(sum(s.dim for _, s in tgt_slices), cols)
 
     def verify_squared_zero(self) -> dict:
         """The composite of consecutive differentials vanishes, checked as
@@ -157,8 +156,7 @@ class BGGComplex:
                     lam = G.W.shifted_act(w_c, self.mu)
                     beta = dot_offset(G, w_c, w_a, self.mu)
                     fam = self.maps._family(lam)
-                    coords = fam.get(beta).reduce_element(acc)
-                    is_zero = all(c.is_zero() for c in coords)
+                    is_zero = not fam.get(beta).reduce_element(acc)
                     ok = ok and is_zero
                     checks.append({"from": str(w_a), "to": str(w_c), "zero": is_zero})
         return {"ok": ok, "composites": checks}
@@ -204,32 +202,32 @@ class LeviModuleData:
         fam = SliceFamily(uq, lam, P.S)
         self.dim = fam.levi_dim
         offsets = sorted((off for off, _ in fam.levi_offsets), key=lambda b: (sum(b), b))
+        # basis vectors: (offset, word index) over each slice's basis words
         self.basis: list[tuple[tuple[int, ...], int]] = []
         self.slices = {}
         for off in offsets:
-            sl = fam.get(off)
-            self.slices[off] = sl
-            for k in range(sl.dim):
-                self.basis.append((off, k))
+            sl = self.slices[off] = fam.get(off)
+            self.basis += [(off, k) for k in sl.basis_pos]
         if len(self.basis) != self.dim:
             raise CertificationError("Levi basis count is not the dimension")
         self.index = {b: i for i, b in enumerate(self.basis)}
         self.weights = [lam - rs.root_to_weight(off) for off, _ in self.basis]
 
-    def matrix(self, x: AlgElement) -> list[list[RatFunc]]:
-        """Matrix of a Levi-part element: x applied to each basis word on the
-        highest weight vector, each F-content part reduced in its slice."""
+    def matrix(self, x: AlgElement) -> list[dict[int, RatFunc]]:
+        """Sparse columns of a Levi-part element's matrix: x applied to each
+        basis word on the highest weight vector, each F-content part reduced
+        in its slice."""
         uq = self.uq
         cols = []
         for off, k in self.basis:
-            prod = uq.multiply(x, uq.fword(self.slices[off].basis_words[k]))
+            prod = uq.multiply(x, uq.fword(self.slices[off].ws.words[k]))
             parts: dict[tuple[int, ...], AlgElement] = {}
             for nw, c in prod.items():
                 parts.setdefault(tuple(nw[0].count(i) for i in range(1, uq.r + 1)), {})[nw] = c
             # parts at contents outside the module's weights vanish in it
-            cols.append([v for noff, sl in self.slices.items()
-                         for v in sl.reduce_element(parts.get(noff, {}))])
-        return QMatrix.from_columns(cols, self.dim).entries
+            cols.append({self.index[(noff, k2)]: v for noff, sl in self.slices.items()
+                         for k2, v in sl.reduce_element(parts.get(noff, {})).items()})
+        return cols
 
 
 class TensorFiber:
@@ -252,12 +250,12 @@ class TensorFiber:
         p0 = self.mu_data.index[((0,) * rs.rank, 0)]
         r0 = self.nu_data.index[((0,) * rs.rank, 0)]
         self.gen_index = p0 * self.nu_data.dim + r0
-        self._gen_mats: dict[tuple, list[list[RatFunc]]] = {}
+        self._gen_mats: dict[tuple, list[dict[int, RatFunc]]] = {}
         self._lift: list[AlgElement] | None = None
 
-    def generator_matrix(self, letter: tuple) -> list[list[RatFunc]]:
-        """Matrix of one letter ("F", i), ("E", i) or ("K", i, e) on the fiber:
-        the sum over the coproduct terms c a (x) b of c M_mu(a) (x)
+    def generator_matrix(self, letter: tuple) -> list[dict[int, RatFunc]]:
+        """Sparse columns of one letter ("F", i), ("E", i) or ("K", i, e) on
+        the fiber: the sum over the coproduct terms c a (x) b of c M_mu(a) (x)
         M_nu(kappa(b))^T, the dual factor acting through the antipode."""
         m = self._gen_mats.get(letter)
         if m is not None:
@@ -265,18 +263,16 @@ class TensorFiber:
         uq = self.uq
         md, nd = self.mu_data, self.nu_data
         nn = nd.dim
-        out = [[RatFunc.zero()] * self.dim for _ in range(self.dim)]
+        out: list[dict[int, RatFunc]] = [{} for _ in range(self.dim)]
         for (a, b), c in uq.coproduct(uq.from_letters([letter])).items():
             ma = md.matrix({a: RatFunc.one()})
             mb = nd.matrix(uq.antipode({b: RatFunc.one()}))
-            a_nz = [(p2, p, v * c) for p2, row in enumerate(ma)
-                    for p, v in enumerate(row) if not v.is_zero()]
-            b_nz = [(r, r2, v) for r, row in enumerate(mb)
-                    for r2, v in enumerate(row) if not v.is_zero()]
-            for p2, p, va in a_nz:
-                for r, r2, vb in b_nz:
-                    row = out[p2 * nn + r2]
-                    row[p * nn + r] = row[p * nn + r] + va * vb
+            # column (p, r) gains c * M_mu(a)[p2, p] * M_nu(kappa(b))[r, r2] at row (p2, r2)
+            for p, col_a in enumerate(ma):
+                for r2, col_b in enumerate(mb):
+                    part = {p2 * nn + r2: va for p2, va in col_a.items()}
+                    for r, vb in col_b.items():
+                        add_into(out[p * nn + r], part, c * vb)
         self._gen_mats[letter] = out
         return out
 
@@ -318,8 +314,7 @@ class TensorFiber:
                     mat = self.generator_matrix(letter)
                     nv: dict[int, RatFunc] = {}
                     for c, x in vec.items():
-                        add_into(nv, {r: mat[r][c] for r in range(n)
-                                      if not mat[r][c].is_zero()}, x)
+                        add_into(nv, mat[c], x)
                     gelt = uq.F(letter[1]) if letter[0] == "F" else uq.E(letter[1])
                     nelt = uq.multiply(gelt, elt)
                     if nv and insert(nv, nelt):
@@ -439,14 +434,9 @@ class WSlice:
                 scal = c * self.uq.k_scalar(kv, wt.coords)
             fsp = self.uq.weight_space(cf)
             esp = self.uq.weight_space(ce)
-            fc = fsp.reduce_coords({fw: RatFunc.one()})
             ec = esp.reduce_coords({ew: RatFunc.one()})
-            edim = esp.dim
-            for fi, a in enumerate(fc):
-                if a.is_zero():
-                    continue
-                add_into(vec, {off + fi * edim + ei: b for ei, b in enumerate(ec)
-                               if not b.is_zero()}, scal * a)
+            for fi, a in fsp.reduce_coords({fw: RatFunc.one()}).items():
+                add_into(vec, {off + fi * esp.dim + ei: b for ei, b in ec.items()}, scal * a)
         return vec
 
     def _absorption_rows(self) -> list[dict[int, RatFunc]]:
@@ -468,10 +458,7 @@ class WSlice:
                             row = self._free_vector(uq.multiply(uq.fword(u, v), gelt), t)
                             if row is None:
                                 continue
-                            for t2 in range(self.fiber.dim):
-                                w = mat[t2][t]
-                                if w.is_zero():
-                                    continue
+                            for t2, w in mat[t].items():
                                 off = self._offset.get((cf, ce, t2))
                                 if off is None:
                                     break
@@ -480,13 +467,13 @@ class WSlice:
                                 rows.append(row)
         return rows
 
-    def reduce_applied(self, x: AlgElement, t: int) -> list[RatFunc]:
-        """Coordinates of (algebra element) acting on fiber basis vector t."""
+    def reduce_applied(self, x: AlgElement, t: int) -> dict[int, RatFunc]:
+        """Residue of (algebra element) acting on fiber basis vector t, keyed
+        by flat position and supported on the basis positions."""
         vec = self._free_vector(x, t)
         if vec is None:
             raise TruncationError("element leaves the window")
-        vec = self._ech.reduce(vec)
-        return [vec.get(k, RatFunc.zero()) for k in self._basis_pos]
+        return self._ech.reduce(vec)
 
     def oracle_dim(self) -> int:
         """Product-character dimension of the same filtration piece: symmetric
@@ -571,8 +558,7 @@ class DoubleComplex:
                 omega = (gen_wt - rs.root_to_weight(ycont)
                          + rs.root_to_weight(xcont))
                 sl = self.wslice(a1.source, a2.source, omega, k1cap, k2cap)
-                coords = sl.reduce_applied(comm, fb.gen_index)
-                base_zero = all(c.is_zero() for c in coords)
+                base_zero = not sl.reduce_applied(comm, fb.gen_index)
                 # left multiples filling the box: monomials of bidegree
                 # (k1cap - 1, k2cap - 1)
                 extra_ok = True
@@ -597,8 +583,7 @@ class DoubleComplex:
                     sk1 = k1cap + _scount(G.P.s, cf)
                     sk2 = k2cap + _scount(G.P.s, ce)
                     sl2 = self.wslice(a1.source, a2.source, om2, sk1, sk2)
-                    c2 = sl2.reduce_applied(prod, fb.gen_index)
-                    if not all(c.is_zero() for c in c2):
+                    if sl2.reduce_applied(prod, fb.gen_index):
                         extra_ok = False
                     tested += 1
                     if tested >= 6:
@@ -619,11 +604,10 @@ class DoubleComplex:
         elt (x) target generator, on the given slices."""
         uq = self.uq
         lift = src.fiber.cyclic_lift()
-        cols = []
-        for fw, ew, t in src.basis_monomials():
-            u = uq.multiply(uq.fword(fw, ew), lift[t])
-            cols.append(tgt.reduce_applied(uq.multiply(u, elt), tgt.fiber.gen_index))
-        return QMatrix.from_columns(cols, tgt.dim)
+        return QMatrix(tgt.dim, [
+            tgt.reduce_applied(uq.multiply(uq.multiply(uq.fword(fw, ew), lift[t]), elt),
+                               tgt.fiber.gen_index)
+            for fw, ew, t in src.basis_monomials()])
 
     def _line_exactness(self, mods: list, omega: Weight, rows: bool, cap: int,
                         maps: list[AlgElement]) -> dict | None:

@@ -7,6 +7,8 @@ path: `Echelon`, a sparse incremental row echelon with leftmost pivots.  It
 builds quotients one relation at a time (Serre quotients, module slices,
 cyclic lifts), reduces vectors modulo them, and sits behind `rank` and
 `kernel_basis`; `fill_to_rank` fills one from relations of known rank.
+A vector is a dict that holds no zero value, from a residue to a `QMatrix`
+column; only `kernel_basis` returns dense lists.
 """
 from __future__ import annotations
 
@@ -463,19 +465,20 @@ class Echelon:
     their pivots and eliminating it touches fewer later pivots.  With leftmost
     pivots the pivot set depends only on the span of the inserted rows, and
     the residue of a vector off the pivots is unique, so neither depends on
-    the insertion order.
+    the insertion order.  Columns are keys of one orderable type, and a
+    residue holds no zero value, so `not residue` tests it for zero.
     """
 
     __slots__ = ("rows", "_order")
 
     def __init__(self):
-        self.rows: dict[int, dict[int, RatFunc]] = {}
-        self._order: list[int] = []  # pivots, ascending
+        self.rows: dict[Key, dict[Key, RatFunc]] = {}
+        self._order: list[Key] = []  # pivots, ascending
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def insert(self, vec: dict[int, RatFunc]) -> int | None:
+    def insert(self, vec: dict[Key, RatFunc]) -> Key | None:
         """Add vec to the span; return its new pivot, or None when vec
         already lies in the span."""
         vec = self.reduce(vec)
@@ -487,8 +490,8 @@ class Echelon:
         insort(self._order, p)
         return p
 
-    def reduce(self, vec: dict[int, RatFunc],
-               combo: dict[int, RatFunc] | None = None) -> dict[int, RatFunc]:
+    def reduce(self, vec: dict[Key, RatFunc],
+               combo: dict[Key, RatFunc] | None = None) -> dict[Key, RatFunc]:
         """Residue of vec modulo the span, which is zero on every pivot.
 
         Pivots are eliminated in ascending order.  If `combo` is given, the
@@ -552,28 +555,15 @@ def fill_to_rank(rows: Callable[[], Iterable[dict[int, RatFunc]]], target: int) 
 
 
 class QMatrix:
-    """Dense matrix over Q(q)."""
+    """Matrix over Q(q) stored as sparse columns: `columns[j]` maps row keys,
+    all of one orderable type, to nonzero entries; `rows` counts the rows."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "columns")
 
-    def __init__(self, rows: int, cols: int, entries: list[list[RatFunc]] | None = None):
+    def __init__(self, rows: int, columns: list[dict[Key, RatFunc]]):
         self.rows = rows
-        self.cols = cols
-        if entries is None:
-            entries = [[RatFunc.zero() for _ in range(cols)] for _ in range(rows)]
-        if len(entries) != rows or any(len(r) != cols for r in entries):
-            raise ValueError("entries are not %d x %d" % (rows, cols))
-        self.entries = entries
-
-    @staticmethod
-    def from_rows(rows: list[list[RatFunc]], cols: int | None = None) -> "QMatrix":
-        if cols is None:
-            cols = len(rows[0]) if rows else 0
-        return QMatrix(len(rows), cols, [list(r) for r in rows])
-
-    @staticmethod
-    def from_columns(cols: list[list[RatFunc]], rows: int) -> "QMatrix":
-        return QMatrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+        self.cols = len(columns)
+        self.columns = columns
 
 
 def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
@@ -597,7 +587,7 @@ def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
     return [RatFunc(p, _normalized=True) for p in pols]
 
 
-def _echelon_of(rows: Iterable[dict[int, RatFunc]]) -> Echelon:
+def _echelon_of(rows: Iterable[dict[Key, RatFunc]]) -> Echelon:
     ech = Echelon()
     for r in rows:
         ech.insert(r)
@@ -623,14 +613,19 @@ def _null_vector(ech: Echelon, cols: int, free: int) -> list[RatFunc]:
 
 
 def rank(m: QMatrix) -> int:
-    """Exact rank over Q(q)."""
-    return len(_echelon_of(dict(enumerate(r)) for r in m.entries))
+    """Exact rank over Q(q), eliminating the columns: a matrix and its
+    transpose have the same rank."""
+    return len(_echelon_of(m.columns))
 
 
 def kernel_basis(m: QMatrix) -> list[list[RatFunc]]:
     """Basis of the right null space, denominator-cleared and content-free:
     one vector per non-pivot column f, which is 1 at f and 0 at every other
     non-pivot column before normalization."""
-    ech = _echelon_of(dict(enumerate(r)) for r in m.entries)
+    rows: dict = {}
+    for j, col in enumerate(m.columns):
+        for r, v in col.items():
+            rows.setdefault(r, {})[j] = v
+    ech = _echelon_of(rows.values())
     return [normalize_vector(_null_vector(ech, m.cols, f))
             for f in range(m.cols) if f not in ech.rows]

@@ -166,10 +166,11 @@ def verify_relations() -> dict:
     identity, and products agree with concatenation on samples."""
     words = _spanning_words(3)
     monos2 = ["".join(p) for p in product(_LETTERS, repeat=2)]
-    # one table: the unit and every degree-two monomial on every word
-    table = {m: [pair_word(m, u) for u in words] for m in [""] + monos2}
-    image_rank = rank(QMatrix.from_rows([table[m] for m in monos2], len(words)))
-    kernel_dim = len(monos2) - image_rank
+    # one table: the unit and every degree-two monomial on every word, as
+    # sparse vectors by word position
+    table = {m: {p: v for p, v in enumerate(pair_word(m, u) for u in words) if not v.is_zero()}
+             for m in [""] + monos2}
+    kernel_dim = len(monos2) - rank(QMatrix(len(words), [table[m] for m in monos2]))
     # the six rewriting relations and the determinant identity
     gap = RatFunc.q_power(1) - RatFunc.q_power(-1)
     relations = [
@@ -181,9 +182,12 @@ def verify_relations() -> dict:
         ("da", [("ad", RatFunc.one()), ("bc", gap)]),
         ("ad", [("", RatFunc.one()), ("bc", RatFunc.q_power(-1))]),
     ]
-    rel_ok = all(
-        table[lhs][p] == sum((c * table[m][p] for m, c in rhs), RatFunc.zero())
-        for lhs, rhs in relations for p in range(len(words)))
+    rel_ok = True
+    for lhs, rhs in relations:
+        acc: dict[int, RatFunc] = {}
+        for m, c in rhs:
+            add_into(acc, table[m], c)
+        rel_ok = rel_ok and acc == table[lhs]
     # normal-form products match concatenated words on samples
     samples = ["da", "dc", "add", "dda", "abcd", "dcba", "bdac", "ddaa"]
     prod_ok = True
@@ -245,20 +249,9 @@ def monomials_of_weight(w: int, max_degree: int) -> list[Mono]:
     return out
 
 
-def _rows(vectors: list[Elem], basis: list[Mono]) -> list[list[RatFunc]]:
-    """Coordinates of each element on a list of normal monomials."""
-    idx = {m: p for p, m in enumerate(basis)}
-    rows = []
-    for v in vectors:
-        row = [RatFunc.zero()] * len(basis)
-        for m, c in v.items():
-            row[idx[m]] = c
-        rows.append(row)
-    return rows
-
-
 def _span_dim(vectors: list[Elem], basis: list[Mono]) -> int:
-    return rank(QMatrix.from_rows(_rows(vectors, basis), len(basis)))
+    """Dimension of the span of elements of the window `basis`."""
+    return rank(QMatrix(len(basis), vectors))
 
 
 def component_fiber_dims(max_degree: int) -> dict:
@@ -379,9 +372,7 @@ def sphere_relation() -> dict:
         for r in range(p, 3):
             elems.append((names[p] + "*" + names[r],
                           mul(b_gen(names[p]), b_gen(names[r]))))
-    basis = monomials_of_weight(0, 4)
-    cols = _rows([e for _, e in elems], basis)
-    ker = kernel_basis(QMatrix.from_columns(cols, len(basis)))
+    ker = kernel_basis(QMatrix(len(monomials_of_weight(0, 4)), [e for _, e in elems]))
     out = {"ok": len(ker) == 1, "kernel_dim": len(ker)}
     if len(ker) == 1:
         out["relation"] = {elems[i][0]: str(c) for i, c in enumerate(ker[0])

@@ -231,16 +231,10 @@ class UqAlgebra:
         a = self.rs.cartan[i - 1][j - 1]
         n = 1 - a
         di = self.rs.d[i - 1]
-        out: dict[tuple[int, ...], RatFunc] = {}
-        for k in range(n + 1):
-            word = (i,) * (n - k) + (j,) + (i,) * k
-            coef = qbinomial(n, k, di)
-            if k % 2:
-                coef = -coef
-            cur = out.get(word, RatFunc.zero()) + coef
-            if not cur.is_zero():
-                out[word] = cur
-        return out
+        # the words are distinct and no q-binomial vanishes
+        return {(i,) * (n - k) + (j,) + (i,) * k:
+                -qbinomial(n, k, di) if k % 2 else qbinomial(n, k, di)
+                for k in range(n + 1)}
 
     def weight_space(self, beta: tuple[int, ...]) -> NMinusWeightSpace:
         """The weight-beta Serre quotient, built once per algebra; it is
@@ -266,6 +260,7 @@ class NMinusWeightSpace:
         # word indices of the basis words: the columns without a pivot
         self.basis_pos = [k for k in range(len(self.words)) if k not in self._ech.rows]
         self.basis_words = [self.words[k] for k in self.basis_pos]
+        self._position = {k: i for i, k in enumerate(self.basis_pos)}
         if self.dim != expect:
             raise CertificationError(
                 "weight space dimension %d != partition count %d at %s"
@@ -297,10 +292,9 @@ class NMinusWeightSpace:
         keyed by word index and supported on the basis words."""
         return self._ech.reduce({self.index[w]: c for w, c in vec_by_word.items()})
 
-    def reduce_coords(self, vec_by_word: dict[tuple[int, ...], RatFunc]) -> list[RatFunc]:
-        """Coordinates of a free-word vector in the basis words."""
-        res = self.residue(vec_by_word)
-        return [res.get(k, RatFunc.zero()) for k in self.basis_pos]
+    def reduce_coords(self, vec_by_word: dict[tuple[int, ...], RatFunc]) -> dict[int, RatFunc]:
+        """The residue keyed by basis position: coordinates in the basis words."""
+        return {self._position[k]: c for k, c in self.residue(vec_by_word).items()}
 
 
 def _words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:

@@ -28,8 +28,8 @@ class ModuleSlice:
         expect = family.induced_dim(beta)
         self._ech = fill_to_rank(self._induced_rows, self.ws.dim - expect)
         # columns are word indices of the Serre quotient's basis words
-        self._basis_pos = [k for k in self.ws.basis_pos if k not in self._ech.rows]
-        self.basis_words = [self.ws.words[k] for k in self._basis_pos]
+        self.basis_pos = [k for k in self.ws.basis_pos if k not in self._ech.rows]
+        self.basis_words = [self.ws.words[k] for k in self.basis_pos]
         if self.dim != expect:
             raise CertificationError(
                 "induced module slice dim %d != character value %d at %s"
@@ -48,12 +48,13 @@ class ModuleSlice:
     def dim(self) -> int:
         return len(self.basis_words)
 
-    def reduce_coords(self, vec_by_word) -> list[RatFunc]:
-        res = self._ech.reduce(self.ws.residue(vec_by_word))
-        return [res.get(k, RatFunc.zero()) for k in self._basis_pos]
+    def reduce_coords(self, vec_by_word) -> dict[int, RatFunc]:
+        """Residue of a free-word vector, keyed by word index and supported
+        on `basis_pos`."""
+        return self._ech.reduce(self.ws.residue(vec_by_word))
 
-    def reduce_element(self, x: AlgElement) -> list[RatFunc]:
-        """Coordinates of x applied to the highest weight vector: E-parts
+    def reduce_element(self, x: AlgElement) -> dict[int, RatFunc]:
+        """Residue of x applied to the highest weight vector: E-parts
         vanish, K-parts act by their eigenvalue on lam, F-words remain."""
         by_word: dict[tuple[int, ...], RatFunc] = {}
         for (fw, kv, ew), c in x.items():
@@ -101,22 +102,16 @@ def singular_vectors(family: SliceFamily, beta: tuple[int, ...]) -> list[AlgElem
     src = family.get(beta)
     if src.dim == 0:
         return []
-    # stacked matrices of E_i from the beta- to the (beta - alpha_i)-slice
-    rows: list[list[RatFunc]] = []
-    for i in range(1, uq.r + 1):
-        if beta[i - 1] > 0:
-            tgt = family.get(tuple(b - (k == i - 1) for k, b in enumerate(beta)))
-            cols = [tgt.reduce_element(uq.multiply(uq.E(i), uq.fword(u)))
-                    for u in src.basis_words]
-            rows.extend(QMatrix.from_columns(cols, tgt.dim).entries)
-    out = []
-    for coords in kernel_basis(QMatrix.from_rows(rows, src.dim)):
-        x: AlgElement = {}
-        for w, c in zip(src.basis_words, coords):
-            if not c.is_zero():
-                x[(w, (0,) * uq.r, ())] = c
-        out.append(x)
-    return out
+    # stacked matrices of E_i from the beta- to the (beta - alpha_i)-slice,
+    # with rows keyed by (i, word index)
+    tgts = {i: family.get(tuple(b - (k == i - 1) for k, b in enumerate(beta)))
+            for i in range(1, uq.r + 1) if beta[i - 1] > 0}
+    cols = [{(i, k): v for i, tgt in tgts.items()
+             for k, v in tgt.reduce_element(uq.multiply(uq.E(i), uq.fword(u))).items()}
+            for u in src.basis_words]
+    return [{(w, (0,) * uq.r, ()): c for w, c in zip(src.basis_words, coords)
+             if not c.is_zero()}
+            for coords in kernel_basis(QMatrix(sum(t.dim for t in tgts.values()), cols))]
 
 
 def dot_offset(G, w_short, w_long, mu: Weight) -> tuple[int, ...]:
@@ -222,7 +217,7 @@ class StandardMapFamily:
                 raise CertificationError("square normalization failed")
 
     def _composite(self, y_first: AlgElement, y_second: AlgElement,
-                   w1, w4) -> list[RatFunc]:
+                   w1, w4) -> dict[int, RatFunc]:
         # map V^{M(w4.mu)} -> V^{M(w1.mu)}: generator goes to
         # y_second * y_first applied to the w1 highest weight vector
         uq = self.uq
@@ -257,18 +252,13 @@ class StandardMapFamily:
         return y if s == 1 else {nw: -c for nw, c in y.items()}
 
 
-def _proportionality(a: list[RatFunc], b: list[RatFunc]) -> RatFunc:
-    """The scalar c with a = c * b for proportional nonzero vectors."""
-    ratio = None
-    for x, y in zip(a, b):
-        if x.is_zero() != y.is_zero():
-            raise CertificationError("vectors are not proportional")
-        if not y.is_zero():
-            r = x / y
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                raise CertificationError("vectors are not proportional")
-    if ratio is None:
+def _proportionality(a: dict[int, RatFunc], b: dict[int, RatFunc]) -> RatFunc:
+    """The scalar c with a = c * b for proportional nonzero residues."""
+    if a.keys() != b.keys():
+        raise CertificationError("vectors are not proportional")
+    if not b:
         raise CertificationError("zero composite in a square")
-    return ratio
+    ratios = [a[k] / y for k, y in b.items()]
+    if any(r != ratios[0] for r in ratios):
+        raise CertificationError("vectors are not proportional")
+    return ratios[0]

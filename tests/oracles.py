@@ -138,28 +138,26 @@ class LowestSliceFamily:
         tgt_beta = list(beta)
         tgt_beta[i - 1] -= 1
         if tgt_beta[i - 1] < 0:
-            return QMatrix(0, src.dim)
+            return QMatrix(0, [{} for _ in range(src.dim)])
         tgt = self.uq.weight_space(tuple(tgt_beta))
-        m = QMatrix(tgt.dim, src.dim)
-        for cidx, u in enumerate(src.basis_words):
-            col = tgt.reduce_coords(self.f_apply(i, u))
-            for ridx, v in enumerate(col):
-                m.entries[ridx][cidx] = v
-        return m
+        return QMatrix(tgt.dim, [tgt.reduce_coords(self.f_apply(i, u))
+                                 for u in src.basis_words])
 
     def annihilated_by_all_f(self, beta: tuple[int, ...]) -> list[list[RatFunc]]:
         src = self.uq.weight_space(beta)
         if src.dim == 0:
             return []
-        rows: list[list[RatFunc]] = []
-        for i in range(1, self.uq.r + 1):
-            rows.extend(self.f_action_matrix(beta, i).entries)
-        if not rows:
+        # the F_i matrices stacked, with rows keyed by (i, basis position)
+        mats = {i: self.f_action_matrix(beta, i) for i in range(1, self.uq.r + 1)}
+        if not any(m.rows for m in mats.values()):
             return [[RatFunc.one()]] if src.dim == 1 else []
-        return kernel_basis(QMatrix.from_rows(rows, src.dim))
+        cols = [{(i, k): v for i, m in mats.items() for k, v in m.columns[j].items()}
+                for j in range(src.dim)]
+        return kernel_basis(QMatrix(sum(m.rows for m in mats.values()), cols))
 
-    def coords_of(self, x: AlgElement, beta: tuple[int, ...]) -> list[RatFunc]:
-        """Coordinates of a pure E-word element in the beta-slice basis."""
+    def coords_of(self, x: AlgElement, beta: tuple[int, ...]) -> dict[int, RatFunc]:
+        """Coordinates of a pure E-word element in the beta-slice basis,
+        keyed by basis position."""
         by_word: dict[tuple[int, ...], RatFunc] = {}
         for (fw, kv, ew), c in x.items():
             if fw or any(kv):

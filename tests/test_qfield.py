@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from qbgg import qfield
 from qbgg.qfield import (CertificationError, Echelon, Laurent, QMatrix, RatFunc,
-                         fill_to_rank, kernel_basis, laurent_divexact, laurent_gcd,
+                         add_into, fill_to_rank, kernel_basis, laurent_divexact, laurent_gcd,
                          normalize_vector, rank)
 
 from oracles import all_rows_echelon, same_quotient
@@ -74,9 +74,17 @@ def _fraction_rank(rows: list[list[Fraction]]) -> int:
     return rk
 
 
-def _apply(m: QMatrix, vec: list[RatFunc]) -> list[RatFunc]:
-    return [sum((a * v for a, v in zip(row, vec)), RatFunc.zero())
-            for row in m.entries]
+def _matrix(rows: list[list[RatFunc]], cols: int) -> QMatrix:
+    """The matrix with these dense rows, stored as sparse columns."""
+    return QMatrix(len(rows), [{i: r[j] for i, r in enumerate(rows) if not r[j].is_zero()}
+                               for j in range(cols)])
+
+
+def _apply(m: QMatrix, vec: list[RatFunc]) -> dict:
+    out: dict = {}
+    for col, v in zip(m.columns, vec):
+        add_into(out, col, v)
+    return out
 
 
 @settings(max_examples=25, deadline=None)
@@ -84,12 +92,12 @@ def _apply(m: QMatrix, vec: list[RatFunc]) -> list[RatFunc]:
     lambda e: RatFunc.q_power(e) if e else RatFunc.zero()),
     min_size=3, max_size=3), min_size=2, max_size=4))
 def test_rank_matches_numeric(rows):
-    m = QMatrix.from_rows(rows, 3)
+    m = _matrix(rows, 3)
     r = rank(m)
-    # the same list read as columns is the transpose
-    mt = QMatrix.from_columns(rows, 3)
+    # the transpose holds the rows as its columns, and has the same rank
+    mt = _matrix([list(col) for col in zip(*rows)], len(rows))
     assert (mt.rows, mt.cols) == (3, len(rows))
-    assert mt.entries == [list(col) for col in zip(*rows)]
+    assert mt.columns == [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in rows]
     assert rank(mt) == r
     # symbolic rank >= rank at any specialization; q = 5/3 is generic here
     num = _fraction_rank([[e.evaluate(Q0) for e in row] for row in rows])
@@ -98,7 +106,7 @@ def test_rank_matches_numeric(rows):
     ker = kernel_basis(m)
     assert r + len(ker) == 3
     for v in ker:
-        assert all(x.is_zero() for x in _apply(m, v))
+        assert _apply(m, v) == {}
 
 
 def _sparse_rows():
@@ -140,7 +148,15 @@ def test_echelon_rank_matches_specialization(rows, data):
     for r in rows:
         ech.insert(r)
     assert len(ech) == _specialized_rank(dense)
-    assert rank(QMatrix.from_rows(dense, 5)) == len(ech)
+    assert rank(QMatrix(5, rows)) == len(ech)
+    # residues hold no zero value, also for explicit zeros and entries that
+    # cancel in the elimination, so `not residue` is a zero test
+    part = Echelon()
+    part.insert(rows[0])
+    q = RatFunc.q_power(1)
+    for vec in rows + [{**r, 5: RatFunc.zero()} for r in rows] + [{**rows[0], 5: q}]:
+        assert not any(v.is_zero() for v in part.reduce(vec).values())
+    assert part.reduce({**rows[0], 5: q}) == {5: q}
     order = data.draw(st.permutations(range(len(rows))))
     other = Echelon()
     for k in order:
@@ -234,13 +250,13 @@ def test_fill_to_rank_raises_when_the_rank_exceeds_the_target():
 def test_rank_frozen_examples():
     one, q = RatFunc.one(), RatFunc.q_power(1)
     z = RatFunc.zero()
-    assert rank(QMatrix.from_rows([[one, q], [q, q * q]], 2)) == 1
-    assert rank(QMatrix.from_rows([[one, q], [q, one]], 2)) == 2
-    assert rank(QMatrix(3, 4)) == 0
+    assert rank(QMatrix(2, [{0: one, 1: q}, {0: q, 1: q * q}])) == 1
+    assert rank(QMatrix(2, [{0: one, 1: q}, {0: q, 1: one}])) == 2
+    assert rank(QMatrix(3, [{}] * 4)) == 0
     # no rows: every column is free and the kernel is the unit vectors
-    assert kernel_basis(QMatrix(0, 3)) == [[one if k == j else z for k in range(3)]
-                                           for j in range(3)]
-    empty = QMatrix.from_columns([], 4)
+    assert kernel_basis(QMatrix(0, [{}] * 3)) == [[one if k == j else z for k in range(3)]
+                                                  for j in range(3)]
+    empty = QMatrix(4, [])
     assert (empty.rows, empty.cols, rank(empty)) == (4, 0, 0)
 
 
@@ -256,15 +272,18 @@ def test_normalize_vector_clears_denominators():
 @given(st.lists(st.lists(st.one_of(st.just(RatFunc.zero()), ratfuncs()),
                          min_size=4, max_size=4), min_size=1, max_size=3))
 def test_kernel_vectors_vanish_on_other_free_columns(rows):
-    m = QMatrix.from_rows(rows, 4)
+    m = _matrix(rows, 4)
     # column j is free when it lies in the span of the columns left of it
     free = [j for j in range(4)
-            if rank(QMatrix.from_rows([r[:j + 1] for r in rows], j + 1))
-            == rank(QMatrix.from_rows([r[:j] for r in rows], j))]
+            if rank(_matrix([r[:j + 1] for r in rows], j + 1))
+            == rank(_matrix([r[:j] for r in rows], j))]
     ker = kernel_basis(m)
     assert len(ker) == len(free)
+    # row keys relabelled as tuples, in another order, give the same kernel
+    assert kernel_basis(QMatrix(m.rows, [{(i % 2, -i): v for i, v in c.items()}
+                                         for c in m.columns])) == ker
     for f, v in zip(free, ker):
-        assert all(x.is_zero() for x in _apply(m, v))
+        assert _apply(m, v) == {}
         assert all(v[g].is_zero() == (g != f) for g in free)
         # kernel_basis already normalizes, so callers need not do it again
         assert normalize_vector(v) == v

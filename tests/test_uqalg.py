@@ -181,7 +181,7 @@ def test_serre_relations_vanish():
                         content[letter - 1] += 1
                     break
                 sp = NMinusWeightSpace(uq, tuple(content))
-                assert all(c.is_zero() for c in sp.reduce_coords(rel))
+                assert sp.reduce_coords(rel) == {}
 
 
 @pytest.mark.parametrize("name", ["A2", "B2", "G2"])

@@ -79,9 +79,9 @@ def test_evaluate_on_highest_k_eigenvalue():
     lam = Weight((2, 1))
     fam = SliceFamily(uq, lam)
     top = fam.get((0, 0))
-    assert top.reduce_element(uq.K(1)) == [RatFunc.q_power(rs.d[0] * 2)]
+    assert top.reduce_element(uq.K(1)) == {0: RatFunc.q_power(rs.d[0] * 2)}
     # E kills the highest vector
-    assert all(c.is_zero() for c in top.reduce_element(uq.E(2)))
+    assert top.reduce_element(uq.E(2)) == {}
     # a mixed F.K.E element: its E-term vanishes, and its F.K term gives the
     # F-part's coordinates times the K eigenvalue on lam
     kv = (1, -1)
@@ -91,8 +91,8 @@ def test_evaluate_on_highest_k_eigenvalue():
     assert scal != RatFunc.one()
     sl = fam.get((1, 1))
     f_part = sl.reduce_coords({(1, 2): RatFunc.one()})
-    assert any(not a.is_zero() for a in f_part)
-    assert sl.reduce_element(x) == [a * c * scal for a in f_part]
+    assert f_part
+    assert sl.reduce_element(x) == {k: a * c * scal for k, a in f_part.items()}
 
 
 def test_rank_one_singular_vector_power():
@@ -144,4 +144,4 @@ def test_standard_maps_square_compatible():
     v1 = fam.get(beta).reduce_element(c1)
     v2 = fam.get(beta).reduce_element(c2)
     assert v1 == v2
-    assert any(not c.is_zero() for c in v1)
+    assert v1
