@@ -68,16 +68,9 @@ def _quotient_sums(P: ParabolicData, cap: int) -> dict[tuple[int, tuple[int, ...
 
 def _enumerate_offsets(rs: RootSystem, max_height: int) -> list[tuple[int, ...]]:
     """All nonzero vectors in Q^+ of height <= max_height, plus zero."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(pos: int, left: int, acc: tuple[int, ...]) -> None:
-        if pos == rs.rank:
-            out.append(acc)
-            return
-        for c in range(left + 1):
-            rec(pos + 1, left - c, acc + (c,))
-
-    rec(0, max_height, ())
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(rs.rank):
+        out = [acc + (c,) for acc in out for c in range(max_height - sum(acc) + 1)]
     return sorted(out, key=lambda b: (sum(b), b))
 
 

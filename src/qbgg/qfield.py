@@ -6,7 +6,8 @@ only (`laurent_gcd`, `laurent_divexact`).  Linear algebra has one
 path: `Echelon`, a sparse incremental row echelon with leftmost pivots.  It
 builds quotients one relation at a time (Serre quotients, module slices,
 cyclic lifts), reduces vectors modulo them, and sits behind `rank` and
-`kernel_basis`; `fill_to_rank` fills one from relations of known rank.
+`kernel_basis`; `fill_to_rank` fills one from relations of known rank modulo
+a base echelon, and reduces exactly only the relations it keeps.
 A vector is a dict that holds no zero value, from a residue to a `QMatrix`
 column; only `kernel_basis` returns dense lists.
 """
@@ -362,9 +363,13 @@ class RatFunc:
     def _times_monomial(self, m: "RatFunc") -> "RatFunc":
         """self * m for m = c q^e / d0 in normal form (d0 > 0).  c, q^e and d0
         are units of Q[q, q^-1], so num and den stay coprime and the product
-        needs no polynomial gcd, only the common integer content removed."""
+        needs no polynomial gcd, only the common integer content removed; for
+        m = +-q^e that is 1, as num and den already have joint content 1."""
         (e, c), = m.num.c.items()
         d0 = m.den.c[0]
+        if d0 == 1 and c in (1, -1):
+            return RatFunc(_wrap({k + e: v * c for k, v in self.num.c.items()}), self.den,
+                           _normalized=True)
         g = _intgcd(c * self.num.content(), d0 * self.den.content())
         return RatFunc(_wrap({k + e: v * c // g for k, v in self.num.c.items()}),
                        _wrap({k: v * d0 // g for k, v in self.den.c.items()}),
@@ -469,11 +474,10 @@ class Echelon:
     residue holds no zero value, so `not residue` tests it for zero.
     """
 
-    __slots__ = ("rows", "_order")
+    __slots__ = ("rows",)
 
     def __init__(self):
         self.rows: dict[Key, dict[Key, RatFunc]] = {}
-        self._order: list[Key] = []  # pivots, ascending
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -487,24 +491,30 @@ class Echelon:
         p = min(vec)
         inv = vec.pop(p).inverse()
         self.rows[p] = {k: v * inv for k, v in vec.items()}
-        insort(self._order, p)
         return p
 
     def reduce(self, vec: dict[Key, RatFunc],
                combo: dict[Key, RatFunc] | None = None) -> dict[Key, RatFunc]:
         """Residue of vec modulo the span, which is zero on every pivot.
 
-        Pivots are eliminated in ascending order.  If `combo` is given, the
-        coefficient of each row used is recorded in it, so that
-        vec = residue + sum(combo[p] * row p)."""
+        Pivots are eliminated in ascending order, and only those in the
+        vector are visited: each row subtracted queues the ones it brings in,
+        all right of its pivot, and a queued column that has cancelled is
+        skipped.  If `combo` is given, the coefficient of each row used is
+        recorded in it, so that vec = residue + sum(combo[p] * row p)."""
         vec = {k: v for k, v in vec.items() if not v.is_zero()}
-        for p in self._order:
-            if not vec:
-                break
+        rows = self.rows
+        todo, i = sorted(k for k in vec if k in rows), 0  # todo[i:]: pivots to visit
+        while i < len(todo):
+            p, i = todo[i], i + 1
             f = vec.pop(p, None)
             if f is None:
                 continue
-            add_into(vec, self.rows[p], -f)
+            row = rows[p]
+            for k in row:
+                if k in rows and k not in vec:
+                    insort(todo, k, i)
+            add_into(vec, row, -f)
             if combo is not None:
                 combo[p] = f
         return vec
@@ -538,20 +548,30 @@ def _shadow_insert(rows: dict[int, bytes], vec: dict[int, int]) -> bool:
     return p is not None
 
 
-def fill_to_rank(rows: Callable[[], Iterable[dict[int, RatFunc]]], target: int) -> Echelon:
-    """Echelon of the rows of `rows()`, a span of rank `target`: only rows independent
-    at q = _A mod _P are inserted, or all if those are too few (`uqalg` says why)."""
-    ech, shadow = Echelon(), {}
+def fill_to_rank(rows: Callable[[], Iterable[dict[int, RatFunc]]], target: int,
+                 base: Echelon | None = None) -> Echelon:
+    """Echelon of the residues modulo `base` of the rows of `rows()`, of rank `target`:
+    the mod-p shadow starts from `base`'s rows at q = _A mod _P, and only rows
+    independent there are reduced and inserted, or all if too few (`uqalg` says why)."""
+    base, ech = Echelon() if base is None else base, Echelon()
+
+    def exact() -> Echelon:
+        return _echelon_of(map(base.reduce, rows()))
+    try:  # a zero entry in a shadow row is harmless
+        shadow = {p: b"".join(pack("2I", k, _at_a(c)) for k, c in row.items())
+                  for p, row in base.rows.items()}
+    except ValueError:  # a denominator vanishes at _A
+        return exact()
     for vec in rows():
         try:
             mod = {k: _at_a(c) for k, c in vec.items()}
-        except ValueError:  # a denominator vanishes at _A
-            return _echelon_of(rows())
+        except ValueError:
+            return exact()
         if _shadow_insert(shadow, mod):
             if len(ech) == target:
                 raise CertificationError("relations have rank > %d mod p" % target)
-            ech.insert(vec)
-    return ech if len(ech) == target else _echelon_of(rows())
+            ech.insert(base.reduce(vec))
+    return ech if len(ech) == target else exact()
 
 
 class QMatrix:

@@ -18,6 +18,11 @@ character for a slice.  The t rows it keeps are exact relations independent
 mod p at q = a, hence over Q(q), so they span R.  Were rank R < t, fewer rows
 would be kept and all reduced, so `uq.pbw_dims` stays exact on that side; a
 rank R > t raises only if a later row is independent mod p (acceptance 4 is exact).
+A slice's rows are words taken modulo the Serre echelon B: the shadow starts from
+B's rows at a, and only kept words are reduced modulo B.  Were their residues
+dependent over Q(q), so were those words with B's rows, whose entries all lie in
+Z[q, q^-1] localised at (p, q - a) (else every row is reduced exactly); every
+maximal minor would then vanish at a, against their independence mod p.
 """
 from __future__ import annotations
 

@@ -26,7 +26,7 @@ class ModuleSlice:
         self.S = family.S
         self.ws = uq.weight_space(beta)
         expect = family.induced_dim(beta)
-        self._ech = fill_to_rank(self._induced_rows, self.ws.dim - expect)
+        self._ech = fill_to_rank(self._induced_rows, self.ws.dim - expect, self.ws._ech)
         # columns are word indices of the Serre quotient's basis words
         self.basis_pos = [k for k in self.ws.basis_pos if k not in self._ech.rows]
         self.basis_words = [self.ws.words[k] for k in self.basis_pos]
@@ -36,13 +36,14 @@ class ModuleSlice:
                 % (self.dim, expect, beta))
 
     def _induced_rows(self):
-        """Residues of u * F_i^m (i in S, m = <lam, alpha_i^vee> + 1): the kernel."""
+        """The words u * F_i^m (i in S, m = <lam, alpha_i^vee> + 1) by word index;
+        their residues modulo the Serre slice span the kernel."""
         for i in sorted(self.S):
             tail = (i,) * (self.lam.coords[i - 1] + 1)
             rest = tuple(b - len(tail) * (k == i - 1) for k, b in enumerate(self.beta))
             if min(rest) >= 0:
                 for u in _words_of_content(rest):
-                    yield self.ws.residue({u + tail: RatFunc.one()})
+                    yield {self.ws.index[u + tail]: RatFunc.one()}
 
     @property
     def dim(self) -> int:
