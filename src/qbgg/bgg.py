@@ -13,7 +13,7 @@ import itertools
 from .cartan import ParabolicData, RootSystem, Weight
 from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
                      rank)
-from .reps import levi_irrep
+from .reps import levi_character, levi_irrep
 from .uqalg import AlgElement, UqAlgebra, scaled
 from .verma import SliceFamily, StandardMapFamily, dot_offset
 
@@ -159,7 +159,7 @@ class BGGComplex:
         weight mu, for all offsets up to the given height."""
         rs = self.rs
         P_full = ParabolicData(rs, frozenset(range(1, rs.rank + 1)))
-        full_char, _ = levi_irrep(P_full, self.mu)
+        full_char = levi_character(P_full, levi_irrep(P_full, self.mu)[0])
         ok = True
         records = []
         for beta in _enumerate_offsets(rs, max_height):

@@ -143,9 +143,6 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-x for x in self.coords))
 
-    def scale(self, n: int) -> "Weight":
-        return Weight(tuple(n * x for x in self.coords))
-
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.coords)
 

@@ -1,10 +1,10 @@
 """Characters of finite-dimensional Levi modules and related counting.
 
-Weight multiplicities come from Freudenthal's recursion run inside the
-Levi subsystem; dimensions are cross-checked against the Weyl dimension
-formula.  Both run on the invariant form scaled by `RootSystem.denom`, which
-is integral; Freudenthal's formula and Weyl's are ratios of values of that
-form, so the scale cancels and every multiplicity and dimension is exact.
+Freudenthal's recursion runs inside the Levi subsystem on S-dominant integer
+weight tuples; a module's dimension, the multiplicities times their Levi
+Weyl orbit sizes, is cross-checked against the Weyl dimension formula.  Both
+run on the invariant form scaled by `RootSystem.denom`, which is integral;
+the formulas are ratios of its values, so every result is exact.
 """
 from __future__ import annotations
 
@@ -15,126 +15,124 @@ from .cartan import ParabolicData, RootSystem, Weight
 from .qfield import CertificationError
 
 CharMap = dict[Weight, int]
+DomChar = dict[tuple[int, ...], int]  # S-dominant weights as coordinate tuples
+
+
+def _dot(a, b) -> int:
+    return sum(map(int.__mul__, a, b))
 
 
 def _two_rho_S_weight(P: ParabolicData) -> Weight:
-    rs = P.rs
-    out = None
-    for b in P.levi_positive_roots:
-        w = rs.root_to_weight(b)
-        out = w if out is None else out + w
-    return out if out is not None else Weight((0,) * rs.rank)
+    return sum((P.rs.root_to_weight(b) for b in P.levi_positive_roots),
+               Weight((0,) * P.rs.rank))
 
 
-def _dominantize_S(P: ParabolicData, mu: Weight) -> Weight:
+def _simple_reflections(P: ParabolicData) -> list:
+    """(j, nonzero entries (k, a) of alpha_j as a weight) for j in S, 0-based."""
+    cartan = P.rs.cartan
+    return [(j - 1, [(k, row[j - 1]) for k, row in enumerate(cartan) if row[j - 1]])
+            for j in sorted(P.S)]
+
+
+def _reflect(j: int, alpha: list, mu: tuple[int, ...]) -> tuple[int, ...]:
+    """s_j(mu) = mu - mu_j alpha_j."""
+    out = list(mu)
+    for k, a in alpha:
+        out[k] -= mu[j] * a
+    return tuple(out)
+
+
+def _dominantize_S(refl: list, mu: tuple[int, ...]) -> tuple[int, ...]:
     """Representative of the Levi Weyl orbit in the S-dominant chamber."""
-    rs = P.rs
-    coords = list(mu.coords)
-    S0 = [i - 1 for i in sorted(P.S)]
+    coords = list(mu)
     changed = True
     while changed:
         changed = False
-        for j in S0:
-            if coords[j] < 0:
-                c = coords[j]
-                for k in range(rs.rank):
-                    coords[k] -= c * rs.cartan[k][j]
+        for j, alpha in refl:
+            c = coords[j]
+            if c < 0:
+                for k, a in alpha:
+                    coords[k] -= c * a
                 changed = True
-    return Weight(tuple(coords))
+    return tuple(coords)
 
 
-def _levi_orbit(P: ParabolicData, mu: Weight) -> list[Weight]:
-    simples = [(i - 1, P.rs.simple_root(i).coords) for i in sorted(P.S)]
-    seen = {mu.coords}
-    frontier = [mu.coords]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for j, alpha in simples:
-                c = w[j]
-                if c:
-                    r = tuple(x - c * a for x, a in zip(w, alpha))
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-        frontier = nxt
-    return [Weight(w) for w in seen]
-
-
-def levi_weight_multiplicities(P: ParabolicData, lam: Weight) -> CharMap:
+def levi_weight_multiplicities(P: ParabolicData, lam: Weight) -> DomChar:
     """Freudenthal multiplicities of the simple Levi module with highest
-    weight lam (lam must be S-dominant).
+    weight lam (lam must be S-dominant), on its S-dominant weights.
 
-    The recursion runs over S-dominant weights only; the full character is
-    spread over Levi Weyl orbits afterwards.
+    Each positive Levi root a carries g_a = Gram a, (a, a) and (a, 2 rho_S),
+    so (mu + k a, a) and the Casimir value of mu + k a are integer updates
+    along the a-string through mu.
     """
     rs = P.rs
     if not P.is_S_dominant(lam):
         raise ValueError("highest weight %s is not S-dominant" % (lam,))
-    two_rho = _two_rho_S_weight(P)
-    pos = P.levi_positive_roots
-    pos_w = [rs.root_to_weight(b) for b in pos]
+    refl = _simple_reflections(P)
+    two_rho = _two_rho_S_weight(P).coords
+    roots = []
+    for b in P.levi_positive_roots:
+        aw = rs.root_to_weight(b).coords
+        g = tuple(_dot(row, aw) for row in rs.gram)
+        roots.append((aw, g, _dot(aw, g), _dot(two_rho, g)))
+    cas: DomChar = {}
 
-    cas: dict[Weight, int] = {}
+    def casimir(mu: tuple[int, ...]) -> int:
+        if mu not in cas:
+            shifted = tuple(map(int.__add__, mu, two_rho))
+            cas[mu] = sum(x * _dot(row, shifted) for x, row in zip(mu, rs.gram) if x)
+        return cas[mu]
 
-    def casimir(mu: Weight) -> int:
-        c = cas.get(mu)
-        if c is None:
-            c = cas[mu] = rs.inner_scaled(mu, mu) + rs.inner_scaled(mu, two_rho)
-        return c
-
-    c_lam = casimir(lam)
-
-    # candidate S-dominant weights: walk down by positive Levi roots,
-    # dominantize, keep those inside the Casimir bound
-    seen = {lam}
-    frontier = [lam]
+    top = lam.coords
+    c_lam = casimir(top)
+    # S-dominant candidates: walk down by positive Levi roots, dominantize,
+    # keep those inside the Casimir bound and below lam, with their depth
+    depth = {top: 0}
+    frontier = [top]
     while frontier:
         nxt = []
         for mu in frontier:
-            for aw in pos_w:
-                cand = _dominantize_S(P, mu - aw)
-                if cand in seen:
+            for aw, _, _, _ in roots:
+                nu = _dominantize_S(refl, tuple(map(int.__sub__, mu, aw)))
+                if nu in depth or casimir(nu) >= c_lam:
                     continue
-                c = casimir(cand)
-                if c > c_lam or (c == c_lam and cand != lam):
-                    continue
-                if any(x < 0 for x in rs.weight_root_coords_int(lam - cand)):
-                    continue
-                seen.add(cand)
-                nxt.append(cand)
+                diff = tuple(map(int.__sub__, top, nu))
+                below = [_dot(row, diff) for row in rs.adj]
+                if min(below) >= 0:
+                    depth[nu] = sum(below)
+                    nxt.append(nu)
         frontier = nxt
 
-    def ht_from_top(mu: Weight) -> int:
-        return sum(rs.weight_root_coords_int(lam - mu))
-
-    order = sorted(seen, key=lambda mu: (ht_from_top(mu), mu.coords))
-    dom_mult: CharMap = {lam: 1}
-    for mu in order:
-        if mu == lam:
-            continue
+    dom: DomChar = {top: 1}
+    for mu in sorted(depth, key=lambda mu: (depth[mu], mu))[1:]:
         acc = 0
-        for aw in pos_w:
-            k = 1
-            while True:
-                up = mu + aw.scale(k)
-                c_up = casimir(up)
-                if c_up > c_lam:
-                    break
-                m_up = dom_mult.get(_dominantize_S(P, up), 0)
-                if m_up:
-                    acc += 2 * m_up * rs.inner_scaled(up, aw)
-                k += 1
-        m = Fraction(acc, c_lam - casimir(mu))
-        if m.denominator != 1 or m < 0:
-            raise CertificationError("multiplicity %s is not a natural number" % m)
+        for aw, g, aa, rho2 in roots:
+            # nu = mu + k a for k = 1, 2, ... inside the Casimir bound
+            ip, nu = _dot(mu, g), mu
+            c = cas[mu] + 2 * ip + aa + rho2
+            while c <= c_lam:
+                ip += aa
+                nu = tuple(map(int.__add__, nu, aw))
+                acc += 2 * dom.get(_dominantize_S(refl, nu), 0) * ip
+                c += 2 * ip + aa + rho2
+        m, r = divmod(acc, c_lam - cas[mu])
+        if r or m < 0:
+            raise CertificationError("multiplicity %s is not a natural number"
+                                     % Fraction(acc, c_lam - cas[mu]))
         if m:
-            dom_mult[mu] = int(m)
-    mult: CharMap = {}
-    for mu, m in dom_mult.items():
-        for w in _levi_orbit(P, mu):
-            mult[w] = m
-    return mult
+            dom[mu] = m
+    return dom
+
+
+def levi_orbit_size(P: ParabolicData, mu: tuple[int, ...]) -> int:
+    """|W_S mu| for S-dominant mu: |W_S| / |W_J|, J = {j in S : mu_j = 0}
+    (Chevalley), where |W_X| is the product of (ht a + 1) / ht a over the
+    positive roots a of X (Macdonald); those of S outside J meet mu's support."""
+    num = den = 1
+    for b in P.levi_positive_roots:
+        if any(c and mu[i] for i, c in enumerate(b)):
+            num, den = num * (sum(b) + 1), den * sum(b)
+    return num // den
 
 
 def levi_dim_weyl(P: ParabolicData, lam: Weight) -> int:
@@ -153,15 +151,30 @@ def levi_dim_weyl(P: ParabolicData, lam: Weight) -> int:
     return int(d)
 
 
-def levi_irrep(P: ParabolicData, lam: Weight) -> tuple[CharMap, int]:
-    """Character and dimension of the simple Levi module; the two dimension
-    computations must agree."""
-    ch = levi_weight_multiplicities(P, lam)
-    dim = sum(ch.values())
+def levi_irrep(P: ParabolicData, lam: Weight) -> tuple[DomChar, int]:
+    """S-dominant multiplicities and dimension of the simple Levi module; the
+    dimension summed over orbits must agree with Weyl's formula."""
+    dom = levi_weight_multiplicities(P, lam)
+    dim = sum(m * levi_orbit_size(P, mu) for mu, m in dom.items())
     dim2 = levi_dim_weyl(P, lam)
     if dim != dim2:
         raise CertificationError("Freudenthal and Weyl dimension disagree: %d vs %d" % (dim, dim2))
-    return ch, dim
+    return dom, dim
+
+
+def levi_character(P: ParabolicData, dom: DomChar) -> CharMap:
+    """The full character: each S-dominant multiplicity spread over its Levi
+    Weyl orbit, which is walked by simple reflections."""
+    refl = _simple_reflections(P)
+    ch: CharMap = {}
+    for mu, m in dom.items():
+        orbit = frontier = {mu}
+        while frontier:
+            frontier = {_reflect(j, alpha, w) for w in frontier
+                        for j, alpha in refl if w[j]} - orbit
+            orbit = orbit | frontier
+        ch.update(dict.fromkeys(map(Weight, orbit), m))
+    return ch
 
 
 def quotient_weights(P: ParabolicData) -> list[Weight]:
@@ -170,56 +183,73 @@ def quotient_weights(P: ParabolicData) -> list[Weight]:
     return [-P.rs.root_to_weight(b) for b in P.quotient_roots]
 
 
-def exterior_power_char(rank: int, weights: list[Weight], k: int) -> CharMap:
-    """Character of the k-th exterior power of a multiplicity-free weight list."""
-    out: dict[tuple[int, ...], int] = {}
-    coords = [w.coords for w in weights]
-    n = len(coords)
-
-    def rec(start: int, left: int, acc: tuple[int, ...]) -> None:
-        if left == 0:
-            out[acc] = out.get(acc, 0) + 1
-            return
-        for i in range(start, n - left + 1):
-            rec(i + 1, left - 1, tuple(x + y for x, y in zip(acc, coords[i])))
-
-    rec(0, k, (0,) * rank)
-    return {Weight(w): m for w, m in out.items()}
+def exterior_layers(rank: int, weights: list[tuple[int, ...]], top: int) -> list[DomChar]:
+    """Characters of the exterior powers 0..top of a multiplicity-free weight
+    list in one pass: each weight shifts layer j - 1 into layer j, for j
+    from top down to 1."""
+    layers: list[DomChar] = [{(0,) * rank: 1}] + [{} for _ in range(top)]
+    for i, w in enumerate(weights):
+        for j in range(min(i + 1, top), 0, -1):
+            hi = layers[j]
+            for mu, m in layers[j - 1].items():
+                key = tuple(map(int.__add__, mu, w))
+                hi[key] = hi.get(key, 0) + m
+    return layers
 
 
-def char_equal(a: CharMap, b: CharMap) -> bool:
+def exterior_dominant_chars(P: ParabolicData,
+                            weights: list[tuple[int, ...]]) -> list[tuple[int, DomChar]]:
+    """(dimension, character on S-dominant weights) of the k-th exterior
+    power of the weights, k = 0..N, from the layers up to N/2: degree
+    k > N/2 is layer N - k under mu -> sigma - mu, sigma the sum of all N
+    weights.  Raises unless each simple reflection in S permutes the
+    weights, which makes every exterior power W_S-invariant."""
+    refl = _simple_reflections(P)
+    for j, alpha in refl:
+        if sorted(_reflect(j, alpha, mu) for mu in weights) != sorted(weights):
+            raise CertificationError("s_%d does not permute the quotient weights" % (j + 1))
+    n = len(weights)
+    layers = exterior_layers(P.rs.rank, weights, n // 2)
+    sigma = tuple(map(sum, zip(*weights)))
+    S0 = [j for j, _ in refl]
+    out = []
+    for k in range(n + 1):
+        if 2 * k <= n:
+            full = layers[k]
+            dom = {mu: m for mu, m in full.items() if all(mu[j] >= 0 for j in S0)}
+        else:  # sigma - mu is S-dominant when mu_j <= sigma_j for j in S
+            full = layers[n - k]
+            dom = {tuple(map(int.__sub__, sigma, mu)): m for mu, m in full.items()
+                   if all(mu[j] <= sigma[j] for j in S0)}
+        out.append((sum(full.values()), dom))
+    return out
+
+
+def char_equal(a: dict, b: dict) -> bool:
     return {k: v for k, v in a.items() if v} == {k: v for k, v in b.items() if v}
 
 
 def verify_dim_identity(G) -> dict:
     """Degreewise comparison of exterior powers of the quotient with the sum
-    of Levi modules at dot-orbit points, as dimensions and as characters."""
+    of Levi modules at dot-orbit points, as dimensions and as characters on
+    S-dominant weights."""
     P = G.P
-    rs = P.rs
-    qw = quotient_weights(P)
-    zero = Weight((0,) * rs.rank)
+    qw = [w.coords for w in quotient_weights(P)]
+    ext = exterior_dominant_chars(P, qw)
+    zero = Weight((0,) * P.rs.rank)
     levels_out = []
-    ok = True
     for j, lvl in enumerate(G.levels):
-        lam_chars = []
+        total: DomChar = {}
         dims = []
         for w in lvl:
-            lam = G.W.shifted_act(w, zero)
-            ch, dim = levi_irrep(P, lam)
-            lam_chars.append(ch)
+            dom, dim = levi_irrep(P, G.W.shifted_act(w, zero))
             dims.append(dim)
-        ext = exterior_power_char(rs.rank, qw, j)
-        ext_dim = sum(ext.values())
-        dim_sum = sum(dims)
-        rec = {"degree": j, "exterior_dim": ext_dim, "module_dims": dims,
-               "dims_match": ext_dim == dim_sum}
-        total: CharMap = {}
-        for ch in lam_chars:
-            for wt, m in ch.items():
-                total[wt] = total.get(wt, 0) + m
-        rec["weights_match"] = char_equal(ext, total)
-        ok = ok and rec["dims_match"] and rec["weights_match"]
-        levels_out.append(rec)
+            for mu, m in dom.items():
+                total[mu] = total.get(mu, 0) + m
+        levels_out.append({"degree": j, "exterior_dim": ext[j][0], "module_dims": dims,
+                           "dims_match": ext[j][0] == sum(dims),
+                           "weights_match": char_equal(ext[j][1], total)})
+    ok = all(r["dims_match"] and r["weights_match"] for r in levels_out)
     return {"ok": ok, "levels": levels_out,
             "quotient_dim": len(qw), "coset_count": sum(len(l) for l in G.levels)}
 

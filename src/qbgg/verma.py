@@ -11,7 +11,7 @@ from __future__ import annotations
 from .cartan import ParabolicData, Weight
 from .qfield import (CertificationError, QMatrix, RatFunc, add_into, fill_to_rank,
                      kernel_basis)
-from .reps import kostant_partition, levi_irrep
+from .reps import kostant_partition, levi_character, levi_irrep
 from .uqalg import AlgElement, UqAlgebra, _words_of_content
 
 
@@ -75,9 +75,9 @@ class SliceFamily:
         self.lam = lam
         self.S = frozenset(S)
         self.P = ParabolicData(uq.rs, self.S)
-        ch, self.levi_dim = levi_irrep(self.P, lam)
+        dom, self.levi_dim = levi_irrep(self.P, lam)
         self.levi_offsets = [(uq.rs.weight_root_coords_int(lam - wt), m)
-                             for wt, m in ch.items()]
+                             for wt, m in levi_character(self.P, dom).items()]
         self._slices: dict[tuple[int, ...], ModuleSlice] = {}
 
     def get(self, beta: tuple[int, ...]) -> ModuleSlice:

@@ -6,7 +6,8 @@ from __future__ import annotations
 from qbgg.cartan import ParabolicData, Weight
 from qbgg.qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
                          kernel_basis)
-from qbgg.reps import CharMap, levi_irrep
+from qbgg.reps import (CharMap, char_equal, levi_character, levi_irrep,
+                       quotient_weights)
 from qbgg.uqalg import AlgElement, UqAlgebra
 from qbgg.weyl import WeylElement, WeylGroup, _mat_mul
 
@@ -42,8 +43,7 @@ def gvm_char(P: ParabolicData, lam: Weight, max_height: int) -> CharMap:
     lam, truncated at offset height max_height: the Levi character times
     the geometric series over the quotient roots."""
     rs = P.rs
-    ch, _ = levi_irrep(P, lam)
-    out: CharMap = dict(ch)
+    out: CharMap = levi_character(P, levi_irrep(P, lam)[0])
     for b in P.quotient_roots:
         bw = rs.root_to_weight(b)
         ht = sum(b)
@@ -52,7 +52,7 @@ def gvm_char(P: ParabolicData, lam: Weight, max_height: int) -> CharMap:
             off0 = sum(rs.weight_root_coords(lam - wt))
             k = 0
             while off0 + k * ht <= max_height:
-                nwt = wt - bw.scale(k)
+                nwt = Weight(tuple(x - k * y for x, y in zip(wt.coords, bw.coords)))
                 new[nwt] = new.get(nwt, 0) + m
                 k += 1
         out = new
@@ -63,6 +63,56 @@ def gvm_char(P: ParabolicData, lam: Weight, max_height: int) -> CharMap:
         if off <= max_height:
             trimmed[wt] = trimmed.get(wt, 0) + m
     return trimmed
+
+
+def exterior_power_char(rank: int, weights: list[Weight], k: int) -> CharMap:
+    """Character of the k-th exterior power of a multiplicity-free weight
+    list, by enumerating every k-subset."""
+    out: dict[tuple[int, ...], int] = {}
+    coords = [w.coords for w in weights]
+    n = len(coords)
+
+    def rec(start: int, left: int, acc: tuple[int, ...]) -> None:
+        if left == 0:
+            out[acc] = out.get(acc, 0) + 1
+            return
+        for i in range(start, n - left + 1):
+            rec(i + 1, left - 1, tuple(x + y for x, y in zip(acc, coords[i])))
+
+    rec(0, k, (0,) * rank)
+    return {Weight(w): m for w, m in out.items()}
+
+
+def full_dim_identity(G) -> dict:
+    """The reference for `reps.verify_dim_identity`: full characters on both
+    sides, the exterior powers by subset enumeration and the Levi modules
+    spread over whole Levi Weyl orbits."""
+    P = G.P
+    rs = P.rs
+    qw = quotient_weights(P)
+    zero = Weight((0,) * rs.rank)
+    levels_out = []
+    ok = True
+    for j, lvl in enumerate(G.levels):
+        lam_chars = []
+        dims = []
+        for w in lvl:
+            dom, dim = levi_irrep(P, G.W.shifted_act(w, zero))
+            lam_chars.append(levi_character(P, dom))
+            dims.append(dim)
+        ext = exterior_power_char(rs.rank, qw, j)
+        ext_dim = sum(ext.values())
+        rec = {"degree": j, "exterior_dim": ext_dim, "module_dims": dims,
+               "dims_match": ext_dim == sum(dims)}
+        total: CharMap = {}
+        for ch in lam_chars:
+            for wt, m in ch.items():
+                total[wt] = total.get(wt, 0) + m
+        rec["weights_match"] = char_equal(ext, total)
+        ok = ok and rec["dims_match"] and rec["weights_match"]
+        levels_out.append(rec)
+    return {"ok": ok, "levels": levels_out,
+            "quotient_dim": len(qw), "coset_count": sum(len(l) for l in G.levels)}
 
 
 def act_root(W: WeylGroup, w: WeylElement, beta: tuple[int, ...]) -> tuple[int, ...]:

@@ -23,6 +23,16 @@ def test_pass_exit_zero(capsys):
     assert all(c["status"] == "pass" for c in rep["checks"])
 
 
+def test_dims_verify_e7_p7(capsys):
+    # the largest irreducible flag: 27 quotient roots, 56 cosets
+    code, rep = _run(capsys, ["dims", "verify", "--type", "E7",
+                              "--s", "1,2,3,4,5,6"])
+    assert code == 0
+    assert rep["status"] == "pass"
+    identity = rep["checks"][0]["witness"]
+    assert (identity["quotient_dim"], identity["coset_count"]) == (27, 56)
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["dims", "verify", "--type", "A3", "--s", "9"]) == 2
     capsys.readouterr()

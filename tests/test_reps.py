@@ -1,18 +1,19 @@
 """Finite-dimensional module characters and the partition-function oracle."""
 from __future__ import annotations
 
-from collections import Counter
-from itertools import combinations
+from math import comb
 
 import pytest
 
 from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.weyl import BruhatGraph
-from qbgg.reps import (char_equal, exterior_power_char, kostant_partition,
-                       levi_dim_weyl, levi_irrep, levi_weight_multiplicities,
-                       quotient_weights, verify_dim_identity)
+from qbgg.reps import (char_equal, exterior_dominant_chars,
+                       exterior_layers, kostant_partition, levi_character,
+                       levi_dim_weyl, levi_irrep, levi_orbit_size,
+                       levi_weight_multiplicities, quotient_weights,
+                       verify_dim_identity)
 
-from oracles import gvm_char
+from oracles import exterior_power_char, full_dim_identity, gvm_char
 
 
 def _full(name: str) -> ParabolicData:
@@ -44,7 +45,7 @@ def test_g2_fundamental_dims():
 def test_freudenthal_adjoint_multiplicities():
     # the A2 adjoint module: six roots once, zero weight twice
     P = _full("A2")
-    ch = levi_weight_multiplicities(P, Weight((1, 1)))
+    ch = levi_character(P, levi_weight_multiplicities(P, Weight((1, 1))))
     assert sum(ch.values()) == 8
     assert ch[Weight((0, 0))] == 2
     rs = P.rs
@@ -60,7 +61,8 @@ def test_adjoint_zero_weight_multiplicity_is_the_rank(name):
     # zero weight space is the Cartan subalgebra
     P = _full(name)
     rs = P.rs
-    ch = levi_weight_multiplicities(P, rs.root_to_weight(rs.highest_root()))
+    ch = levi_character(P, levi_weight_multiplicities(
+        P, rs.root_to_weight(rs.highest_root())))
     assert ch[Weight((0,) * rs.rank)] == rs.rank
     assert sum(ch.values()) == rs.rank + 2 * len(rs.positive_roots)
 
@@ -69,7 +71,8 @@ def test_char_dim_agreement():
     # multiplicity sums match the closed-form dimension
     for name, coords in [("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 0))]:
         P = _full(name)
-        ch, dim = levi_irrep(P, Weight(coords))
+        dom, dim = levi_irrep(P, Weight(coords))
+        ch = levi_character(P, dom)
         assert sum(ch.values()) == dim == levi_dim_weyl(P, Weight(coords))
 
 
@@ -122,24 +125,70 @@ def test_kostant_partition_frozen():
 
 def test_exterior_power_char():
     P = ParabolicData(RootSystem("A3"), {1, 3})
-    qw = quotient_weights(P)
+    qw = [w.coords for w in quotient_weights(P)]
     assert len(qw) == 4
-    total = 0
-    for k in range(5):
-        ch = exterior_power_char(3, qw, k)
-        total += sum(ch.values())
-    assert total == 16
+    layers = exterior_layers(3, qw, 4)
+    assert sum(sum(ch.values()) for ch in layers) == 16
+    assert [d for d, _ in exterior_dominant_chars(P, qw)] == [1, 4, 6, 4, 1]
+
+
+def _dominant(P: ParabolicData, ch: dict) -> dict:
+    return {w.coords: m for w, m in ch.items() if P.is_S_dominant(w)}
 
 
 @pytest.mark.parametrize("name,S", [("B3", {2, 3}), ("D5", {2, 3, 4, 5}),
                                     ("E6", {2, 3, 4, 5, 6})])
 def test_exterior_power_char_against_subsets(name, S):
+    # the one-pass layers against subset enumeration: whole characters up to
+    # half the degree, S-dominant restrictions (through the duality) in all
     rs = RootSystem(name)
-    qw = quotient_weights(ParabolicData(rs, S))
-    zero = Weight((0,) * rs.rank)
-    for k in range(len(qw) + 1):
-        brute = Counter(sum(sub, zero) for sub in combinations(qw, k))
-        assert exterior_power_char(rs.rank, qw, k) == dict(brute)
+    P = ParabolicData(rs, S)
+    qw = quotient_weights(P)
+    n = len(qw)
+    coords = [w.coords for w in qw]
+    layers = exterior_layers(rs.rank, coords, n // 2)
+    dominant = exterior_dominant_chars(P, coords)
+    assert len(dominant) == n + 1
+    for k in range(n + 1):
+        brute = exterior_power_char(rs.rank, qw, k)
+        if 2 * k <= n:
+            assert layers[k] == {w.coords: m for w, m in brute.items()}
+        assert dominant[k] == (comb(n, k), _dominant(P, brute))
+
+
+def _irreducible_flags() -> list[ParabolicData]:
+    """Acceptance 1's 29 irreducible flags of rank at most 5, and E6/P1."""
+    out = []
+    for name in ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5",
+                 "C2", "C3", "C4", "C5", "D4", "D5"]:
+        rs = RootSystem(name)
+        nodes = set(range(1, rs.rank + 1))
+        out.extend(P for P in (ParabolicData(rs, nodes - {s}) for s in nodes)
+                   if P.irreducible_flag)
+    out.append(ParabolicData(RootSystem("E6"), {2, 3, 4, 5, 6}))
+    assert len(out) == 30
+    return out
+
+
+def test_dim_identity_matches_full_character_oracle():
+    for P in _irreducible_flags():
+        G = BruhatGraph(P)
+        rep = verify_dim_identity(G)
+        assert rep["ok"]
+        assert rep == full_dim_identity(G)
+
+
+def test_orbit_size_formula_matches_orbit_enumeration():
+    # every S-dominant weight of every Levi module at a dot-orbit point
+    for P in _irreducible_flags():
+        G = BruhatGraph(P)
+        zero = Weight((0,) * P.rs.rank)
+        seen = set()
+        for lvl in G.levels:
+            for w in lvl:
+                seen.update(levi_irrep(P, G.W.shifted_act(w, zero))[0])
+        for mu in seen:
+            assert levi_orbit_size(P, mu) == len(levi_character(P, {mu: 1}))
 
 
 def test_dim_identity_small_flags():
