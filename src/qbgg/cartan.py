@@ -143,9 +143,6 @@ class Weight:
     def __neg__(self) -> "Weight":
         return Weight(tuple(-x for x in self.coords))
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.coords)
-
     def __str__(self) -> str:
         return "(" + ",".join(str(x) for x in self.coords) + ")"
 

@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .cartan import ParabolicData, RootSystem
@@ -336,7 +337,11 @@ def _box(text: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: a parse leaves no state in it, and
+    argparse's objects form reference cycles that one build per call would
+    leave to the cyclic collector."""
     ap = argparse.ArgumentParser(
         prog="qbgg",
         description="Exact verification of quantum parabolic resolutions "
@@ -403,8 +408,7 @@ DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     key = (args.command, getattr(args, "sub", None))
     try:
         _check_window(args)

@@ -6,6 +6,7 @@ from __future__ import annotations
 from qbgg.cartan import ParabolicData, Weight
 from qbgg.qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
                          kernel_basis)
+from qbgg.qsphere import _IJ, Elem, _apply, _word
 from qbgg.reps import (CharMap, char_equal, levi_character, levi_irrep,
                        quotient_weights)
 from qbgg.uqalg import AlgElement, UqAlgebra
@@ -214,3 +215,24 @@ class LowestSliceFamily:
                 raise ValueError("element is not in the E-part")
             by_word[ew] = by_word.get(ew, RatFunc.zero()) + c
         return self.uq.weight_space(beta).reduce_coords(by_word)
+
+
+def pair_word(letters: str, u: list) -> RatFunc:
+    """The reference for `qsphere.pair_row`: the value of a product of matrix
+    coefficients on one enveloping-algebra word (entries "E", "F" or
+    ("K", exponent)), applied letter by letter to the tensor e_J."""
+    I = tuple(_IJ[x][0] for x in letters)
+    J = tuple(_IJ[x][1] for x in letters)
+    vec = {J: RatFunc.one()}
+    for letter in reversed(u):
+        vec = _apply(vec, letter)
+    return vec.get(I, RatFunc.zero())
+
+
+def pair_elem(x: Elem, u: list) -> RatFunc:
+    """The pairing of a normal-form element with one word, monomial by
+    monomial."""
+    out = RatFunc.zero()
+    for m, c in x.items():
+        out = out + c * pair_word(_word(m), u)
+    return out

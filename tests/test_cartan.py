@@ -149,4 +149,4 @@ def test_weight_arithmetic():
     assert (w + w).coords == (2, -4)
     assert (-w).coords == (-1, 2)
     assert (w + w + w).coords == (3, -6)
-    assert (w - w).is_zero()
+    assert (w - w).coords == (0, 0)

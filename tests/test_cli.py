@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import qbgg
 from qbgg.cli import main
 
 
@@ -148,3 +153,29 @@ def test_non_chain_coset_graph_exits_two_before_building(capsys, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err and "chain" in captured.err
+
+
+def _without_elapsed(rep: dict) -> dict:
+    for c in rep["checks"]:
+        c.pop("elapsed_ms")
+    return rep
+
+
+def test_refused_requests_leave_the_shared_parser_unchanged(capsys):
+    # the parser is built once per process: after a refused --box and an
+    # unparsable one, a request on the defaults reports what a fresh
+    # process reports
+    valid = ["double", "verify", "--type", "A1", "--s", ""]
+    assert main(["double", "verify", "--type", "A2", "--s", "1",
+                 "--box", "0,1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["double", "verify", "--box", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, rep = _run(capsys, valid)
+    assert code == 0
+    env = dict(os.environ, PYTHONPATH=str(Path(qbgg.__file__).parents[1]))
+    fresh = subprocess.run([sys.executable, "-m", "qbgg.cli"] + valid,
+                           capture_output=True, text=True, env=env, check=True)
+    assert _without_elapsed(rep) == _without_elapsed(json.loads(fresh.stdout))
+    assert rep["config"]["box"] == [2, 2]

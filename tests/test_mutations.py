@@ -4,8 +4,9 @@ from __future__ import annotations
 
 import json
 
-from qbgg import reps
+from qbgg import qsphere, reps
 from qbgg.cli import main
+from qbgg.qfield import RatFunc, add_into
 
 
 def _failed_check(capsys, argv, check_id):
@@ -53,3 +54,46 @@ def test_dims_identity_fails_on_a_bumped_multiplicity(capsys, monkeypatch):
     assert bumped
     assert check["status"] == "fail"
     assert "Freudenthal and Weyl dimension disagree" in check["witness"]["error"]
+
+
+def test_podles_calculus_fails_on_a_wrong_determinant_coefficient(capsys, monkeypatch):
+    # the normal form rewrites ad as 1 + q^{-2} bc instead of 1 + q^{-1} bc:
+    # products of mixed a/d words no longer pair like their words
+    def normalize(m, coeff, out):
+        i, j, k, l = m
+        if i == 0 or l == 0:
+            add_into(out, {m: coeff})
+            return
+        f = coeff * RatFunc.q_power(-(j + k))
+        normalize((i - 1, j, k, l - 1), f, out)
+        normalize((i - 1, j + 1, k + 1, l - 1), f * RatFunc.q_power(-2), out)
+
+    monkeypatch.setattr(qsphere, "_normalize", normalize)
+    check = _failed_check(capsys, ["podles", "demo"], "podles.calculus")
+    assert check["status"] == "fail"
+    assert check["witness"]["relations"]["products_match_pairing"] is False
+
+
+def test_podles_calculus_fails_on_a_misplaced_coproduct_factor(capsys, monkeypatch):
+    # E picks up K on the earlier tensor factors instead of the later ones:
+    # the pairing no longer respects the rewriting relations
+    original = qsphere._apply
+
+    def apply(vec, letter):
+        if letter != "E":
+            return original(vec, letter)
+        out: dict = {}
+        for J, c in vec.items():
+            wts = [1 if j == 1 else -1 for j in J]
+            for s, j in enumerate(J):
+                if j == 2:
+                    add_into(out, {J[:s] + (1,) + J[s + 1:]:
+                                   c * RatFunc.q_power(sum(wts[:s]))})
+        return out
+
+    monkeypatch.setattr(qsphere, "_apply", apply)
+    check = _failed_check(capsys, ["podles", "demo"], "podles.calculus")
+    assert check["status"] == "fail"
+    relations = check["witness"]["relations"]
+    assert relations["rewrites_match_pairing"] is False
+    assert relations["degree2_kernel_dim"] == 4

@@ -11,6 +11,7 @@ from qbgg import qsphere as qs
 from qbgg.cartan import RootSystem
 from qbgg.qfield import RatFunc, add_into
 from qbgg.uqalg import UqAlgebra
+from oracles import pair_elem, pair_word
 
 
 def test_relations_certified_against_pairing():
@@ -20,13 +21,30 @@ def test_relations_certified_against_pairing():
 
 
 def test_pairing_frozen_values():
-    assert qs.pair_word("a", [("K", 1)]) == RatFunc.q_power(1)
-    assert qs.pair_word("d", [("K", 1)]) == RatFunc.q_power(-1)
-    assert qs.pair_word("b", ["E"]) == RatFunc.one()
-    assert qs.pair_word("c", ["F"]) == RatFunc.one()
-    assert qs.pair_word("a", []) == RatFunc.one()
-    assert qs.pair_word("b", []).is_zero()
-    assert qs.pair_word("", [("K", 3)]) == RatFunc.one()
+    assert pair_word("a", [("K", 1)]) == RatFunc.q_power(1)
+    assert pair_word("d", [("K", 1)]) == RatFunc.q_power(-1)
+    assert pair_word("b", ["E"]) == RatFunc.one()
+    assert pair_word("c", ["F"]) == RatFunc.one()
+    assert pair_word("a", []) == RatFunc.one()
+    assert pair_word("b", []).is_zero()
+    assert pair_word("", [("K", 3)]) == RatFunc.one()
+
+
+def test_pair_row_matches_the_word_by_word_pairing():
+    # every word of degree <= 3 against every spanning word of step <= 3:
+    # 85 * (1 + 12 + 45 + 112) = 14,450 pairs
+    checked = 0
+    for d in range(4):
+        for letters in map("".join, product(qs._LETTERS, repeat=d)):
+            for max_step in range(4):
+                row = qs.pair_row(letters, max_step)
+                words = qs._spanning_words(max_step)
+                assert set(row) <= set(range(len(words)))
+                assert not any(v.is_zero() for v in row.values())
+                for p, u in enumerate(words):
+                    assert row.get(p, RatFunc.zero()) == pair_word(letters, u)
+                    checked += 1
+    assert checked == 14450
 
 
 def test_determinant_relation():
@@ -46,7 +64,7 @@ def test_normal_form_matches_pairing(word):
     for (i, j, k, l) in prod:
         assert i * l == 0
     for u in qs._spanning_words(min(len(word), 3)):
-        assert (qs.pair_elem(prod, u) - qs.pair_word(word, u)).is_zero()
+        assert (pair_elem(prod, u) - pair_word(word, u)).is_zero()
 
 
 @settings(max_examples=25, deadline=None)

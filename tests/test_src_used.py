@@ -1,7 +1,9 @@
 """The library holds only code the library itself runs: every function and
 class defined under `src/qbgg` is referenced somewhere under `src/qbgg`.
 Reference implementations that only tests compare against live in
-`tests/oracles.py`."""
+`tests/oracles.py`.  Definitions and uses are matched by bare name, without
+their class, so a method escapes this test when another class's method or a
+local variable shares its name."""
 from __future__ import annotations
 
 import ast
