@@ -43,6 +43,24 @@ def _exact(dims: list[int], ranks: list[int], aug: int | None) -> bool:
     return good
 
 
+def _composites_vanish(mats: list, bases: list[list]) -> bool:
+    """Whether consecutive maps of a line compose to zero, which the rank
+    identities of `_exact` need to mean exactness.  mats[k] is the matrix of
+    the map out of position k, None when a slice is empty; its row keys are
+    the entries of bases[k], in the order of mats[k + 1]'s columns."""
+    for first, second, keys in zip(mats, mats[1:], bases):
+        if first is None or second is None:
+            continue
+        index = {key: n for n, key in enumerate(keys)}
+        for col in first.columns:
+            acc: dict = {}
+            for key, v in col.items():
+                add_into(acc, second.columns[index[key]], v)
+            if acc:
+                return False
+    return True
+
+
 def _quotient_sums(P: ParabolicData, cap: int) -> dict[tuple[int, tuple[int, ...]], int]:
     """{(size, root sum): count} over the multisets of at most cap roots of
     P.quotient_roots."""
@@ -604,7 +622,8 @@ class DoubleComplex:
 
     def _line_exactness(self, mods: list, omega: Weight, rows: bool, cap: int,
                         maps: list[AlgElement]) -> dict | None:
-        """Rank-exactness of one row or column on a fixed-weight window.
+        """Rank-exactness of one row or column on a fixed-weight window, with
+        every composite of consecutive maps certified zero.
 
         mods: list of (w1, w2) pairs ordered from the top of the line down;
         maps[k] sends the generator of mods[k] into the module of mods[k + 1].
@@ -633,14 +652,13 @@ class DoubleComplex:
         dims = [sl.dim for sl in slices]
         if all(d == 0 for d in dims):
             return None
-        ranks = []
-        for k in range(len(mods) - 1):
-            if dims[k] == 0 or dims[k + 1] == 0:
-                ranks.append(0)
-                continue
-            ranks.append(rank(self._map_matrix(slices[k], slices[k + 1], maps[k])))
+        mats = [self._map_matrix(slices[k], slices[k + 1], maps[k])
+                if dims[k] and dims[k + 1] else None for k in range(len(mods) - 1)]
+        ranks = [0 if m is None else rank(m) for m in mats]
+        exact = (_exact(dims, ranks, None) and _composites_vanish(
+            mats, [sl._basis_pos for sl in slices[1:]]))
         return {"omega": list(omega.coords), "dims": dims, "ranks": ranks,
-                "exact": _exact(dims, ranks, None)}
+                "exact": exact}
 
     def _chain(self) -> list:
         levels = self.G.levels

@@ -14,7 +14,6 @@ column; only `kernel_basis` returns dense lists.
 from __future__ import annotations
 
 from bisect import insort
-from fractions import Fraction
 from math import gcd as _intgcd
 from struct import iter_unpack, pack
 from typing import Callable, Hashable, Iterable, Iterator, TypeVar
@@ -114,9 +113,6 @@ class Laurent:
 
     def __hash__(self) -> int:
         return hash(tuple(sorted(self.c.items())))
-
-    def evaluate(self, q0: Fraction) -> Fraction:
-        return sum((Fraction(v) * q0 ** e for e, v in self.c.items()), Fraction(0))
 
     def __str__(self) -> str:
         if not self.c:
@@ -399,12 +395,6 @@ class RatFunc:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    def evaluate(self, q0: Fraction) -> Fraction:
-        d = self.den.evaluate(q0)
-        if d == 0:
-            raise ZeroDivisionError("denominator vanishes at evaluation point")
-        return self.num.evaluate(q0) / d
 
     def __str__(self) -> str:
         if self.den == _ONE:

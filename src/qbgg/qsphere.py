@@ -174,11 +174,31 @@ def _spanning_words(max_step: int) -> list[list]:
     return out
 
 
+def _rho(word: list) -> dict[tuple[int, int], RatFunc]:
+    """The two-dimensional representation of a word, as a sparse 2x2 matrix:
+    E = e_12, F = e_21 and K^e = diag(q^e, q^-e).  Each factor has at most one
+    entry per column, so no two terms of a product entry meet."""
+    out = {(1, 1): RatFunc.one(), (2, 2): RatFunc.one()}
+    for x in word:
+        m = ({(1, 2): RatFunc.one()} if x == "E" else {(2, 1): RatFunc.one()}
+             if x == "F" else {(1, 1): RatFunc.q_power(x[1]),
+                               (2, 2): RatFunc.q_power(-x[1])})
+        out = {(r, c2): v * m[c, c2] for (r, c), v in out.items()
+               for c2 in (1, 2) if (c, c2) in m}
+    return out
+
+
 def verify_relations() -> dict:
-    """Certify the multiplication against the pairing: the degree-two
-    relation space has dimension six, every normal-form rewrite is a pairing
-    identity, and products agree with concatenation on samples."""
+    """Certify the multiplication against the pairing: each generator pairs
+    with every spanning word as the word's matrix entry in the
+    two-dimensional representation, the degree-two relation space has
+    dimension six, every normal-form rewrite is a pairing identity, and
+    products agree with concatenation on samples."""
     words = _spanning_words(3)
+    # degree one anchors the pairing's scale on every word
+    rhos = [_rho(w) for w in words]
+    anchor_ok = all(pair_row(x, 3) == {n: r[_IJ[x]] for n, r in enumerate(rhos)
+                                       if _IJ[x] in r} for x in _LETTERS)
     monos2 = ["".join(p) for p in product(_LETTERS, repeat=2)]
     # one table: the unit and every degree-two monomial on every word, as
     # sparse vectors by word position
@@ -211,7 +231,7 @@ def verify_relations() -> dict:
             add_into(acc, pair_row(_word(m), len(s)), c)
         if acc != pair_row(s, len(s)):
             prod_ok = False
-    ok = kernel_dim == 6 and rel_ok and prod_ok
+    ok = anchor_ok and kernel_dim == 6 and rel_ok and prod_ok
     return {"ok": ok, "degree2_kernel_dim": kernel_dim,
             "rewrites_match_pairing": rel_ok,
             "products_match_pairing": prod_ok}

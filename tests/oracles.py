@@ -3,14 +3,23 @@ against.  None of them is on a certificate's path, so they live here rather
 than under `src/qbgg`."""
 from __future__ import annotations
 
+from fractions import Fraction
+
 from qbgg.cartan import ParabolicData, Weight
-from qbgg.qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
-                         kernel_basis)
+from qbgg.qfield import (CertificationError, Echelon, Laurent, QMatrix, RatFunc,
+                         add_into, kernel_basis)
 from qbgg.qsphere import _IJ, Elem, _apply, _word
 from qbgg.reps import (CharMap, char_equal, levi_character, levi_irrep,
                        quotient_weights)
 from qbgg.uqalg import AlgElement, UqAlgebra
 from qbgg.weyl import WeylElement, WeylGroup, _mat_mul
+
+
+def evaluate(x: Laurent | RatFunc, q0: Fraction) -> Fraction:
+    """x at q = q0, exactly; ZeroDivisionError where a denominator vanishes."""
+    if isinstance(x, RatFunc):
+        return evaluate(x.num, q0) / evaluate(x.den, q0)
+    return sum((Fraction(v) * q0 ** e for e, v in x.c.items()), Fraction(0))
 
 
 def counit(x: AlgElement) -> RatFunc:

@@ -18,7 +18,7 @@ from qbgg.verma import SliceFamily, dot_offset, singular_vectors
 from qbgg.weyl import BruhatGraph, incomparability_report
 from qbgg import qfield, qsphere
 
-from oracles import LowestSliceFamily, all_rows_echelon, same_quotient
+from oracles import LowestSliceFamily, all_rows_echelon, evaluate, same_quotient
 
 
 def _cominuscule_flags(max_rank: int = 5) -> list[tuple[str, int]]:
@@ -270,7 +270,7 @@ def test_criterion_10_engine_cross_validation(acceptance_report, monkeypatch):
     q0 = Fraction(3, 2)
     # the transpose, densified over the row keys in use, has the same rank
     ok = bool(seen) and all(
-        _rank_at([[c.get(k, RatFunc.zero()).evaluate(q0) for c in m.columns]
+        _rank_at([[evaluate(c.get(k, RatFunc.zero()), q0) for c in m.columns]
                   for k in sorted({k for c in m.columns for k in c})]) == r
         for m, r in seen)
     acceptance_report(10, ok, "all %d certified ranks equal their specialization "

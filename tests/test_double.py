@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from qbgg import bgg
 from qbgg.bgg import DoubleComplex, LeviModuleData, TensorFiber
 from qbgg.cartan import ParabolicData, RootSystem, Weight
-from qbgg.qfield import RatFunc, add_into
+from qbgg.qfield import QMatrix, RatFunc, add_into
 from qbgg.uqalg import UqAlgebra
 from qbgg.weyl import BruhatGraph
 
@@ -194,6 +195,39 @@ def test_rank_one_rows_and_columns(rank_one):
     for line in rows["lines"] + cols["lines"]:
         for rec in line["slices"]:
             assert rec["exact"]
+
+
+def test_rank_identities_need_vanishing_composites():
+    # dims (1, 2, 1) with ranks (1, 1) meet every rank identity, but the maps
+    # e_1 and then e_1^T compose to 1: the line is not a complex
+    one = RatFunc.one()
+    first = QMatrix(2, [{0: one}])
+    assert bgg._exact([1, 2, 1], [1, 1], None)
+    assert not bgg._composites_vanish([first, QMatrix(1, [{0: one}, {}])],
+                                      [[0, 1]])
+    assert bgg._composites_vanish([first, QMatrix(1, [{}, {0: one}])],
+                                  [[0, 1]])
+    # the middle keys are read in the order of the second map's columns
+    assert bgg._composites_vanish([first, QMatrix(1, [{0: one}, {}])],
+                                  [[1, 0]])
+
+
+def test_line_composites_are_certified(cp2, monkeypatch):
+    # A2/P1 lines have three positions: every row and column window with
+    # two nonempty maps multiplies them, and every composite vanishes
+    original = bgg._composites_vanish
+    columns = []
+
+    def counted(mats, bases):
+        columns.extend(len(a.columns) for a, b in zip(mats, mats[1:])
+                       if a is not None and b is not None)
+        return original(mats, bases)
+
+    monkeypatch.setattr(bgg, "_composites_vanish", counted)
+    rows = cp2.verify_rows(k2cap=1, k1lim=1)
+    cols = cp2.verify_columns(k1cap=1, k2lim=1)
+    assert rows["ok"] and cols["ok"]
+    assert sum(columns) == 16
 
 
 @pytest.mark.parametrize("name", ["rank_one", "cp2"], ids=["A1", "A2"])

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from qbgg import qsphere, reps
 from qbgg.cli import main
-from qbgg.qfield import RatFunc, add_into
+from qbgg.qfield import CertificationError, RatFunc, add_into
+from qbgg.verma import StandardMapFamily
+from qbgg.weyl import BruhatGraph
 
 
 def _failed_check(capsys, argv, check_id):
@@ -97,3 +101,51 @@ def test_podles_calculus_fails_on_a_misplaced_coproduct_factor(capsys, monkeypat
     relations = check["witness"]["relations"]
     assert relations["rewrites_match_pairing"] is False
     assert relations["degree2_kernel_dim"] == 4
+
+
+def test_podles_calculus_fails_on_a_rescaled_k_factor(capsys, monkeypatch):
+    # K^e read as q^{e (wt J + k)}: every word's column is scaled by q^{-e k},
+    # which keeps every linear relation among the rows; only the degree-one
+    # anchor against the two-dimensional representation sees it
+    original = qsphere.pair_row
+
+    def rescaled(letters, max_step):
+        n = max_step + 1
+        return {pos: v * RatFunc.q_power(
+                    -(pos // n % (2 * max_step + 1) - max_step) * (pos % n))
+                for pos, v in original(letters, max_step).items()}
+
+    monkeypatch.setattr(qsphere, "pair_row", rescaled)
+    check = _failed_check(capsys, ["podles", "demo"], "podles.calculus")
+    relations = check["witness"]["relations"]
+    assert relations["ok"] is False
+    assert relations["rewrites_match_pairing"] is True
+    assert relations["products_match_pairing"] is True
+    assert relations["degree2_kernel_dim"] == 6
+
+
+def _planted(*args):
+    raise CertificationError("planted")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bgg", "verify", "--type", "A2", "--s", "1", "--height", "2"],
+    ["double", "verify", "--type", "A1", "--s", "", "--box", "1,1"],
+    ["all", "--type", "A1", "--s", ""],
+])
+def test_standard_maps_failing_during_setup_give_a_failed_report(
+        capsys, monkeypatch, argv):
+    # the commands build their standard maps before any check runs
+    monkeypatch.setattr(StandardMapFamily, "_normalize_squares", _planted)
+    check = _failed_check(capsys, argv, "setup")
+    assert check["status"] == "fail"
+    assert check["witness"] == {"error": "CertificationError: planted"}
+
+
+def test_coset_signs_failing_during_setup_give_a_failed_report(capsys,
+                                                               monkeypatch):
+    monkeypatch.setattr(BruhatGraph, "_assign_signs", _planted)
+    check = _failed_check(capsys, ["dims", "verify", "--type", "A3",
+                                   "--s", "1,3"], "setup")
+    assert check["status"] == "fail"
+    assert check["witness"] == {"error": "CertificationError: planted"}

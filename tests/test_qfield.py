@@ -14,7 +14,7 @@ from qbgg.qfield import (CertificationError, Echelon, Laurent, QMatrix, RatFunc,
                          add_into, fill_to_rank, kernel_basis, laurent_divexact, laurent_gcd,
                          normalize_vector, rank)
 
-from oracles import all_rows_echelon, same_quotient
+from oracles import all_rows_echelon, evaluate, same_quotient
 
 Q0 = Fraction(5, 3)
 
@@ -35,10 +35,10 @@ def ratfuncs():
 @given(ratfuncs(), ratfuncs())
 def test_add_mul_match_evaluation(a, b):
     # evaluation at Q0 is undefined where a denominator vanishes (3q - 5)
-    assume(a.den.evaluate(Q0) != 0 and b.den.evaluate(Q0) != 0)
-    assert (a + b).evaluate(Q0) == a.evaluate(Q0) + b.evaluate(Q0)
-    assert (a * b).evaluate(Q0) == a.evaluate(Q0) * b.evaluate(Q0)
-    assert (a - b).evaluate(Q0) == a.evaluate(Q0) - b.evaluate(Q0)
+    assume(evaluate(a.den, Q0) != 0 and evaluate(b.den, Q0) != 0)
+    assert evaluate(a + b, Q0) == evaluate(a, Q0) + evaluate(b, Q0)
+    assert evaluate(a * b, Q0) == evaluate(a, Q0) * evaluate(b, Q0)
+    assert evaluate(a - b, Q0) == evaluate(a, Q0) - evaluate(b, Q0)
 
 
 @given(ratfuncs())
@@ -100,7 +100,7 @@ def test_rank_matches_numeric(rows):
     assert mt.columns == [{j: e for j, e in enumerate(row) if not e.is_zero()} for row in rows]
     assert rank(mt) == r
     # symbolic rank >= rank at any specialization; q = 5/3 is generic here
-    num = _fraction_rank([[e.evaluate(Q0) for e in row] for row in rows])
+    num = _fraction_rank([[evaluate(e, Q0) for e in row] for row in rows])
     assert r >= num
     # rank-nullity, and kernel vectors actually lie in the kernel
     ker = kernel_basis(m)
@@ -130,7 +130,7 @@ def _specialized_rank(dense: list[list[RatFunc]]) -> int:
     hi = max(e.num.degree() for e in entries)
     cols = len(dense[0])
     points = [Fraction(k) for k in range(2, 3 + cols * (hi - lo))]
-    return max(_fraction_rank([[e.evaluate(x) for e in r] for r in dense])
+    return max(_fraction_rank([[evaluate(e, x) for e in r] for r in dense])
                for x in points)
 
 
