@@ -11,8 +11,8 @@ from __future__ import annotations
 import itertools
 
 from .cartan import ParabolicData, RootSystem, Weight
-from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, add_into,
-                     rank)
+from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, _echelon_of,
+                     add_into, rank)
 from .reps import levi_character, levi_irrep
 from .uqalg import AlgElement, UqAlgebra, scaled
 from .verma import SliceFamily, StandardMapFamily, dot_offset
@@ -347,6 +347,26 @@ class TensorFiber:
         return lift
 
 
+def _cell_coords(uq: UqAlgebra, x: AlgElement) -> dict[tuple, dict[int, RatFunc]]:
+    """x with both word factors of each monomial Serre-reduced, grouped by
+    cell (F-content, E-content, K-exponent) and keyed within a cell by
+    fi * dim(E-content) + ei over the two weight spaces' basis positions.  A
+    cell whose entries cancel stays, empty: its monomials still have to fit
+    in a window."""
+    r = uq.r
+    one = RatFunc.one()
+    out: dict[tuple, dict[int, RatFunc]] = {}
+    for (fw, kv, ew), c in x.items():
+        cf = tuple(fw.count(i) for i in range(1, r + 1))
+        ce = tuple(ew.count(i) for i in range(1, r + 1))
+        esp = uq.weight_space(ce)
+        ec = esp.reduce_coords({ew: one})
+        local = out.setdefault((cf, ce, kv), {})
+        for fi, a in uq.weight_space(cf).reduce_coords({fw: one}).items():
+            add_into(local, {fi * esp.dim + ei: b for ei, b in ec.items()}, c * a)
+    return out
+
+
 class WSlice:
     """Fixed-weight slice of an induced module with tensor fiber.
 
@@ -357,8 +377,12 @@ class WSlice:
     vanishes; dimension claims are certified against the character oracle.
     """
 
-    def __init__(self, fiber: TensorFiber, omega: Weight, k1cap: int, k2cap: int):
+    def __init__(self, fiber: TensorFiber, omega: Weight, k1cap: int, k2cap: int,
+                 products: dict[tuple, dict[tuple, dict[int, RatFunc]]]):
         self.fiber = fiber
+        # cell coordinates of u * v * letter for basis words u, v, shared by
+        # every slice of the double complex
+        self._products = products
         self.uq = fiber.uq
         self.P = fiber.P
         self.omega = omega
@@ -380,9 +404,7 @@ class WSlice:
             self._offset[(cf, ce, t)] = pos
             pos += self.uq.weight_space(cf).dim * self.uq.weight_space(ce).dim
         self.total = pos
-        self._ech = Echelon()
-        for row in self._absorption_rows():
-            self._ech.insert(row)
+        self._ech = _echelon_of(self._absorption_rows())
         self._basis_pos = [k for k in range(self.total) if k not in self._ech.rows]
 
     @property
@@ -421,34 +443,27 @@ class WSlice:
         cells.sort(key=lambda c: (-(sum(c[0]) + sum(c[1])), c))
         return cells
 
+    def _place(self, cells: dict[tuple, dict[int, RatFunc]],
+               t: int) -> dict[int, RatFunc] | None:
+        """Flat sparse coordinates of cell coordinates (see `_cell_coords`)
+        applied to fiber vector t; None when some cell leaves the window."""
+        vec: dict[int, RatFunc] = {}
+        for (cf, ce, kv), local in cells.items():
+            off = self._offset.get((cf, ce, t))
+            if off is None:
+                return None
+            scal = None
+            if any(kv):  # K^kv moves past the E-word onto the fiber vector
+                wt = self.fiber.weights[t] + self.uq.rs.root_to_weight(ce)
+                scal = self.uq.k_scalar(kv, wt.coords)
+            add_into(vec, {off + k: c for k, c in local.items()}, scal)
+        return vec
+
     def _free_vector(self, x: AlgElement, t: int) -> dict[int, RatFunc] | None:
         """Flat sparse coordinates of (algebra element) applied to fiber
         vector t, Serre-reducing both word factors; None when some monomial
         leaves the window."""
-        rs = self.uq.rs
-        vec: dict[int, RatFunc] = {}
-        for (fw, kv, ew), c in x.items():
-            cf = [0] * rs.rank
-            ce = [0] * rs.rank
-            for i in fw:
-                cf[i - 1] += 1
-            for i in ew:
-                ce[i - 1] += 1
-            cf = tuple(cf)
-            ce = tuple(ce)
-            off = self._offset.get((cf, ce, t))
-            if off is None:
-                return None
-            scal = c
-            if any(kv):  # K^kv moves past the E-word onto the fiber vector
-                wt = self.fiber.weights[t] + rs.root_to_weight(ce)
-                scal = c * self.uq.k_scalar(kv, wt.coords)
-            fsp = self.uq.weight_space(cf)
-            esp = self.uq.weight_space(ce)
-            ec = esp.reduce_coords({ew: RatFunc.one()})
-            for fi, a in fsp.reduce_coords({fw: RatFunc.one()}).items():
-                add_into(vec, {off + fi * esp.dim + ei: b for ei, b in ec.items()}, scal * a)
-        return vec
+        return self._place(_cell_coords(self.uq, x), t)
 
     def _absorption_rows(self) -> list[dict[int, RatFunc]]:
         uq = self.uq
@@ -466,7 +481,11 @@ class WSlice:
                     # the fiber side of the relation is one entry per t2
                     for fi, u in enumerate(uq.weight_space(cf).basis_words):
                         for ei, v in enumerate(esp.basis_words):
-                            row = self._free_vector(uq.multiply(uq.fword(u, v), gelt), t)
+                            cells = self._products.get((u, v, letter))
+                            if cells is None:
+                                cells = self._products[(u, v, letter)] = _cell_coords(
+                                    uq, uq.multiply(uq.fword(u, v), gelt))
+                            row = self._place(cells, t)
                             if row is None:
                                 continue
                             for t2, w in mat[t].items():
@@ -515,15 +534,22 @@ class DoubleComplex:
     commute, which reduces to commutator identities against the generator.
     """
 
-    def __init__(self, G, uq: UqAlgebra | None = None):
+    def __init__(self, G, maps: StandardMapFamily | None = None):
+        """maps: the standard maps of G at highest weight zero, such as a
+        `BGGComplex`'s with the default mu; built here when None."""
         self.G = G
         rs = G.P.rs
         self.rs = rs
-        self.uq = uq if uq is not None else UqAlgebra(rs)
-        self.maps = StandardMapFamily(G, Weight((0,) * rs.rank), self.uq)
+        zero = Weight((0,) * rs.rank)
+        if maps is None:
+            maps = StandardMapFamily(G, zero)
+        elif maps.G is not G or maps.mu != zero:
+            raise ValueError("the double complex needs G's standard maps at mu = 0")
+        self.maps = maps
+        self.uq = maps.uq
         self._fibers: dict[tuple, TensorFiber] = {}
         self._slices: dict[tuple, WSlice] = {}
-        zero = Weight((0,) * rs.rank)
+        self._products: dict[tuple, dict[tuple, dict[int, RatFunc]]] = {}
         self.dots = {w.matrix: G.W.shifted_act(w, zero) for lvl in G.levels for w in lvl}
 
     def fiber(self, w1, w2) -> TensorFiber:
@@ -538,7 +564,7 @@ class DoubleComplex:
         key = (w1.matrix, w2.matrix, omega.coords, k1cap, k2cap)
         sl = self._slices.get(key)
         if sl is None:
-            sl = WSlice(self.fiber(w1, w2), omega, k1cap, k2cap)
+            sl = WSlice(self.fiber(w1, w2), omega, k1cap, k2cap, self._products)
             self._slices[key] = sl
         return sl
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -72,6 +73,20 @@ def _check_window(args) -> None:
     box = getattr(args, "box", None)
     if box is not None and min(box) < 1:
         raise UsageError("--box caps must be at least 1")
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse an --output the report could not be written to, before any
+    build, so that no work is lost to a failing write."""
+    if not path:
+        return
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise UsageError("--output directory %r does not exist" % parent)
+    if os.path.isdir(path):
+        raise UsageError("--output %r is a directory" % path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise UsageError("--output %r is not writable" % path)
 
 
 def _height(args) -> int:
@@ -231,7 +246,7 @@ def cmd_all(args) -> list:
     P = _parse_parabolic(args, irreducible=True)
     G = _chain_graph(P)
     bgg = BGGComplex(G)
-    dc = DoubleComplex(G, uq=bgg.uq)
+    dc = DoubleComplex(G, maps=bgg.maps)
     height = _height(args)
     k1, k2 = args.box
 
@@ -336,6 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     key = (args.command, getattr(args, "sub", None))
     try:
         _check_window(args)
+        _check_output(args.output)
         checks = DISPATCH[key][0](args)
     except UsageError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -364,6 +364,8 @@ class RatFunc:
         (e, c), = m.num.c.items()
         d0 = m.den.c[0]
         if d0 == 1 and c in (1, -1):
+            if e == 0 and c == 1:  # m = 1: values are immutable, so share self
+                return self
             return RatFunc(_wrap({k + e: v * c for k, v in self.num.c.items()}), self.den,
                            _normalized=True)
         g = _intgcd(c * self.num.content(), d0 * self.den.content())
@@ -598,8 +600,14 @@ def normalize_vector(vec: list[RatFunc]) -> list[RatFunc]:
 
 
 def _echelon_of(rows: Iterable[dict[Key, RatFunc]]) -> Echelon:
+    """Echelon of the rows' span, inserting the nonempty rows from the sparse
+    end, in descending order of leading column.  A stored row is zero on the
+    pivots present when it is inserted, and these lie at or right of its
+    leading column, so the echelon is close to reduced form and a later
+    reduction seldom brings in a pivot the vector did not hold.  The pivot
+    set and every residue depend only on the span (see `Echelon`)."""
     ech = Echelon()
-    for r in rows:
+    for r in sorted(filter(None, rows), key=min, reverse=True):
         ech.insert(r)
     return ech
 

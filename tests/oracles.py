@@ -40,6 +40,29 @@ def all_rows_echelon(rows) -> Echelon:
     return ech
 
 
+def free_vector(sl, x: AlgElement, t: int) -> dict | None:
+    """The reference for `bgg.WSlice._free_vector`: each monomial of x applied
+    to fiber vector t is Serre-reduced and placed on its own, and the result
+    is None as soon as one monomial leaves the window."""
+    uq = sl.uq
+    rs = uq.rs
+    one = RatFunc.one()
+    vec: dict = {}
+    for (fw, kv, ew), c in x.items():
+        cf = tuple(fw.count(i) for i in range(1, rs.rank + 1))
+        ce = tuple(ew.count(i) for i in range(1, rs.rank + 1))
+        off = sl._offset.get((cf, ce, t))
+        if off is None:
+            return None
+        if any(kv):
+            c = c * uq.k_scalar(kv, (sl.fiber.weights[t] + rs.root_to_weight(ce)).coords)
+        esp = uq.weight_space(ce)
+        ec = esp.reduce_coords({ew: one})
+        for fi, a in uq.weight_space(cf).reduce_coords({fw: one}).items():
+            add_into(vec, {off + fi * esp.dim + ei: b for ei, b in ec.items()}, c * a)
+    return vec
+
+
 def same_quotient(a: Echelon, b: Echelon, cols) -> bool:
     """Whether two echelons have one pivot set and give every unit vector
     e_k, k in cols, the same residue."""

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qbgg
+from qbgg import bgg
 from qbgg.cli import main
 
 
@@ -136,6 +137,39 @@ def test_output_file(tmp_path, capsys):
     assert code == 0
     rep = json.loads(out.read_text())
     assert rep["status"] == "pass"
+
+
+def test_all_builds_the_standard_maps_once(capsys, monkeypatch):
+    # the double complex takes the resolution's maps, whose mu is zero
+    built = []
+
+    class Counted(bgg.StandardMapFamily):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(bgg, "StandardMapFamily", Counted)
+    code, _ = _run(capsys, ["all", "--type", "A2", "--s", "1", "--height", "1",
+                            "--box", "1,1"])
+    assert code == 0
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_output_exits_two_before_building(tmp_path, capsys,
+                                                     monkeypatch, target):
+    # a missing directory, or a directory in place of a file, is refused
+    # before the coset graph is built, not after every check has run
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a coset graph for an unwritable --output")
+    monkeypatch.setattr("qbgg.cli.BruhatGraph", refuse)
+    out = tmp_path / target
+    assert main(["weyl", "graph", "--type", "A2", "--s", "1",
+                 "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --output")
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("argv", [

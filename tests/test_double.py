@@ -9,7 +9,10 @@ from qbgg.bgg import DoubleComplex, LeviModuleData, TensorFiber
 from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.qfield import QMatrix, RatFunc, add_into
 from qbgg.uqalg import UqAlgebra
+from qbgg.verma import StandardMapFamily
 from qbgg.weyl import BruhatGraph
+
+from oracles import free_vector
 
 
 def _dc(name: str, S) -> DoubleComplex:
@@ -35,6 +38,13 @@ def rank_one():
 @pytest.fixture(scope="module")
 def cp2():
     return _dc("A2", (1,))
+
+
+def test_double_complex_refuses_maps_at_another_weight(rank_one):
+    G = rank_one.G
+    with pytest.raises(ValueError):
+        DoubleComplex(G, maps=StandardMapFamily(G, Weight((1,))))
+    assert DoubleComplex(G, maps=rank_one.maps).uq is rank_one.uq
 
 
 def test_levi_module_commutator(cp2):
@@ -180,6 +190,33 @@ def test_basis_word_pairs_are_unit_vectors(cp2):
                         {off + fi * esp.dim + ei: RatFunc.one()}
                     checked += 1
     assert checked and with_relations
+
+
+def test_shared_products_place_like_free_vectors(cp2):
+    # each absorption product u * v * letter comes from the complex's one
+    # table, reduced by whichever slice met it first; placed in any slice and
+    # at any fiber index it equals the product placed afresh and the
+    # per-monomial reference, also where it leaves the window (None)
+    uq = cp2.uq
+    rs = uq.rs
+    w0, w1 = cp2._chain()[0], cp2._chain()[1]
+    fb = cp2.fiber(w1, w0)
+    omega = fb.weights[fb.gen_index]
+    placed = outside = 0
+    for k1, k2 in ((1, 1), (2, 1), (1, 2)):
+        sl = cp2.wslice(w1, w0, omega, k1, k2)
+        for i in sorted(sl.P.S):
+            for letter, g, base in ((("F", i), uq.F(i), omega + rs.simple_root(i)),
+                                    (("E", i), uq.E(i), omega - rs.simple_root(i))):
+                for cf, ce, t in sl._cells(base):
+                    for u in uq.weight_space(cf).basis_words:
+                        for v in uq.weight_space(ce).basis_words:
+                            x = uq.multiply(uq.fword(u, v), g)
+                            row = sl._place(cp2._products[(u, v, letter)], t)
+                            assert row == sl._free_vector(x, t) == free_vector(sl, x, t)
+                            placed += 1
+                            outside += row is None
+    assert placed > outside > 0
 
 
 def test_rank_one_anticommute(rank_one):

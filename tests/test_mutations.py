@@ -7,20 +7,26 @@ import json
 import pytest
 
 from qbgg import qsphere, reps
+from qbgg.bgg import TensorFiber
 from qbgg.cli import main
 from qbgg.qfield import CertificationError, RatFunc, add_into
 from qbgg.verma import StandardMapFamily
 from qbgg.weyl import BruhatGraph
 
 
-def _failed_check(capsys, argv, check_id):
+def _failed_report(capsys, argv) -> dict:
+    """The checks of a failed report by check id."""
     code = main(argv)
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     report = json.loads(captured.out)
     assert code == 1
     assert report["status"] == "fail"
-    return next(c for c in report["checks"] if c["check_id"] == check_id)
+    return {c["check_id"]: c for c in report["checks"]}
+
+
+def _failed_check(capsys, argv, check_id):
+    return _failed_report(capsys, argv)[check_id]
 
 
 def test_dims_identity_fails_on_a_shifted_quotient_weight(capsys, monkeypatch):
@@ -122,6 +128,33 @@ def test_podles_calculus_fails_on_a_rescaled_k_factor(capsys, monkeypatch):
     assert relations["rewrites_match_pairing"] is True
     assert relations["products_match_pairing"] is True
     assert relations["degree2_kernel_dim"] == 6
+
+
+def test_double_lines_fail_on_a_scaled_fiber_entry(capsys, monkeypatch):
+    # one entry of F_1's matrix on each tensor fiber doubled: the absorption
+    # relations then kill a vector that survives in the module, so a slice
+    # falls below the product-character oracle.  Known gap: the
+    # anticommutation check compares no slice with the oracle, and a smaller
+    # quotient only makes its commutators reduce to zero more easily, so
+    # `double.anticommute` still passes under this defect
+    original = TensorFiber.generator_matrix
+
+    def scaled_entry(self, letter):
+        mat = original(self, letter)
+        c = next((c for c, col in enumerate(mat) if col), None)
+        if letter != ("F", 1) or c is None:
+            return mat
+        k, v = next(iter(mat[c].items()))
+        return mat[:c] + [{**mat[c], k: v * RatFunc.from_int(2)}] + mat[c + 1:]
+
+    monkeypatch.setattr(TensorFiber, "generator_matrix", scaled_entry)
+    checks = _failed_report(capsys, ["double", "verify", "--type", "A2",
+                                     "--s", "1", "--box", "1,1"])
+    for check_id in ("double.rows", "double.columns"):
+        assert checks[check_id]["status"] == "fail"
+        assert checks[check_id]["witness"] == {
+            "error": "TruncationError: slice dim 0 differs from oracle 1"}
+    assert checks["double.anticommute"]["status"] == "pass"
 
 
 def _planted(*args):

@@ -175,6 +175,26 @@ def test_echelon_rank_matches_specialization(rows, data):
             assert acc == r.get(j, RatFunc.zero())
 
 
+@settings(max_examples=40, deadline=None)
+@given(_sparse_rows())
+def test_insertion_order_keeps_pivots_and_residues(rows):
+    # `_echelon_of` inserts from the sparse end; the rows in generation
+    # order, in ascending and in descending order of leading column give the
+    # same pivots and the same residue of every probe vector
+    q = RatFunc.q_power(1)
+    rows = rows + [{k: v * q for k, v in rows[0].items()}]
+    nonempty = [r for r in rows if r]
+    generated = all_rows_echelon(lambda: iter(rows))
+    others = [all_rows_echelon(lambda: iter(sorted(nonempty, key=min))),
+              all_rows_echelon(lambda: iter(sorted(nonempty, key=min, reverse=True))),
+              qfield._echelon_of(rows)]
+    probes = [{k: RatFunc.one()} for k in range(6)] + [{**r, 5: q} for r in rows]
+    for ech in others:
+        assert set(ech.rows) == set(generated.rows)
+        for vec in probes:
+            assert ech.reduce(vec) == generated.reduce(vec)
+
+
 def _recording_inserts(mp: pytest.MonkeyPatch) -> list:
     """Patch Echelon.insert to record every pivot it returns (None for a
     row that reduces to zero)."""
@@ -445,6 +465,15 @@ def test_monomial_product_matches_general_path(a, b):
     general = RatFunc(a.num * b.num, a.den * b.den)
     for p in (a * b, b * a):
         assert (p.num.c, p.den.c) == (general.num.c, general.den.c)
+
+
+@given(ratfuncs())
+def test_product_by_one_is_the_value_itself(a):
+    # a product by one makes no copy, and its value is the factor's
+    one = RatFunc.one()
+    assert a._times_monomial(one) is a
+    for p in (a * one, one * a):
+        assert (p.num.c, p.den.c) == (a.num.c, a.den.c)
 
 
 @given(ratfuncs())
