@@ -347,24 +347,31 @@ class TensorFiber:
         return lift
 
 
-def _cell_coords(uq: UqAlgebra, x: AlgElement) -> dict[tuple, dict[int, RatFunc]]:
-    """x with both word factors of each monomial Serre-reduced, grouped by
-    cell (F-content, E-content, K-exponent) and keyed within a cell by
-    fi * dim(E-content) + ei over the two weight spaces' basis positions.  A
-    cell whose entries cancel stays, empty: its monomials still have to fit
-    in a window."""
+def _cell_coords(uq: UqAlgebra, x: AlgElement) -> dict[tuple, list | dict[int, RatFunc]]:
+    """x grouped by cell (F-content, E-content, K-exponent), each cell the list
+    of its monomials (F-word, E-word, coefficient), unreduced: `WSlice._place`
+    reduces the cells once all lie in its window, and builds no other quotient."""
     r = uq.r
-    one = RatFunc.one()
-    out: dict[tuple, dict[int, RatFunc]] = {}
+    out: dict[tuple, list] = {}
     for (fw, kv, ew), c in x.items():
-        cf = tuple(fw.count(i) for i in range(1, r + 1))
-        ce = tuple(ew.count(i) for i in range(1, r + 1))
-        esp = uq.weight_space(ce)
-        ec = esp.reduce_coords({ew: one})
-        local = out.setdefault((cf, ce, kv), {})
-        for fi, a in uq.weight_space(cf).reduce_coords({fw: one}).items():
-            add_into(local, {fi * esp.dim + ei: b for ei, b in ec.items()}, c * a)
+        cell = (tuple(fw.count(i) for i in range(1, r + 1)),
+                tuple(ew.count(i) for i in range(1, r + 1)), kv)
+        out.setdefault(cell, []).append((fw, ew, c))
     return out
+
+
+def _reduce_cell(uq: UqAlgebra, cf: tuple[int, ...], ce: tuple[int, ...],
+                 monomials: list) -> dict[int, RatFunc]:
+    """A cell's monomials with both word factors Serre-reduced, keyed by
+    fi * dim(E-content) + ei over the two weight spaces' basis positions."""
+    one = RatFunc.one()
+    fsp, esp = uq.weight_space(cf), uq.weight_space(ce)
+    local: dict[int, RatFunc] = {}
+    for fw, ew, c in monomials:
+        ec = esp.reduce_coords({ew: one})
+        for fi, a in fsp.reduce_coords({fw: one}).items():
+            add_into(local, {fi * esp.dim + ei: b for ei, b in ec.items()}, c * a)
+    return local
 
 
 class WSlice:
@@ -378,7 +385,7 @@ class WSlice:
     """
 
     def __init__(self, fiber: TensorFiber, omega: Weight, k1cap: int, k2cap: int,
-                 products: dict[tuple, dict[tuple, dict[int, RatFunc]]]):
+                 products: dict[tuple, dict[tuple, list | dict[int, RatFunc]]]):
         self.fiber = fiber
         # cell coordinates of u * v * letter for basis words u, v, shared by
         # every slice of the double complex
@@ -404,7 +411,10 @@ class WSlice:
             self._offset[(cf, ce, t)] = pos
             pos += self.uq.weight_space(cf).dim * self.uq.weight_space(ce).dim
         self.total = pos
+        # K eigenvalues by (kv, ce, t), emptied after use: the complex keeps its slices
+        self._k_scalars: dict[tuple, RatFunc] = {}
         self._ech = _echelon_of(self._absorption_rows())
+        self._k_scalars.clear()
         self._basis_pos = [k for k in range(self.total) if k not in self._ech.rows]
 
     @property
@@ -443,20 +453,31 @@ class WSlice:
         cells.sort(key=lambda c: (-(sum(c[0]) + sum(c[1])), c))
         return cells
 
-    def _place(self, cells: dict[tuple, dict[int, RatFunc]],
+    def _place(self, cells: dict[tuple, list | dict[int, RatFunc]],
                t: int) -> dict[int, RatFunc] | None:
         """Flat sparse coordinates of cell coordinates (see `_cell_coords`)
-        applied to fiber vector t; None when some cell leaves the window."""
+        applied to fiber vector t; None when some cell leaves the window.  A
+        cell is reduced when first placed, and stored back in `cells`."""
+        offsets = [self._offset.get((cf, ce, t)) for cf, ce, _ in cells]
+        if None in offsets:
+            return None
         vec: dict[int, RatFunc] = {}
-        for (cf, ce, kv), local in cells.items():
-            off = self._offset.get((cf, ce, t))
-            if off is None:
-                return None
+        for (cf, ce, kv), off in zip(cells, offsets):
+            local = cells[cf, ce, kv]
+            if type(local) is list:
+                local = cells[cf, ce, kv] = _reduce_cell(self.uq, cf, ce, local)
             scal = None
             if any(kv):  # K^kv moves past the E-word onto the fiber vector
-                wt = self.fiber.weights[t] + self.uq.rs.root_to_weight(ce)
-                scal = self.uq.k_scalar(kv, wt.coords)
-            add_into(vec, {off + k: c for k, c in local.items()}, scal)
+                scal = self._k_scalars.get((kv, ce, t))
+                if scal is None:
+                    wt = self.fiber.weights[t] + self.uq.rs.root_to_weight(ce)
+                    scal = self._k_scalars[kv, ce, t] = self.uq.k_scalar(kv, wt.coords)
+            for k, c in local.items():  # add_into, shifted by off, without a new dict
+                c = c if scal is None else c * scal
+                cur = vec.get(k + off)
+                vec[k + off] = s = c if cur is None else cur + c
+                if s.is_zero():
+                    del vec[k + off]
         return vec
 
     def _free_vector(self, x: AlgElement, t: int) -> dict[int, RatFunc] | None:
@@ -549,7 +570,7 @@ class DoubleComplex:
         self.uq = maps.uq
         self._fibers: dict[tuple, TensorFiber] = {}
         self._slices: dict[tuple, WSlice] = {}
-        self._products: dict[tuple, dict[tuple, dict[int, RatFunc]]] = {}
+        self._products: dict[tuple, dict[tuple, list | dict[int, RatFunc]]] = {}
         self.dots = {w.matrix: G.W.shifted_act(w, zero) for lvl in G.levels for w in lvl}
 
     def fiber(self, w1, w2) -> TensorFiber:
@@ -561,10 +582,15 @@ class DoubleComplex:
         return fb
 
     def wslice(self, w1, w2, omega: Weight, k1cap: int, k2cap: int) -> WSlice:
+        """The slice, built once; TruncationError when its dimension differs
+        from the character oracle's, so no check computes on a wrong slice."""
         key = (w1.matrix, w2.matrix, omega.coords, k1cap, k2cap)
         sl = self._slices.get(key)
         if sl is None:
             sl = WSlice(self.fiber(w1, w2), omega, k1cap, k2cap, self._products)
+            if sl.dim != sl.oracle_dim():
+                raise TruncationError(
+                    "slice dim %d differs from oracle %d" % (sl.dim, sl.oracle_dim()))
             self._slices[key] = sl
         return sl
 
@@ -670,11 +696,7 @@ class DoubleComplex:
             if counts:
                 other = max([0] + [cap - c if rows else cap + c for c in counts])
                 k1, k2 = (other, cap) if rows else (cap, other)
-            sl = self.wslice(w1, w2, omega, k1, k2)
-            if sl.dim != sl.oracle_dim():
-                raise TruncationError(
-                    "slice dim %d differs from oracle %d" % (sl.dim, sl.oracle_dim()))
-            slices.append(sl)
+            slices.append(self.wslice(w1, w2, omega, k1, k2))
         dims = [sl.dim for sl in slices]
         if all(d == 0 for d in dims):
             return None

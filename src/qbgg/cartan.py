@@ -175,30 +175,25 @@ class RootSystem:
         self.rho = Weight((1,) * self.rank)
 
     def _build_positive_roots(self) -> list[RootCoords]:
+        """The positive roots by height: beta + alpha_i is a root iff the
+        alpha_i-string below beta, all found already, is longer than
+        <beta, alpha_i^v>, and each root of height h + 1 is one such."""
         r = self.rank
-        simples = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-        roots = set(simples)
-        changed = True
-        while changed:
-            changed = False
-            for beta in list(roots):
+        layer = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+        roots = set(layer)
+        while layer:
+            nxt = []
+            for beta in layer:
                 for i in range(r):
-                    # length of the downward alpha_i-string through beta
-                    p = 0
-                    cur = beta
-                    while True:
-                        down = tuple(c - int(k == i) for k, c in enumerate(cur))
-                        if down in roots:
-                            p += 1
-                            cur = down
-                        else:
-                            break
+                    p, cur = 0, beta
+                    while (cur := cur[:i] + (cur[i] - 1,) + cur[i + 1:]) in roots:
+                        p += 1
                     pairing = sum(self.cartan[i][j] * beta[j] for j in range(r))
-                    if p - pairing > 0:
-                        up = tuple(c + int(k == i) for k, c in enumerate(beta))
-                        if up not in roots:
-                            roots.add(up)
-                            changed = True
+                    up = beta[:i] + (beta[i] + 1,) + beta[i + 1:]
+                    if p > pairing and up not in roots:
+                        roots.add(up)
+                        nxt.append(up)
+            layer = nxt
         return sorted(roots, key=lambda b: (sum(b), b))
 
     def _check_root_count(self) -> None:

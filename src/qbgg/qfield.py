@@ -10,6 +10,11 @@ cyclic lifts), reduces vectors modulo them, and sits behind `rank` and
 a base echelon, and reduces exactly only the relations it keeps.
 A vector is a dict that holds no zero value, from a residue to a `QMatrix`
 column; only `kernel_basis` returns dense lists.
+
+A normal form is unique, so `RatFunc._normalize` divides before any gcd: when
+the denominator divides the numerator, (quotient, 1) is the normal form.
+`_at_a` reads powers of _A mod _P from a table, the residues `pow` gives, and
+takes no inverse of a denominator 1, so neither shortcut changes a value.
 """
 from __future__ import annotations
 
@@ -300,6 +305,10 @@ class RatFunc:
         if v:
             num, den = num.shift(-v), den.shift(-v)
         if not den.is_monomial():
+            try:  # den divides num: the quotient over 1 is the normal form
+                return laurent_divexact(num, den), _ONE
+            except ArithmeticError:
+                pass
             g = laurent_gcd(num, den)
             # g and den have nonzero constant terms, so den / g does too
             if g.degree() > 0:
@@ -513,12 +522,25 @@ class Echelon:
 
 
 _P, _A = 2 ** 31 - 1, 12345  # `fill_to_rank` reduces rows at q = _A mod _P
+_A_POW: dict[int, int] = {}  # _A^e mod _P by exponent e of either sign, filled on demand
+
+
+def _eval_a(p: Laurent) -> int:
+    """p at q = _A, reduced mod _P only through the powers of _A."""
+    out = 0
+    for e, v in p.c.items():
+        a = _A_POW.get(e)
+        if a is None:
+            a = _A_POW[e] = pow(_A, e, _P)
+        out += v * a
+    return out
 
 
 def _at_a(c: RatFunc) -> int:
     """c at q = _A mod _P; ValueError if its denominator vanishes there."""
-    num, den = (sum(v * pow(_A, e, _P) for e, v in x.c.items()) for x in (c.num, c.den))
-    return num * pow(den, -1, _P) % _P
+    if c.den.c == _ONE.c:  # no inverse to take
+        return _eval_a(c.num) % _P
+    return _eval_a(c.num) * pow(_eval_a(c.den), -1, _P) % _P
 
 
 def _shadow_insert(rows: dict[int, bytes], vec: dict[int, int]) -> bool:

@@ -4,10 +4,11 @@ than under `src/qbgg`."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from qbgg.cartan import ParabolicData, Weight
 from qbgg.qfield import (CertificationError, Echelon, Laurent, QMatrix, RatFunc,
-                         add_into, kernel_basis)
+                         add_into, kernel_basis, laurent_divexact, laurent_gcd)
 from qbgg.qsphere import _IJ, Elem, _apply, _word
 from qbgg.reps import (CharMap, char_equal, levi_character, levi_irrep,
                        quotient_weights)
@@ -61,6 +62,70 @@ def free_vector(sl, x: AlgElement, t: int) -> dict | None:
         for fi, a in uq.weight_space(cf).reduce_coords({fw: one}).items():
             add_into(vec, {off + fi * esp.dim + ei: b for ei, b in ec.items()}, c * a)
     return vec
+
+
+def positive_roots_closure(rs) -> list[tuple[int, ...]]:
+    """The reference for `cartan.RootSystem._build_positive_roots`: from the
+    simple roots, rescan every root found, adding beta + alpha_i whenever the
+    downward alpha_i-string through beta is longer than <beta, alpha_i^v>,
+    until a scan adds nothing."""
+    r = rs.rank
+    roots = {tuple(int(i == j) for j in range(r)) for i in range(r)}
+    changed = True
+    while changed:
+        changed = False
+        for beta in list(roots):
+            for i in range(r):
+                p, cur = 0, beta
+                while True:
+                    down = tuple(c - int(k == i) for k, c in enumerate(cur))
+                    if down not in roots:
+                        break
+                    p, cur = p + 1, down
+                if p - sum(rs.cartan[i][j] * beta[j] for j in range(r)) > 0:
+                    up = tuple(c + int(k == i) for k, c in enumerate(beta))
+                    if up not in roots:
+                        roots.add(up)
+                        changed = True
+    return sorted(roots, key=lambda b: (sum(b), b))
+
+
+def place(sl, cells: dict, t: int) -> dict | None:
+    """The reference for `bgg.WSlice._place` on reduced cells (see
+    `bgg._reduce_cell`): each cell is shifted into a dict of its own, scaled
+    by a K eigenvalue computed afresh and added; None at the first cell
+    outside the window."""
+    uq = sl.uq
+    vec: dict = {}
+    for (cf, ce, kv), local in cells.items():
+        off = sl._offset.get((cf, ce, t))
+        if off is None:
+            return None
+        scal = uq.k_scalar(kv, (sl.fiber.weights[t] + uq.rs.root_to_weight(ce)).coords)
+        add_into(vec, {off + k: c for k, c in local.items()}, scal)
+    return vec
+
+
+def normalize_by_gcd(num: Laurent, den: Laurent) -> tuple[Laurent, Laurent]:
+    """The reference for `qfield.RatFunc._normalize`: the denominator shifted
+    to valuation 0, then the polynomial gcd and the joint integer content
+    divided out, then the denominator's leading coefficient made positive."""
+    if num.is_zero():
+        return Laurent(), Laurent.const(1)
+    v = den.valuation()
+    num, den = num.shift(-v), den.shift(-v)
+    g = laurent_gcd(num, den)
+    num, den = laurent_divexact(num, g), laurent_divexact(den, g)
+    c = gcd(num.content(), den.content())
+    num, den = num.divexact_int(c), den.divexact_int(c)
+    return (-num, -den) if den.leading_coeff() < 0 else (num, den)
+
+
+def at_point_mod_p(c: RatFunc, a: int, p: int) -> int:
+    """The reference for `qfield._at_a`: c at q = a mod p, every power of a
+    taken by `pow`; ValueError where the denominator vanishes."""
+    num, den = (sum(v * pow(a, e, p) for e, v in x.c.items()) for x in (c.num, c.den))
+    return num * pow(den, -1, p) % p
 
 
 def same_quotient(a: Echelon, b: Echelon, cols) -> bool:

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 from qbgg.cartan import ParabolicData, RootSystem, Weight
 
+from oracles import positive_roots_closure
+
 
 @pytest.mark.parametrize("name,count", [
     ("A1", 1), ("A2", 3), ("A3", 6), ("A4", 10), ("B2", 4), ("B3", 9),
@@ -19,6 +21,15 @@ from qbgg.cartan import ParabolicData, RootSystem, Weight
 ])
 def test_positive_root_counts(name, count):
     assert len(RootSystem(name).positive_roots) == count
+
+
+@pytest.mark.parametrize("name", ["A3", "B4", "C5", "D6", "E6", "E7", "E8", "F4",
+                                  "G2", "A20", "B12", "D15"])
+def test_positive_roots_by_height_match_the_closure(name):
+    # extending only the newest height finds the roots that rescanning every
+    # root until nothing changes finds, in the same order
+    rs = RootSystem(name)
+    assert rs.positive_roots == positive_roots_closure(rs)
 
 
 @pytest.mark.parametrize("name,height", [

@@ -12,7 +12,7 @@ from qbgg.uqalg import UqAlgebra
 from qbgg.verma import StandardMapFamily
 from qbgg.weyl import BruhatGraph
 
-from oracles import free_vector
+from oracles import free_vector, place
 
 
 def _dc(name: str, S) -> DoubleComplex:
@@ -217,6 +217,27 @@ def test_shared_products_place_like_free_vectors(cp2):
                             placed += 1
                             outside += row is None
     assert placed > outside > 0
+
+
+def test_cached_placement_matches_the_uncached_one(cp2):
+    # `_place` keeps each K eigenvalue per (kv, ce, t) and adds into one
+    # dict; placed twice, every table product that fits a slice equals the
+    # reference that scales and adds each reduced cell afresh, also where
+    # cells of several K exponents share a block of coordinates
+    w0, w1 = cp2._chain()[0], cp2._chain()[1]
+    fb = cp2.fiber(w1, w0)
+    omega = fb.weights[fb.gen_index]
+    placed = merged = 0
+    for k1, k2 in ((1, 1), (2, 1), (1, 2)):
+        sl = cp2.wslice(w1, w0, omega, k1, k2)
+        for t in range(fb.dim):
+            for cells in cp2._products.values():
+                row = sl._place(cells, t)
+                if row is not None:
+                    assert row == sl._place(cells, t) == place(sl, cells, t)
+                    placed += 1
+                    merged += len({cell[:2] for cell in cells}) < len(cells)
+    assert placed > merged > 0
 
 
 def test_rank_one_anticommute(rank_one):

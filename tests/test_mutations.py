@@ -133,10 +133,9 @@ def test_podles_calculus_fails_on_a_rescaled_k_factor(capsys, monkeypatch):
 def test_double_lines_fail_on_a_scaled_fiber_entry(capsys, monkeypatch):
     # one entry of F_1's matrix on each tensor fiber doubled: the absorption
     # relations then kill a vector that survives in the module, so a slice
-    # falls below the product-character oracle.  Known gap: the
-    # anticommutation check compares no slice with the oracle, and a smaller
-    # quotient only makes its commutators reduce to zero more easily, so
-    # `double.anticommute` still passes under this defect
+    # falls below the product-character oracle.  A smaller quotient only
+    # makes the commutators of `double.anticommute` reduce to zero more
+    # easily; it fails because every slice it builds meets the oracle too
     original = TensorFiber.generator_matrix
 
     def scaled_entry(self, letter):
@@ -150,11 +149,11 @@ def test_double_lines_fail_on_a_scaled_fiber_entry(capsys, monkeypatch):
     monkeypatch.setattr(TensorFiber, "generator_matrix", scaled_entry)
     checks = _failed_report(capsys, ["double", "verify", "--type", "A2",
                                      "--s", "1", "--box", "1,1"])
-    for check_id in ("double.rows", "double.columns"):
+    for check_id, oracle in (("double.anticommute", 4), ("double.rows", 1),
+                             ("double.columns", 1)):
         assert checks[check_id]["status"] == "fail"
         assert checks[check_id]["witness"] == {
-            "error": "TruncationError: slice dim 0 differs from oracle 1"}
-    assert checks["double.anticommute"]["status"] == "pass"
+            "error": "TruncationError: slice dim 0 differs from oracle %d" % oracle}
 
 
 def _planted(*args):

@@ -14,7 +14,8 @@ from qbgg.qfield import (CertificationError, Echelon, Laurent, QMatrix, RatFunc,
                          add_into, fill_to_rank, kernel_basis, laurent_divexact, laurent_gcd,
                          normalize_vector, rank)
 
-from oracles import all_rows_echelon, evaluate, same_quotient
+from oracles import (all_rows_echelon, at_point_mod_p, evaluate, normalize_by_gcd,
+                     same_quotient)
 
 Q0 = Fraction(5, 3)
 
@@ -474,6 +475,49 @@ def test_product_by_one_is_the_value_itself(a):
     assert a._times_monomial(one) is a
     for p in (a * one, one * a):
         assert (p.num.c, p.den.c) == (a.num.c, a.den.c)
+
+
+def denominators():
+    # with integer content and either sign of the leading coefficient
+    return st.tuples(laurents().filter(lambda p: not p.is_zero()),
+                     st.integers(-6, 6).filter(bool)).map(lambda t: t[0].scale_int(t[1]))
+
+
+@given(laurents(), denominators(), laurents())
+def test_division_first_matches_the_gcd_path(h, den, num):
+    # a denominator that divides the numerator gives (quotient, 1) with no
+    # gcd; any other pair goes on to the gcd, and both land on its normal form
+    gcds = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qfield, "laurent_gcd", lambda a, b: gcds.append(1) or laurent_gcd(a, b))
+        exact = RatFunc._normalize(den * h, den)
+        assert not gcds
+        other = RatFunc._normalize(num, den)
+    for got, pair in ((exact, (den * h, den)), (other, (num, den))):
+        assert (got[0].c, got[1].c) == tuple(x.c for x in normalize_by_gcd(*pair))
+    assert exact[1].c == {0: 1}
+
+
+@given(ratfuncs() | st.tuples(laurents(), denominators(), st.integers(-60, 60)).map(
+    lambda t: RatFunc(t[0].shift(t[2]), t[1].shift(-t[2]))))
+def test_table_specialization_matches_pow(c):
+    # powers of _A come from the table, negative exponents included, and a
+    # denominator of 1 skips the inverse
+    assert qfield._at_a(c) == at_point_mod_p(c, qfield._A, qfield._P)
+
+
+@pytest.mark.parametrize("den", [
+    Laurent({1: 1, 0: -qfield._A}),
+    Laurent({-2: 1, -3: -qfield._A}) * Laurent({0: 1, 1: 1}),
+    Laurent({1: 1, 0: -qfield._A}) * Laurent({1: 1, 0: -qfield._A}),
+])
+def test_table_specialization_raises_where_a_denominator_vanishes(den):
+    # `fill_to_rank` falls back to exact elimination on this ValueError
+    c = RatFunc(Laurent({0: 1}), den)
+    with pytest.raises(ValueError):
+        at_point_mod_p(c, qfield._A, qfield._P)
+    with pytest.raises(ValueError):
+        qfield._at_a(c)
 
 
 @given(ratfuncs())
