@@ -13,9 +13,8 @@ import itertools
 from .cartan import ParabolicData, RootSystem, Weight
 from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, _echelon_of,
                      add_into, rank)
-from .reps import levi_character, levi_irrep
 from .uqalg import AlgElement, UqAlgebra, scaled
-from .verma import SliceFamily, StandardMapFamily, dot_offset
+from .verma import SliceFamily, StandardMapFamily
 
 
 # extra letters allowed per Levi node beyond the quotient-root box of a WSlice
@@ -93,32 +92,21 @@ def _enumerate_offsets(rs: RootSystem, max_height: int) -> list[tuple[int, ...]]
 
 
 class BGGComplex:
-    """The resolution of the simple module with highest weight mu."""
+    """The resolution of the trivial module: one module M(w.0) per coset w."""
 
-    def __init__(self, G, mu: Weight | None = None, uq: UqAlgebra | None = None):
+    def __init__(self, G):
         self.G = G
-        rs = G.P.rs
-        self.rs = rs
-        self.mu = mu if mu is not None else Weight((0,) * rs.rank)
-        self.uq = uq if uq is not None else UqAlgebra(rs)
-        self.maps = StandardMapFamily(G, self.mu, self.uq)
+        self.rs = G.P.rs
+        self.maps = StandardMapFamily(G)
+        self.uq = self.maps.uq
 
     def level_slices(self, j: int, beta: tuple[int, ...]) -> list[tuple[object, object]]:
         """The cosets of level j, each with its module's slice at the weight
-        mu - beta, or None when that slice is empty."""
-        rs = self.rs
-        nu = self.mu - rs.root_to_weight(beta)
+        -beta, or None when that slice is empty."""
         out = []
         for w in self.G.levels[j]:
-            lam = self.G.W.shifted_act(w, self.mu)
-            try:
-                off = rs.weight_root_coords_int(lam - nu)
-            except ValueError:
-                off = None
-            if off is None or any(c < 0 for c in off):
-                out.append((w, None))
-            else:
-                out.append((w, self.maps._family(lam).get(off)))
+            off = tuple(b - d for b, d in zip(beta, self.G.depth[w.matrix]))
+            out.append((w, None if min(off) < 0 else self.maps._family(w).get(off)))
         return out
 
     def slice_dims(self, beta: tuple[int, ...]) -> list[int]:
@@ -126,8 +114,8 @@ class BGGComplex:
                 for j in range(len(self.G.levels))]
 
     def differential_matrix(self, j: int, beta: tuple[int, ...]) -> QMatrix:
-        """Matrix of the level-j differential C_j -> C_{j-1} on the mu - beta
-        weight slice."""
+        """Matrix of the level-j differential C_j -> C_{j-1} on the weight
+        -beta slice."""
         tgt_slices = [(w, s) for w, s in self.level_slices(j - 1, beta) if s is not None]
         cols = []
         for w_long, src in self.level_slices(j, beta):
@@ -164,25 +152,19 @@ class BGGComplex:
                             add_into(acc, term)
                     if not found:
                         continue
-                    lam = G.W.shifted_act(w_c, self.mu)
-                    beta = dot_offset(G, w_c, w_a, self.mu)
-                    fam = self.maps._family(lam)
-                    is_zero = not fam.get(beta).reduce_element(acc)
+                    sl = self.maps._family(w_c).get(G.offset(w_c, w_a))
+                    is_zero = not sl.reduce_element(acc)
                     ok = ok and is_zero
                     checks.append({"from": str(w_a), "to": str(w_c), "zero": is_zero})
         return {"ok": ok, "composites": checks}
 
     def verify_exactness(self, max_height: int) -> dict:
-        """Slicewise rank-exactness against the simple module with highest
-        weight mu, for all offsets up to the given height."""
-        rs = self.rs
-        P_full = ParabolicData(rs, frozenset(range(1, rs.rank + 1)))
-        full_char = levi_character(P_full, levi_irrep(P_full, self.mu)[0])
+        """Slicewise rank-exactness against the trivial module, for all
+        offsets up to the given height."""
         ok = True
         records = []
-        for beta in _enumerate_offsets(rs, max_height):
-            nu = self.mu - rs.root_to_weight(beta)
-            m_nu = full_char.get(nu, 0)
+        for beta in _enumerate_offsets(self.rs, max_height):
+            m_nu = int(not any(beta))  # the trivial module lives at weight 0
             dims = self.slice_dims(beta)
             euler = sum((-1) ** j * d for j, d in enumerate(dims))
             euler_ok = euler == m_nu
@@ -263,6 +245,12 @@ class TensorFiber:
         self.gen_index = p0 * self.nu_data.dim + r0
         self._gen_mats: dict[tuple, list[dict[int, RatFunc]]] = {}
         self._lift: list[AlgElement] | None = None
+
+    def offsets(self, omega: Weight) -> list[tuple[int, tuple[int, ...]]]:
+        """(t, root coordinates of omega minus the weight of basis vector t)
+        for every t; integral, because every w.0 lies in the root lattice."""
+        rs = self.uq.rs
+        return [(t, rs.weight_root_coords_int(omega - wt)) for t, wt in enumerate(self.weights)]
 
     def generator_matrix(self, letter: tuple) -> list[dict[int, RatFunc]]:
         """Sparse columns of one letter ("F", i), ("E", i) or ("K", i, e) on
@@ -438,11 +426,7 @@ class WSlice:
         rs = self.uq.rs
         s = self.P.s
         cells = []
-        for t in range(self.fiber.dim):
-            try:
-                delta = rs.weight_root_coords_int(omega - self.fiber.weights[t])
-            except ValueError:
-                continue
+        for t, delta in self.fiber.offsets(omega):
             for cf in itertools.product(*(range(c + 1) for c in self.capF)):
                 ce = tuple(cf[i] + delta[i] for i in range(rs.rank))
                 if any(x < 0 for x in ce) or any(x > y for x, y in zip(ce, self.capE)):
@@ -535,11 +519,7 @@ class WSlice:
             sp[c] = sp.get(c, 0) + m
         sm = _quotient_sums(self.P, self.k1cap)
         total = 0
-        for t in range(self.fiber.dim):
-            try:
-                delta = rs.weight_root_coords_int(self.omega - self.fiber.weights[t])
-            except ValueError:
-                continue
+        for _, delta in self.fiber.offsets(self.omega):
             for (_, c), m in sm.items():
                 total += m * sp.get(tuple(c[i] + delta[i] for i in range(rs.rank)), 0)
         return total
@@ -556,28 +536,23 @@ class DoubleComplex:
     """
 
     def __init__(self, G, maps: StandardMapFamily | None = None):
-        """maps: the standard maps of G at highest weight zero, such as a
-        `BGGComplex`'s with the default mu; built here when None."""
+        """maps: the standard maps of G, such as a `BGGComplex`'s; built here
+        when None."""
         self.G = G
-        rs = G.P.rs
-        self.rs = rs
-        zero = Weight((0,) * rs.rank)
-        if maps is None:
-            maps = StandardMapFamily(G, zero)
-        elif maps.G is not G or maps.mu != zero:
-            raise ValueError("the double complex needs G's standard maps at mu = 0")
-        self.maps = maps
+        self.rs = G.P.rs
+        self.maps = maps = maps or StandardMapFamily(G)
+        if maps.G is not G:
+            raise ValueError("the double complex needs the standard maps of its own graph")
         self.uq = maps.uq
         self._fibers: dict[tuple, TensorFiber] = {}
         self._slices: dict[tuple, WSlice] = {}
         self._products: dict[tuple, dict[tuple, list | dict[int, RatFunc]]] = {}
-        self.dots = {w.matrix: G.W.shifted_act(w, zero) for lvl in G.levels for w in lvl}
 
     def fiber(self, w1, w2) -> TensorFiber:
         key = (w1.matrix, w2.matrix)
         fb = self._fibers.get(key)
         if fb is None:
-            fb = TensorFiber(self.uq, self.G.P, self.dots[w1.matrix], self.dots[w2.matrix])
+            fb = TensorFiber(self.uq, self.G.P, self.G.dot[w1.matrix], self.G.dot[w2.matrix])
             self._fibers[key] = fb
         return fb
 
@@ -615,11 +590,9 @@ class DoubleComplex:
                 add_into(comm, uq.multiply(y, x))
                 add_into(comm, uq.multiply(x, y), RatFunc.from_int(-1))
                 fb = self.fiber(a1.source, a2.source)
-                gen_wt = self.dots[a1.source.matrix] - self.dots[a2.source.matrix]
-                ycont = dot_offset(G, a1.source, a1.target, Weight((0,) * rs.rank))
-                xcont = dot_offset(G, a2.source, a2.target, Weight((0,) * rs.rank))
-                omega = (gen_wt - rs.root_to_weight(ycont)
-                         + rs.root_to_weight(xcont))
+                # y lowers the generator's weight s1.0 - s2.0 by s1.0 - t1.0
+                # and x raises it by s2.0 - t2.0
+                omega = G.dot[a1.target.matrix] - G.dot[a2.target.matrix]
                 sl = self.wslice(a1.source, a2.source, omega, k1cap, k2cap)
                 base_zero = not sl.reduce_applied(comm, fb.gen_index)
                 # left multiples filling the box: monomials of bidegree
@@ -681,17 +654,10 @@ class DoubleComplex:
         maps[k] sends the generator of mods[k] into the module of mods[k + 1].
         Each slice is the full fixed-weight piece of the filtration by the
         capped side: the raising side on a row, the lowering side on a column."""
-        rs = self.rs
         slices = []
         for w1, w2 in mods:
-            fb = self.fiber(w1, w2)
-            counts = []
-            for t in range(fb.dim):
-                try:
-                    delta = rs.weight_root_coords_int(omega - fb.weights[t])
-                except ValueError:
-                    continue
-                counts.append(_scount(self.G.P.s, delta))
+            counts = [_scount(self.G.P.s, delta)
+                      for _, delta in self.fiber(w1, w2).offsets(omega)]
             k1 = k2 = 0
             if counts:
                 other = max([0] + [cap - c if rows else cap + c for c in counts])

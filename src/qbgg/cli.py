@@ -2,7 +2,7 @@
 
 Simple roots use 1-based Bourbaki indexing.  Every subcommand prints a JSON
 report; exit code 0 means all checks passed, 1 means a verification failure,
-2 means a usage error.
+2 means a usage error or a coset walk refused as too large.
 
 Each `cmd_*` validates its arguments, builds what its checks share and
 returns the checks as (check id, context, thunk returning (ok, witness));
@@ -20,7 +20,7 @@ from functools import cache
 
 from . import __version__
 from .cartan import ParabolicData, RootSystem
-from .weyl import BruhatGraph, incomparability_report
+from .weyl import BruhatGraph, GroupTooLarge, incomparability_report
 from .reps import kostant_partition, verify_dim_identity
 from .uqalg import UqAlgebra
 from .bgg import BGGComplex, DoubleComplex, _enumerate_offsets
@@ -28,7 +28,7 @@ from . import qsphere
 
 SCHEMA_VERSION = 1
 
-DEFAULT_HEIGHTS = {("A1", ""): 8, ("A2", "1"): 5, ("A3", "1,3"): 3}
+DEFAULT_HEIGHTS = {("A1", ()): 8, ("A2", (1,)): 5, ("A3", (1, 3)): 3}
 
 # podles demo reports no config, and the generators and relations it checks
 PODLES_FIELDS = {"config": {}, "generators": sorted(qsphere.B_GENS),
@@ -89,10 +89,11 @@ def _check_output(path: str | None) -> None:
         raise UsageError("--output %r is not writable" % path)
 
 
-def _height(args) -> int:
-    """--height, or the default height of the request's parabolic."""
-    return (DEFAULT_HEIGHTS.get((args.type, args.s), 3) if args.height is None
-            else args.height)
+def _height(args, P: ParabolicData) -> int:
+    """--height, or the default height of the parabolic, keyed by its parsed
+    type and sorted nodes however --type and --s spell them."""
+    return (DEFAULT_HEIGHTS.get((str(P.rs.ctype), tuple(sorted(P.S))), 3)
+            if args.height is None else args.height)
 
 
 def _chain_graph(P: ParabolicData) -> BruhatGraph:
@@ -199,10 +200,9 @@ def cmd_dims_verify(args) -> list:
 
 
 def cmd_bgg_build(args) -> list:
-    P = _parse_parabolic(args)
+    G = BruhatGraph(_parse_parabolic(args))
 
     def build():
-        G = BruhatGraph(P)
         bgg = BGGComplex(G)
         arrows = [{"source": str(a.source), "target": str(a.target),
                    "sign": G.sign(a.source, a.target),
@@ -216,7 +216,7 @@ def cmd_bgg_build(args) -> list:
 
 def cmd_bgg_verify(args) -> list:
     bgg = BGGComplex(BruhatGraph(_parse_parabolic(args)))
-    height = _height(args)
+    height = _height(args, bgg.G.P)
     return [("bgg.squared_zero", "composites vanish exactly",
              _verifier(bgg.verify_squared_zero)),
             ("bgg.exactness",
@@ -247,7 +247,7 @@ def cmd_all(args) -> list:
     G = _chain_graph(P)
     bgg = BGGComplex(G)
     dc = DoubleComplex(G, maps=bgg.maps)
-    height = _height(args)
+    height = _height(args, P)
     k1, k2 = args.box
 
     def pbw():
@@ -353,7 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         _check_window(args)
         _check_output(args.output)
         checks = DISPATCH[key][0](args)
-    except UsageError as exc:
+    except (UsageError, GroupTooLarge) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except Exception as exc:  # a failure while building is a failed report

@@ -236,13 +236,12 @@ def verify_dim_identity(G) -> dict:
     P = G.P
     qw = [w.coords for w in quotient_weights(P)]
     ext = exterior_dominant_chars(P, qw)
-    zero = Weight((0,) * P.rs.rank)
     levels_out = []
     for j, lvl in enumerate(G.levels):
         total: DomChar = {}
         dims = []
         for w in lvl:
-            dom, dim = levi_irrep(P, G.W.shifted_act(w, zero))
+            dom, dim = levi_irrep(P, G.dot[w.matrix])
             dims.append(dim)
             for mu, m in dom.items():
                 total[mu] = total.get(mu, 0) + m

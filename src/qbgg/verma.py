@@ -115,44 +115,31 @@ def singular_vectors(family: SliceFamily, beta: tuple[int, ...]) -> list[AlgElem
             for coords in kernel_basis(QMatrix(sum(t.dim for t in tgts.values()), cols))]
 
 
-def dot_offset(G, w_short, w_long, mu: Weight) -> tuple[int, ...]:
-    """Root coordinates of w_short.mu - w_long.mu (nonnegative when
-    w_short is below w_long in the Bruhat order)."""
-    rs = G.P.rs
-    d = G.W.shifted_act(w_short, mu) - G.W.shifted_act(w_long, mu)
-    return rs.weight_root_coords_int(d)
-
-
 class StandardMapFamily:
-    """Intertwiners y for every arrow of a Bruhat graph, scaled so both
-    composites agree exactly around every square, with the sign assignment
-    carried separately."""
+    """Intertwiners y between the modules M(w.0) for every arrow of a Bruhat
+    graph, scaled so both composites agree exactly around every square, with
+    the sign assignment carried separately."""
 
-    def __init__(self, G, mu: Weight | None = None, uq: UqAlgebra | None = None):
+    def __init__(self, G):
         self.G = G
-        rs = G.P.rs
-        self.mu = mu if mu is not None else Weight((0,) * rs.rank)
-        self.uq = uq if uq is not None else UqAlgebra(rs)
-        self.families: dict[tuple[int, ...], SliceFamily] = {}
+        self.uq = UqAlgebra(G.P.rs)
+        self.families: dict[tuple, SliceFamily] = {}  # by coset matrix
         self.raw: dict[tuple, AlgElement] = {}
         self.scaled: dict[tuple, AlgElement] = {}
         self._solve_arrows()
         self._normalize_squares()
 
-    def _family(self, lam: Weight) -> SliceFamily:
-        key = lam.coords
-        fam = self.families.get(key)
+    def _family(self, w) -> SliceFamily:
+        """The slices of the module M(w.0) of the coset w."""
+        fam = self.families.get(w.matrix)
         if fam is None:
-            fam = SliceFamily(self.uq, lam, self.G.P.S)
-            self.families[key] = fam
+            fam = SliceFamily(self.uq, self.G.dot[w.matrix], self.G.P.S)
+            self.families[w.matrix] = fam
         return fam
 
     def _solve_arrows(self) -> None:
         for a in self.G.arrows:
-            lam = self.G.W.shifted_act(a.source, self.mu)
-            beta = dot_offset(self.G, a.source, a.target, self.mu)
-            fam = self._family(lam)
-            sv = singular_vectors(fam, beta)
+            sv = singular_vectors(self._family(a.source), self.G.offset(a.source, a.target))
             if len(sv) != 1:
                 raise CertificationError(
                     "singular space at arrow %s -> %s has dimension %d"
@@ -219,14 +206,10 @@ class StandardMapFamily:
 
     def _composite(self, y_first: AlgElement, y_second: AlgElement,
                    w1, w4) -> dict[int, RatFunc]:
-        # map V^{M(w4.mu)} -> V^{M(w1.mu)}: generator goes to
+        # map M(w4.0) -> M(w1.0): generator goes to
         # y_second * y_first applied to the w1 highest weight vector
-        uq = self.uq
-        prod = uq.multiply(y_second, y_first)
-        lam = self.G.W.shifted_act(w1, self.mu)
-        beta = dot_offset(self.G, w1, w4, self.mu)
-        fam = self._family(lam)
-        return fam.get(beta).reduce_element(prod)
+        prod = self.uq.multiply(y_second, y_first)
+        return self._family(w1).get(self.G.offset(w1, w4)).reduce_element(prod)
 
     def _square_ratio(self, maps: dict, square, scale: dict | None = None) -> RatFunc:
         """The c with composite(w1->w2->w4) = c * composite(w1->w3->w4) for

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .cartan import ParabolicData, RootSystem, Weight
 from .qfield import CertificationError
@@ -14,7 +15,7 @@ from .qfield import CertificationError
 Matrix = tuple[tuple[int, ...], ...]
 
 
-_CAP = 1000000  # elements a walk may store before GroupTooLarge
+_CAP = 1000000  # elements a walk may store; larger walks raise GroupTooLarge
 
 
 class GroupTooLarge(Exception):
@@ -60,6 +61,13 @@ class WeylGroup:
         self.rs = rs
         r = rs.rank
         S0 = [j - 1 for j in sorted(S)]
+        # |W^S| = |W| / |W_S|, where |W| is the product of (ht + 1) / ht over
+        # the positive roots and the Levi roots cancel from both products
+        count = prod(Fraction(sum(b) + 1, sum(b)) for b in rs.positive_roots
+                     if any(b[k] for k in range(r) if k + 1 not in S))
+        if count > _CAP:
+            raise GroupTooLarge("the coset walk would store %d elements, over the "
+                                "cap of %d" % (count, _CAP))
         self.simple_mats = {i: self._simple_matrix(i) for i in range(1, r + 1)}
         elements: dict[Matrix, WeylElement] = {}
         e = WeylElement(_identity(r), (), _identity(r))
@@ -78,9 +86,9 @@ class WeylGroup:
                     nw = WeylElement(m, w.word + (i,), inv)
                     elements[m] = nw
                     new_frontier.append(nw)
-                    if len(elements) > _CAP:
-                        raise GroupTooLarge("coset walk exceeds cap %d" % _CAP)
             frontier = new_frontier
+        if len(elements) != count:
+            raise CertificationError("the walk found %d cosets, not %s" % (len(elements), count))
         self.elements = sorted(elements.values(), key=lambda w: (w.length, w.word))
         self._fund_mats: dict[Matrix, Matrix] = {}
 
@@ -158,6 +166,10 @@ class BruhatGraph:
             while len(self.levels) <= w.length:
                 self.levels.append([])
             self.levels[w.length].append(w)
+        # each coset's dot point w.0, and its depth: the coordinates of -w.0 >= 0
+        zero = Weight((0,) * P.rs.rank)
+        self.dot = {w.matrix: self.W.shifted_act(w, zero) for w in self.cosets}
+        self.depth = {m: P.rs.weight_root_coords_int(-d) for m, d in self.dot.items()}
         self.arrows = self._find_arrows()
         self.squares = self._find_squares()
         self.signs = self._assign_signs()
@@ -233,20 +245,23 @@ class BruhatGraph:
     def sign(self, a: WeylElement, b: WeylElement) -> int:
         return self.signs[(a.matrix, b.matrix)]
 
+    def offset(self, a: WeylElement, b: WeylElement) -> tuple[int, ...]:
+        """Root coordinates of a.0 - b.0, nonnegative when a lies below b."""
+        return tuple(y - x for x, y in zip(self.depth[a.matrix], self.depth[b.matrix]))
+
 
 def incomparability_report(G: BruhatGraph, mu: Weight | None = None) -> dict:
     """Check pairwise differences of dot-orbit points for equal-length pairs,
     and the arrow coefficient condition, for the flag of G."""
     P = G.P
     rs = P.rs
-    if mu is None:
-        mu = Weight((0,) * rs.rank)
+    dots = G.dot if mu is None else {w.matrix: G.W.shifted_act(w, mu) for w in G.cosets}
     ok = True
     pair_records = []
     for lvl in G.levels:
         for i in range(len(lvl)):
             for j in range(i + 1, len(lvl)):
-                d = G.W.shifted_act(lvl[i], mu) - G.W.shifted_act(lvl[j], mu)
+                d = dots[lvl[i].matrix] - dots[lvl[j].matrix]
                 in_qs = P.in_QS(d)
                 good = in_qs and not P.in_QS_plus(d) and not P.in_QS_plus(-d)
                 ok = ok and good
@@ -259,7 +274,7 @@ def incomparability_report(G: BruhatGraph, mu: Weight | None = None) -> dict:
     arrow_records = []
     if P.s is not None:
         for a in G.arrows:
-            d = G.W.shifted_act(a.source, mu) - G.W.shifted_act(a.target, mu)
+            d = dots[a.source.matrix] - dots[a.target.matrix]
             coef = P.alpha_s_coefficient(d)
             good = coef == 1
             ok = ok and good

@@ -14,7 +14,7 @@ from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.qfield import Laurent, QMatrix, RatFunc, rank
 from qbgg.reps import kostant_partition, verify_dim_identity
 from qbgg.uqalg import NMinusWeightSpace, UqAlgebra
-from qbgg.verma import SliceFamily, dot_offset, singular_vectors
+from qbgg.verma import SliceFamily, singular_vectors
 from qbgg.weyl import BruhatGraph, incomparability_report
 from qbgg import qfield, qsphere
 
@@ -152,11 +152,10 @@ def test_criterion_5_singular_vectors(acceptance_report):
     for name, S in SMALL:
         G = BruhatGraph(ParabolicData(RootSystem(name), set(S)))
         uq = UqAlgebra(G.P.rs)
-        mu = Weight((0,) * G.P.rs.rank)
         for a in G.arrows:
             arrows += 1
-            lam = G.W.shifted_act(a.source, mu)
-            beta = dot_offset(G, a.source, a.target, mu)
+            lam = G.dot[a.source.matrix]
+            beta = G.offset(a.source, a.target)
             sv = singular_vectors(SliceFamily(uq, lam, G.P.S), beta)
             if len(sv) != 1 or not sv[0]:
                 ok = False

@@ -99,6 +99,34 @@ def test_report_round_trips(capsys):
     assert json.loads(json.dumps(rep)) == rep
 
 
+@pytest.mark.parametrize("type_,spellings,height", [
+    ("A1", ["", " "], 8), ("A2", ["1", "01", " 1"], 5)])
+def test_default_height_ignores_how_the_parabolic_is_spelled(capsys, type_,
+                                                             spellings, height):
+    for s in spellings:
+        code, rep = _run(capsys, ["bgg", "verify", "--type", type_, "--s", s])
+        assert code == 0
+        exactness = {c["check_id"]: c for c in rep["checks"]}["bgg.exactness"]
+        assert exactness["context"].endswith("to height %d" % height)
+        assert exactness["witness"]["max_height"] == height
+
+
+@pytest.mark.parametrize("argv", [
+    ["weyl", "graph", "--type", "E8", "--s", ""],
+    ["bgg", "build", "--type", "A9", "--s", ""],
+    ["bgg", "verify", "--type", "E7", "--s", "7"],
+])
+def test_oversized_coset_walks_exit_two_before_walking(capsys, argv):
+    # the walks would take minutes; the count that refuses them takes none
+    t0 = time.monotonic()
+    assert main(argv) == 2
+    assert time.monotonic() - t0 < 10
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the coset walk would store")
+    assert "Traceback" not in captured.err
+
+
 def test_bgg_verify_report_shape(capsys):
     code, rep = _run(capsys, ["bgg", "verify", "--type", "A2", "--s", "1",
                               "--height", "3"])

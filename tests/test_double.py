@@ -40,10 +40,11 @@ def cp2():
     return _dc("A2", (1,))
 
 
-def test_double_complex_refuses_maps_at_another_weight(rank_one):
+def test_double_complex_refuses_maps_of_another_graph(rank_one):
     G = rank_one.G
-    with pytest.raises(ValueError):
-        DoubleComplex(G, maps=StandardMapFamily(G, Weight((1,))))
+    other = BruhatGraph(ParabolicData(RootSystem("A1"), set()))
+    with pytest.raises(ValueError, match="its own graph"):
+        DoubleComplex(G, maps=StandardMapFamily(other))
     assert DoubleComplex(G, maps=rank_one.maps).uq is rank_one.uq
 
 

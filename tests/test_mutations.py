@@ -156,6 +156,61 @@ def test_double_lines_fail_on_a_scaled_fiber_entry(capsys, monkeypatch):
             "error": "TruncationError: slice dim 0 differs from oracle %d" % oracle}
 
 
+def test_bgg_squared_zero_fails_on_a_flipped_standard_map(capsys, monkeypatch):
+    # one map of a square negated after the squares are normalized: its two
+    # composites then add up instead of cancelling
+    original = StandardMapFamily._normalize_squares
+
+    def flip_one(self):
+        original(self)
+        w1, w2 = self.G.squares[0][:2]
+        key = (w1.matrix, w2.matrix)
+        self.scaled[key] = {nw: -c for nw, c in self.scaled[key].items()}
+
+    monkeypatch.setattr(StandardMapFamily, "_normalize_squares", flip_one)
+    check = _failed_check(capsys, ["bgg", "verify", "--type", "A3", "--s", "1,3",
+                                   "--height", "1"], "bgg.squared_zero")
+    assert check["status"] == "fail"
+    assert [c for c in check["witness"]["composites"] if not c["zero"]]
+
+
+def test_bgg_exactness_fails_on_a_zero_standard_map(capsys, monkeypatch):
+    # one standard map replaced by zero: the ranks fall short of exactness
+    original = StandardMapFamily._normalize_squares
+
+    def zero_one(self):
+        original(self)
+        a = self.G.arrows[0]
+        self.scaled[(a.source.matrix, a.target.matrix)] = {}
+
+    monkeypatch.setattr(StandardMapFamily, "_normalize_squares", zero_one)
+    checks = _failed_report(capsys, ["bgg", "verify", "--type", "A2", "--s", "1",
+                                     "--height", "2"])
+    exactness = checks["bgg.exactness"]
+    assert exactness["status"] == "fail"
+    assert [s for s in exactness["witness"]["slices"] if not s["exact"]]
+    # known limitation: a zero map composes to zero with anything, so
+    # bgg.squared_zero cannot see this defect
+    assert checks["bgg.squared_zero"]["status"] == "pass"
+
+
+def test_weyl_signs_fails_on_a_flipped_arrow_sign(capsys, monkeypatch):
+    # one arrow of a square changes sign after the signs are assigned and
+    # certified: that square's product becomes +1
+    original = BruhatGraph._assign_signs
+
+    def flip_one(self):
+        signs = original(self)
+        w1, w2 = self.squares[0][:2]
+        signs[(w1.matrix, w2.matrix)] *= -1
+        return signs
+
+    monkeypatch.setattr(BruhatGraph, "_assign_signs", flip_one)
+    checks = _failed_report(capsys, ["weyl", "graph", "--type", "A3", "--s", "1,3"])
+    assert checks["weyl.signs"]["status"] == "fail"
+    assert checks["weyl.signs"]["witness"] == {"squares_checked": 1}
+
+
 def _planted(*args):
     raise CertificationError("planted")
 

@@ -9,7 +9,7 @@ from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.qfield import RatFunc
 from qbgg.reps import kostant_partition
 from qbgg.uqalg import UqAlgebra
-from qbgg.verma import SliceFamily, StandardMapFamily, dot_offset, singular_vectors
+from qbgg.verma import SliceFamily, StandardMapFamily, singular_vectors
 from qbgg.weyl import BruhatGraph
 
 from oracles import gvm_char
@@ -110,21 +110,17 @@ def test_rank_one_singular_vector_power():
 def test_singular_vectors_one_dimensional(name, S):
     G = _graph(name, S)
     uq = UqAlgebra(G.P.rs)
-    mu = Weight((0,) * G.P.rs.rank)
     for a in G.arrows:
-        lam = G.W.shifted_act(a.source, mu)
-        beta = dot_offset(G, a.source, a.target, mu)
-        fam = SliceFamily(uq, lam, G.P.S)
-        sv = singular_vectors(fam, beta)
+        fam = SliceFamily(uq, G.dot[a.source.matrix], G.P.S)
+        sv = singular_vectors(fam, G.offset(a.source, a.target))
         assert len(sv) == 1
         assert sv[0]
 
 
 def test_dot_offsets_gr24():
     G = _graph("A3", (1, 3))
-    mu = Weight((0, 0, 0))
     for a in G.arrows:
-        off = dot_offset(G, a.source, a.target, mu)
+        off = G.offset(a.source, a.target)
         assert all(c >= 0 for c in off)
         assert sum(off) >= 1
         # cominuscule arrows step by exactly one along the excluded node
@@ -135,12 +131,11 @@ def test_standard_maps_square_compatible():
     G = _graph("A3", (1, 3))
     maps = StandardMapFamily(G)
     uq = maps.uq
-    mu = maps.mu
     (w1, w2, w3, w4) = G.squares[0]
     c1 = uq.multiply(maps.y(w2, w4), maps.y(w1, w2))
     c2 = uq.multiply(maps.y(w3, w4), maps.y(w1, w3))
-    fam = maps._family(G.W.shifted_act(w1, mu))
-    beta = dot_offset(G, w1, w4, mu)
+    fam = maps._family(w1)
+    beta = G.offset(w1, w4)
     v1 = fam.get(beta).reduce_element(c1)
     v2 = fam.get(beta).reduce_element(c2)
     assert v1 == v2

@@ -5,8 +5,11 @@ from itertools import combinations
 
 import pytest
 
+from qbgg import weyl
 from qbgg.cartan import ParabolicData, RootSystem, Weight
-from qbgg.weyl import BruhatGraph, WeylGroup, _mat_mul, incomparability_report
+from qbgg.qfield import CertificationError
+from qbgg.weyl import (BruhatGraph, GroupTooLarge, WeylGroup, _mat_mul,
+                       incomparability_report)
 
 from oracles import act_root, kostant_decompose, length_by_inversions
 
@@ -54,6 +57,35 @@ def test_coset_counts_beyond_full_group(name, S, count):
     assert len(reps) == count
     # the longest representative has length dim G/P = number of quotient roots
     assert reps[-1].length == len(ParabolicData(rs, S).quotient_roots)
+
+
+def test_oversized_walk_is_refused_before_it_starts():
+    # |W(E8)| is the product of (ht + 1) / ht over the 120 positive roots
+    with pytest.raises(GroupTooLarge, match="would store 696729600 elements"):
+        WeylGroup(RootSystem("E8"))
+
+
+def test_walk_must_reach_the_predicted_count(monkeypatch):
+    monkeypatch.setattr(weyl, "prod", lambda factors: 7)
+    with pytest.raises(CertificationError, match="found 6 cosets, not 7"):
+        WeylGroup(RootSystem("A2"))
+
+
+@pytest.mark.parametrize("name,S", [("A2", {1}), ("A3", {1, 3}), ("B3", set()),
+                                    ("G2", {2}), ("E6", {2, 3, 4, 5, 6})])
+def test_dot_points_depths_and_offsets(name, S):
+    G = BruhatGraph(ParabolicData(RootSystem(name), S))
+    rs = G.P.rs
+    zero = Weight((0,) * rs.rank)
+    for w in G.cosets:
+        assert G.dot[w.matrix] == G.W.shifted_act(w, zero)
+        assert rs.root_to_weight(G.depth[w.matrix]) == -G.dot[w.matrix]
+        assert min(G.depth[w.matrix]) >= 0
+        assert (sum(G.depth[w.matrix]) == 0) == (w.length == 0)
+    for a in G.arrows:
+        off = G.offset(a.source, a.target)
+        assert rs.root_to_weight(off) == G.dot[a.source.matrix] - G.dot[a.target.matrix]
+        assert min(off) >= 0 and sum(off) >= 1
 
 
 def test_longest_length_is_root_count():
