@@ -11,119 +11,143 @@ a base echelon, and reduces exactly only the relations it keeps.
 A vector is a dict that holds no zero value, from a residue to a `QMatrix`
 column; only `kernel_basis` returns dense lists.
 
+A `Laurent` is a valuation and a dense coefficient tuple with nonzero ends,
+so its valuation, degree and leading coefficient, and the coefficient lists
+that division and the gcd work on, are read without a scan.
+
 A normal form is unique, so `RatFunc._normalize` divides before any gcd: when
-the denominator divides the numerator, (quotient, 1) is the normal form.
-`_at_a` reads powers of _A mod _P from a table, the residues `pow` gives, and
-takes no inverse of a denominator 1, so neither shortcut changes a value.
+the denominator divides the numerator, (quotient, 1) is the normal form.  It
+tries the division only when the end coefficients allow an exact quotient.
+Every (p, 1) is already a normal form, and every denominator 1 is the shared
+`_ONE`, so sums and products of Laurent polynomials skip `_normalize`.
+`_at_a` evaluates a coefficient tuple by Horner's rule, reads _A^v mod _P
+from a table of the residues `pow` gives, and takes no inverse of a
+denominator 1, so none of these shortcuts changes a value.
 """
 from __future__ import annotations
 
 from bisect import insort
 from math import gcd as _intgcd
+from operator import add as _add
 from struct import iter_unpack, pack
-from typing import Callable, Hashable, Iterable, Iterator, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 Key = TypeVar("Key", bound=Hashable)
 
 
 class Laurent:
-    """Integer-coefficient Laurent polynomial in q, stored sparsely.  Only
-    `__init__` and `_wrap` assign `c` and nothing mutates it, so values such as
-    `_ZERO` and `_ONE` are shared."""
+    """Integer-coefficient Laurent polynomial in q, stored densely.
 
-    __slots__ = ("c",)
+    The value is q^v * (a[0] + a[1] q + ... + a[n-1] q^(n-1)), where `a` is a
+    tuple of ints whose first and last entries are nonzero; zero is v = 0,
+    a = ().  So the valuation is v, the degree v + n - 1 and the leading
+    coefficient a[-1], and two equal values have equal fields.  Only
+    `__init__` and `_make` assign the fields and nothing mutates them, so
+    values such as `_ZERO` and `_ONE` are shared."""
+
+    __slots__ = ("v", "a")
 
     def __init__(self, coeffs: dict[int, int] | None = None):
-        self.c = {e: v for e, v in coeffs.items() if v} if coeffs else {}
+        nz = {e: x for e, x in coeffs.items() if x} if coeffs else {}
+        self.v = lo = min(nz, default=0)
+        self.a = tuple(nz.get(e, 0) for e in range(lo, max(nz, default=-1) + 1))
 
     @staticmethod
     def const(n: int) -> "Laurent":
-        return Laurent({0: n})
+        return _make(0, (n,)) if n else _ZERO
 
     @staticmethod
     def q(e: int = 1, coeff: int = 1) -> "Laurent":
-        return Laurent({e: coeff})
+        return _make(e, (coeff,)) if coeff else _ZERO
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.a
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.c.items()))
+        """The nonzero terms (exponent, coefficient), by ascending exponent."""
+        return ((e, x) for e, x in enumerate(self.a, self.v) if x)
 
     def valuation(self) -> int:
-        if not self.c:
+        if not self.a:
             raise ValueError("valuation of zero")
-        return min(self.c)
+        return self.v
 
     def degree(self) -> int:
-        if not self.c:
+        if not self.a:
             raise ValueError("degree of zero")
-        return max(self.c)
+        return self.v + len(self.a) - 1
 
     def leading_coeff(self) -> int:
-        return self.c[self.degree()]
+        return self.a[-1]
 
     def content(self) -> int:
-        return _intgcd(*self.c.values())
+        return _intgcd(*self.a)
 
     def is_monomial(self) -> bool:
-        return len(self.c) == 1
+        return len(self.a) == 1
 
     def shift(self, k: int) -> "Laurent":
-        return _wrap({e + k: v for e, v in self.c.items()})
+        return _make(self.v + k, self.a) if k and self.a else self
 
     def scale_int(self, n: int) -> "Laurent":
         if n == 0:
-            return Laurent()
-        return _wrap({e: v * n for e, v in self.c.items()})
+            return _ZERO
+        return _make(self.v, tuple([x * n for x in self.a]))
 
     def divexact_int(self, n: int) -> "Laurent":
-        out = {}
-        for e, v in self.c.items():
-            if v % n:
-                raise ArithmeticError("inexact integer division")
-            out[e] = v // n
-        return _wrap(out)
+        if any(x % n for x in self.a):
+            raise ArithmeticError("inexact integer division")
+        return _make(self.v, tuple([x // n for x in self.a]))
 
     def __add__(self, other: "Laurent") -> "Laurent":
-        c = dict(self.c)
-        for e, v in other.c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            else:
-                c.pop(e, None)
-        return _wrap(c)
+        a, b = self.a, other.a
+        if not a:
+            return other
+        if not b:
+            return self
+        v, w = self.v, other.v
+        if v > w:
+            a, b, v, w = b, a, w, v
+        out, k = list(a), w - v  # b starts k places into out
+        if len(out) < k + len(b):
+            out.extend([0] * (k + len(b) - len(out)))
+        out[k:k + len(b)] = map(_add, out[k:k + len(b)], b)
+        return _trimmed(v, out)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
 
     def __neg__(self) -> "Laurent":
-        return _wrap({e: -v for e, v in self.c.items()})
+        return _make(self.v, tuple([-x for x in self.a]))
 
     def __mul__(self, other: "Laurent") -> "Laurent":
-        c: dict[int, int] = {}
-        for e1, v1 in self.c.items():
-            for e2, v2 in other.c.items():
-                e = e1 + e2
-                nv = c.get(e, 0) + v1 * v2
-                if nv:
-                    c[e] = nv
-                else:
-                    c.pop(e, None)
-        return _wrap(c)
+        a, b = self.a, other.a
+        if not a or not b:
+            return _ZERO
+        if len(a) > len(b):
+            a, b = b, a
+        v = self.v + other.v
+        if len(a) == 1:
+            x = a[0]
+            return _make(v, b if x == 1 else tuple([x * y for y in b]))
+        # the end coefficients a[0] b[0] and a[-1] b[-1] are nonzero
+        out, n = [0] * (len(a) + len(b) - 1), len(b)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + n] = [z + x * y for z, y in zip(out[i:i + n], b)]
+        return _make(v, tuple(out))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Laurent) and self.c == other.c
+        return isinstance(other, Laurent) and self.a == other.a and self.v == other.v
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.c.items())))
+        return hash((self.v, self.a))
 
     def __str__(self) -> str:
-        if not self.c:
+        if not self.a:
             return "0"
         parts = []
-        for e, v in sorted(self.c.items()):
+        for e, v in self.items():
             if e == 0:
                 term = str(abs(v))
             else:
@@ -139,32 +163,36 @@ class Laurent:
 _HEU_RETRIES = 6  # heuristic gcd attempts, each with a larger xi, before the PRS
 
 
-def _wrap(c: dict[int, int]) -> Laurent:
-    """A Laurent polynomial around a dict that holds no zero coefficients."""
+def _make(v: int, a: tuple[int, ...]) -> Laurent:
+    """q^v * a, for a tuple a whose end coefficients are nonzero."""
     out = Laurent.__new__(Laurent)
-    out.c = c
+    out.v, out.a = v, a
     return out
 
 
-_ZERO = _wrap({})
-_ONE = _wrap({0: 1})
+def _trimmed(v: int, a: list[int]) -> Laurent:
+    """q^v * a, for a list a that may have zeros at either end."""
+    hi = len(a)
+    while hi and not a[hi - 1]:
+        hi -= 1
+    if not hi:
+        return _ZERO
+    lo = 0
+    while not a[lo]:
+        lo += 1
+    return _make(v + lo, tuple(a[lo:hi]))
 
 
-def _dense(p: Laurent) -> list[int]:
-    """Coefficients of p / q^valuation(p), low to high."""
-    v = min(p.c)
-    out = [0] * (max(p.c) - v + 1)
-    for e, x in p.c.items():
-        out[e - v] = x
-    return out
+_ZERO = _make(0, ())
+_ONE = _make(0, (1,))
 
 
-def _primitive(d: list[int]) -> list[int]:
+def _primitive(d: Sequence[int]) -> Sequence[int]:
     g = _intgcd(*d)
     return d if g == 1 else [x // g for x in d]
 
 
-def _divexact_dense(a: list[int], b: list[int]) -> list[int]:
+def _divexact_dense(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Exact quotient a / b of integer coefficient lists (low to high, b's
     last entry nonzero); raises ArithmeticError at the first leading
     coefficient that b's does not divide, or on a nonzero remainder."""
@@ -190,13 +218,12 @@ def laurent_divexact(a: Laurent, b: Laurent) -> Laurent:
     if b.is_zero():
         raise ZeroDivisionError("division by zero Laurent polynomial")
     if a.is_zero():
-        return Laurent()
-    quo = _divexact_dense(_dense(a), _dense(b))
-    v = min(a.c) - min(b.c)
-    return _wrap({v + i: x for i, x in enumerate(quo) if x})
+        return _ZERO
+    # a's end coefficients are those of b times the quotient's, so nonzero
+    return _make(a.v - b.v, tuple(_divexact_dense(a.a, b.a)))
 
 
-def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """Gcd of primitive integer polynomials by a primitive remainder
     sequence: pseudo-remainders with their content removed."""
     if len(a) < len(b):
@@ -215,7 +242,7 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
     return [1]
 
 
-def _heu_gcd(a: list[int], b: list[int]) -> list[int]:
+def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     """Gcd of primitive integer polynomials, up to sign: the heuristic gcd
     of Char, Geddes and Gonnet, with `_prs_gcd` as its exact fallback.
 
@@ -260,16 +287,16 @@ def _heu_gcd(a: list[int], b: list[int]) -> list[int]:
 def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
     """Gcd in Z[q, q^-1], primitive, lowest exponent 0, positive leading coeff."""
     if a.is_zero() and b.is_zero():
-        return Laurent()
+        return _ZERO
     if a.is_zero():
         return _normalize_gcd(b)
     if b.is_zero():
         return _normalize_gcd(a)
     if a.is_monomial() or b.is_monomial():
-        return Laurent.const(1)
-    g = _heu_gcd(_primitive(_dense(a)), _primitive(_dense(b)))
-    s = 1 if g[-1] > 0 else -1
-    return _wrap({e: s * x for e, x in enumerate(g) if x})
+        return _ONE
+    # g divides a / q^v(a), whose constant term is nonzero, so g's is too
+    g = _heu_gcd(_primitive(a.a), _primitive(b.a))
+    return _make(0, tuple(g) if g[-1] > 0 else tuple([-x for x in g]))
 
 
 def _normalize_gcd(p: Laurent) -> Laurent:
@@ -281,15 +308,28 @@ def _normalize_gcd(p: Laurent) -> Laurent:
     return p
 
 
+def _shared(den: Laurent) -> Laurent:
+    """A normalized denominator, `_ONE` itself when it is 1."""
+    return _ONE if den.a == (1,) else den
+
+
 class RatFunc:
-    """Normalized fraction of integer Laurent polynomials: an element of Q(q)."""
+    """Normalized fraction of integer Laurent polynomials: an element of Q(q).
+
+    In the normal form (num, den) the denominator has valuation 0 and a
+    positive leading coefficient, num and den have no common factor of
+    positive degree, and their joint integer content is 1.  (p, 1) meets all
+    four for any p, so a Laurent polynomial needs no normalization.  Every
+    denominator 1 is the shared `_ONE` (`_normalize`, `_times_monomial` and
+    `inverse` see to it), so `__add__` and `__mul__` recognize a pair of
+    Laurent polynomials by identity and build their (p, 1) directly."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: Laurent, den: Laurent | None = None, _normalized: bool = False):
         if den is None:
             den = _ONE
-        if den.is_zero():
+        elif not den.a:
             raise ZeroDivisionError("zero denominator")
         if not _normalized:
             num, den = self._normalize(num, den)
@@ -304,11 +344,15 @@ class RatFunc:
         v = den.valuation()
         if v:
             num, den = num.shift(-v), den.shift(-v)
-        if not den.is_monomial():
-            try:  # den divides num: the quotient over 1 is the normal form
-                return laurent_divexact(num, den), _ONE
-            except ArithmeticError:
-                pass
+        a, b = num.a, den.a
+        if len(b) > 1:
+            # an exact quotient needs a at least as long as b and b's end
+            # coefficients dividing a's, so only such pairs try the division
+            if len(a) >= len(b) and not a[0] % b[0] and not a[-1] % b[-1]:
+                try:  # den divides num: the quotient over 1 is the normal form
+                    return laurent_divexact(num, den), _ONE
+                except ArithmeticError:
+                    pass
             g = laurent_gcd(num, den)
             # g and den have nonzero constant terms, so den / g does too
             if g.degree() > 0:
@@ -320,7 +364,7 @@ class RatFunc:
             den = den.divexact_int(cg)
         if den.leading_coeff() < 0:
             num, den = -num, -den
-        return num, den
+        return num, _shared(den)
 
     @staticmethod
     def zero() -> "RatFunc":
@@ -339,16 +383,19 @@ class RatFunc:
         return RatFunc(Laurent.q(e, coeff), _normalized=True)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.a
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if self.is_zero():
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return RatFunc(self.num + other.num, self.den)
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
+        sd, od = self.den, other.den
+        if sd is _ONE and od is _ONE:  # (p, 1) is a normal form
+            return RatFunc(self.num + other.num, _ONE, _normalized=True)
+        if sd == od:
+            return RatFunc(self.num + other.num, sd)
+        return RatFunc(self.num * od + other.num * sd, sd * od)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         return self + (-other)
@@ -359,9 +406,11 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if self.is_zero() or other.is_zero():
             return RatFunc.zero()
-        if len(other.num.c) == 1 and len(other.den.c) == 1:
+        if self.den is _ONE and other.den is _ONE:  # (p, 1) is a normal form
+            return RatFunc(self.num * other.num, _ONE, _normalized=True)
+        if len(other.num.a) == 1 and len(other.den.a) == 1:
             return self._times_monomial(other)
-        if len(self.num.c) == 1 and len(self.den.c) == 1:
+        if len(self.num.a) == 1 and len(self.den.a) == 1:
             return other._times_monomial(self)
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -370,16 +419,15 @@ class RatFunc:
         are units of Q[q, q^-1], so num and den stay coprime and the product
         needs no polynomial gcd, only the common integer content removed; for
         m = +-q^e that is 1, as num and den already have joint content 1."""
-        (e, c), = m.num.c.items()
-        d0 = m.den.c[0]
+        num, den, e = self.num, self.den, m.num.v
+        (c,), (d0,) = m.num.a, m.den.a
         if d0 == 1 and c in (1, -1):
             if e == 0 and c == 1:  # m = 1: values are immutable, so share self
                 return self
-            return RatFunc(_wrap({k + e: v * c for k, v in self.num.c.items()}), self.den,
-                           _normalized=True)
-        g = _intgcd(c * self.num.content(), d0 * self.den.content())
-        return RatFunc(_wrap({k + e: v * c // g for k, v in self.num.c.items()}),
-                       _wrap({k: v * d0 // g for k, v in self.den.c.items()}),
+            return RatFunc((num if c == 1 else -num).shift(e), den, _normalized=True)
+        g = _intgcd(c * num.content(), d0 * den.content())
+        return RatFunc(_make(num.v + e, tuple([x * c // g for x in num.a])),
+                       _shared(_make(den.v, tuple([x * d0 // g for x in den.a]))),
                        _normalized=True)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
@@ -397,7 +445,7 @@ class RatFunc:
         num, den = self.den.shift(-v), self.num.shift(-v)
         if den.leading_coeff() < 0:
             num, den = -num, -den
-        return RatFunc(num, den, _normalized=True)
+        return RatFunc(num, _shared(den), _normalized=True)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
@@ -526,34 +574,38 @@ _A_POW: dict[int, int] = {}  # _A^e mod _P by exponent e of either sign, filled 
 
 
 def _eval_a(p: Laurent) -> int:
-    """p at q = _A, reduced mod _P only through the powers of _A."""
-    out = 0
-    for e, v in p.c.items():
-        a = _A_POW.get(e)
-        if a is None:
-            a = _A_POW[e] = pow(_A, e, _P)
-        out += v * a
-    return out
+    """p at q = _A up to a multiple of _P: Horner's rule over the
+    coefficient tuple, times _A^v mod _P from the table."""
+    h = 0
+    for x in reversed(p.a):
+        h = h * _A + x
+    a = _A_POW.get(p.v)
+    if a is None:
+        a = _A_POW[p.v] = pow(_A, p.v, _P)
+    return h * a
 
 
 def _at_a(c: RatFunc) -> int:
     """c at q = _A mod _P; ValueError if its denominator vanishes there."""
-    if c.den.c == _ONE.c:  # no inverse to take
+    if c.den is _ONE:  # no inverse to take
         return _eval_a(c.num) % _P
     return _eval_a(c.num) * pow(_eval_a(c.den), -1, _P) % _P
 
 
 def _shadow_insert(rows: dict[int, bytes], vec: dict[int, int]) -> bool:
-    """`Echelon.insert` mod _P, rows packed as uint32 (column, value) pairs: True if new."""
-    keys, i = sorted(vec), 0  # keys[i:]: the columns still to visit, ascending
-    while i < len(keys):
-        p, i = keys[i], i + 1
-        f, row = vec[p], rows.get(p)
-        if f and row is not None:
-            del vec[p]
-            for k, v in iter_unpack("2I", row):
-                if k not in vec:
-                    insort(keys, k, i)
+    """`Echelon.insert` mod _P, rows packed as uint32 (column, value) pairs: True if new.
+
+    As in `Echelon.reduce`, only the pivots in the vector are visited, in
+    ascending order.  A value that falls to 0 mod _P stays in `vec`, so every
+    pivot in it is queued, whatever its value."""
+    todo, i = sorted(k for k in vec if k in rows), 0  # todo[i:]: pivots to visit
+    while i < len(todo):
+        p, i = todo[i], i + 1
+        f = vec.pop(p)
+        if f:
+            for k, v in iter_unpack("2I", rows[p]):
+                if k not in vec and k in rows:
+                    insort(todo, k, i)
                 vec[k] = (vec.get(k, 0) - f * v) % _P
     p = min((k for k, v in vec.items() if v), default=None)
     if p is not None:

@@ -203,38 +203,34 @@ class BruhatGraph:
         """Signs on arrows with product -1 around every square (GF(2) solve)."""
         arrows = self.arrows
         idx = {(a.source.matrix, a.target.matrix): k for k, a in enumerate(arrows)}
-        n = len(arrows)
-        rows = []
+        # each square's four sign bits must sum to 1; GF(2) elimination by the
+        # lowest set bit, which is each stored row's pivot
+        pivots: dict[int, tuple[int, int]] = {}
         for (w1, w2, w3, w4) in self.squares:
-            vec = 0
+            vec, rhs = 0, 1
             for pair in ((w1, w2), (w2, w4), (w1, w3), (w3, w4)):
                 vec ^= 1 << idx[(pair[0].matrix, pair[1].matrix)]
-            rows.append((vec, 1))  # sum of the four sign bits must be odd
-        # GF(2) elimination
-        pivots: dict[int, tuple[int, int]] = {}
-        for vec, rhs in rows:
-            for p in sorted(pivots):
-                if vec >> p & 1:
-                    pv, pr = pivots[p]
-                    vec ^= pv
-                    rhs ^= pr
-            if vec == 0:
+            while vec:
+                p = (vec & -vec).bit_length() - 1
+                row = pivots.get(p)
+                if row is None:
+                    pivots[p] = (vec, rhs)
+                    break
+                vec ^= row[0]
+                rhs ^= row[1]
+            else:
                 if rhs:
                     raise CertificationError("square sign constraints are inconsistent")
-                continue
-            p = (vec & -vec).bit_length() - 1
-            pivots[p] = (vec, rhs)
-        bits = [0] * n
+        # back-substitution, the free bits 0: a row's bits above its pivot are
+        # already solved, so its pivot bit is its rhs plus their parity
+        sol = 0
         for p in sorted(pivots, reverse=True):
             vec, rhs = pivots[p]
-            val = rhs
-            for j in range(p + 1, n):
-                if vec >> j & 1:
-                    val ^= bits[j]
-            bits[p] = val
+            if ((vec & sol).bit_count() ^ rhs) & 1:
+                sol |= 1 << p
         signs = {}
         for k, a in enumerate(arrows):
-            signs[(a.source.matrix, a.target.matrix)] = -1 if bits[k] else 1
+            signs[(a.source.matrix, a.target.matrix)] = -1 if sol >> k & 1 else 1
         for (w1, w2, w3, w4) in self.squares:
             prod = (signs[(w1.matrix, w2.matrix)] * signs[(w2.matrix, w4.matrix)]
                     * signs[(w1.matrix, w3.matrix)] * signs[(w3.matrix, w4.matrix)])

@@ -3,11 +3,13 @@ against.  None of them is on a certificate's path, so they live here rather
 than under `src/qbgg`."""
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd
+from struct import iter_unpack, pack
 
 from qbgg.cartan import ParabolicData, Weight
-from qbgg.qfield import (CertificationError, Echelon, Laurent, QMatrix, RatFunc,
+from qbgg.qfield import (_P, CertificationError, Echelon, Laurent, QMatrix, RatFunc,
                          add_into, kernel_basis, laurent_divexact, laurent_gcd)
 from qbgg.qsphere import _IJ, Elem, _apply, _word
 from qbgg.reps import (CharMap, char_equal, levi_character, levi_irrep,
@@ -20,7 +22,7 @@ def evaluate(x: Laurent | RatFunc, q0: Fraction) -> Fraction:
     """x at q = q0, exactly; ZeroDivisionError where a denominator vanishes."""
     if isinstance(x, RatFunc):
         return evaluate(x.num, q0) / evaluate(x.den, q0)
-    return sum((Fraction(v) * q0 ** e for e, v in x.c.items()), Fraction(0))
+    return sum((Fraction(v) * q0 ** e for e, v in x.items()), Fraction(0))
 
 
 def counit(x: AlgElement) -> RatFunc:
@@ -124,8 +126,29 @@ def normalize_by_gcd(num: Laurent, den: Laurent) -> tuple[Laurent, Laurent]:
 def at_point_mod_p(c: RatFunc, a: int, p: int) -> int:
     """The reference for `qfield._at_a`: c at q = a mod p, every power of a
     taken by `pow`; ValueError where the denominator vanishes."""
-    num, den = (sum(v * pow(a, e, p) for e, v in x.c.items()) for x in (c.num, c.den))
+    num, den = (sum(v * pow(a, e, p) for e, v in x.items()) for x in (c.num, c.den))
     return num * pow(den, -1, p) % p
+
+
+def shadow_insert_full_walk(rows: dict[int, bytes], vec: dict[int, int]) -> bool:
+    """The reference for `qfield._shadow_insert`: every column of the vector
+    is visited in ascending order, pivot or not, and values are kept reduced
+    mod _P throughout."""
+    keys, i = sorted(vec), 0  # keys[i:]: the columns still to visit
+    while i < len(keys):
+        p, i = keys[i], i + 1
+        f, row = vec[p], rows.get(p)
+        if f and row is not None:
+            del vec[p]
+            for k, v in iter_unpack("2I", row):
+                if k not in vec:
+                    insort(keys, k, i)
+                vec[k] = (vec.get(k, 0) - f * v) % _P
+    p = min((k for k, v in vec.items() if v), default=None)
+    if p is not None:
+        inv = pow(vec.pop(p), -1, _P)
+        rows[p] = b"".join(pack("2I", k, v * inv % _P) for k, v in vec.items() if v)
+    return p is not None
 
 
 def same_quotient(a: Echelon, b: Echelon, cols) -> bool:
@@ -211,6 +234,35 @@ def full_dim_identity(G) -> dict:
         levels_out.append(rec)
     return {"ok": ok, "levels": levels_out,
             "quotient_dim": len(qw), "coset_count": sum(len(l) for l in G.levels)}
+
+
+def square_signs(G) -> dict:
+    """The reference for `weyl.BruhatGraph._assign_signs`: each square's row
+    is reduced by every pivot in ascending order, and the solution with its
+    free bits 0 is found bit by bit."""
+    idx = {(a.source.matrix, a.target.matrix): k for k, a in enumerate(G.arrows)}
+    pivots: dict[int, tuple[int, int]] = {}
+    for (w1, w2, w3, w4) in G.squares:
+        vec, rhs = 0, 1
+        for a, b in ((w1, w2), (w2, w4), (w1, w3), (w3, w4)):
+            vec ^= 1 << idx[(a.matrix, b.matrix)]
+        for p in sorted(pivots):
+            if vec >> p & 1:
+                vec ^= pivots[p][0]
+                rhs ^= pivots[p][1]
+        if vec == 0:
+            if rhs:
+                raise CertificationError("square sign constraints are inconsistent")
+            continue
+        pivots[(vec & -vec).bit_length() - 1] = (vec, rhs)
+    bits = [0] * len(G.arrows)
+    for p in sorted(pivots, reverse=True):
+        vec, val = pivots[p]
+        for j in range(p + 1, len(bits)):
+            if vec >> j & 1:
+                val ^= bits[j]
+        bits[p] = val
+    return {key: -1 if bits[k] else 1 for key, k in idx.items()}
 
 
 def act_root(W: WeylGroup, w: WeylElement, beta: tuple[int, ...]) -> tuple[int, ...]:

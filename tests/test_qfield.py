@@ -2,6 +2,7 @@
 evaluation at generic rational points."""
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -15,7 +16,7 @@ from qbgg.qfield import (CertificationError, Echelon, Laurent, QMatrix, RatFunc,
                          normalize_vector, rank)
 
 from oracles import (all_rows_echelon, at_point_mod_p, evaluate, normalize_by_gcd,
-                     same_quotient)
+                     same_quotient, shadow_insert_full_walk)
 
 Q0 = Fraction(5, 3)
 
@@ -357,11 +358,19 @@ def test_kernel_vectors_vanish_on_other_free_columns(rows):
         assert normalize_vector(v) == v
 
 
+def _terms(p: Laurent) -> dict[int, int]:
+    return dict(p.items())
+
+
+def _pair(c: RatFunc) -> tuple[dict[int, int], dict[int, int]]:
+    return _terms(c.num), _terms(c.den)
+
+
 def _dense(p: Laurent) -> list[Fraction]:
     if p.is_zero():
         return []
-    v = p.valuation()
-    return [Fraction(p.c.get(e, 0)) for e in range(v, p.degree() + 1)]
+    c = _terms(p)
+    return [Fraction(c.get(e, 0)) for e in range(p.valuation(), p.degree() + 1)]
 
 
 def _fraction_divmod(a: list[Fraction], b: list[Fraction]):
@@ -410,7 +419,7 @@ def big_laurents():
 
 @given(big_laurents(), big_laurents(), big_laurents())
 def test_gcd_and_divexact_match_fraction_euclid(f, g, h):
-    assert laurent_gcd(f, g).c == _euclid_gcd(f, g)
+    assert _terms(laurent_gcd(f, g)) == _euclid_gcd(f, g)
     if h.is_zero():
         return
     for a in (f * h, f * h + g):
@@ -419,14 +428,14 @@ def test_gcd_and_divexact_match_fraction_euclid(f, g, h):
             with pytest.raises(ArithmeticError):
                 laurent_divexact(a, h)
         else:
-            assert laurent_divexact(a, h).c == expected
+            assert _terms(laurent_divexact(a, h)) == expected
 
 
 @given(big_laurents(), big_laurents(), big_laurents())
 def test_gcd_of_products_with_common_factor(f, g, h):
     assume(not (f * h).is_zero() and not (g * h).is_zero())
     d = laurent_gcd(f * h, g * h)
-    assert d.c == _euclid_gcd(f * h, g * h)
+    assert _terms(d) == _euclid_gcd(f * h, g * h)
     # the primitive part of h divides the gcd
     assert _fraction_quotient(d, laurent_gcd(h, Laurent())) is not None
 
@@ -440,9 +449,9 @@ def test_gcd_fallback_matches_fraction_euclid(f, g, h):
         mp.setattr(qfield, "_HEU_RETRIES", 0)
         mp.setattr(qfield, "_prs_gcd", lambda a, b: calls.append(1) or prs(a, b))
         a, b = f * h, g * h
-        assert laurent_gcd(a, b).c == _euclid_gcd(a, b)
+        assert _terms(laurent_gcd(a, b)) == _euclid_gcd(a, b)
     # every gcd of two non-monomials went through the fallback
-    assert calls or len(a.c) < 2 or len(b.c) < 2
+    assert calls or len(_terms(a)) < 2 or len(_terms(b)) < 2
 
 
 def test_divexact_raises_when_inexact():
@@ -465,7 +474,7 @@ def monomials():
 def test_monomial_product_matches_general_path(a, b):
     general = RatFunc(a.num * b.num, a.den * b.den)
     for p in (a * b, b * a):
-        assert (p.num.c, p.den.c) == (general.num.c, general.den.c)
+        assert _pair(p) == _pair(general)
 
 
 @given(ratfuncs())
@@ -474,7 +483,7 @@ def test_product_by_one_is_the_value_itself(a):
     one = RatFunc.one()
     assert a._times_monomial(one) is a
     for p in (a * one, one * a):
-        assert (p.num.c, p.den.c) == (a.num.c, a.den.c)
+        assert _pair(p) == _pair(a)
 
 
 def denominators():
@@ -494,8 +503,8 @@ def test_division_first_matches_the_gcd_path(h, den, num):
         assert not gcds
         other = RatFunc._normalize(num, den)
     for got, pair in ((exact, (den * h, den)), (other, (num, den))):
-        assert (got[0].c, got[1].c) == tuple(x.c for x in normalize_by_gcd(*pair))
-    assert exact[1].c == {0: 1}
+        assert tuple(map(_terms, got)) == tuple(map(_terms, normalize_by_gcd(*pair)))
+    assert _terms(exact[1]) == {0: 1}
 
 
 @given(ratfuncs() | st.tuples(laurents(), denominators(), st.integers(-60, 60)).map(
@@ -528,4 +537,78 @@ def test_inverse_matches_general_path(a):
             a.inverse()
         return
     inv, general = a.inverse(), RatFunc.one() / a
-    assert (inv.num.c, inv.den.c) == (general.num.c, general.den.c)
+    assert _pair(inv) == _pair(general)
+
+
+def _dense_form(p: Laurent) -> bool:
+    """Whether p keeps `Laurent`'s invariant: an int tuple with nonzero ends,
+    and zero as v = 0, a = ()."""
+    if not p.a:
+        return p.v == 0 and p.a == ()
+    return type(p.a) is tuple and all(type(x) is int for x in p.a) and bool(p.a[0] and p.a[-1])
+
+
+def _random_laurent(rng: random.Random) -> Laurent:
+    # interior zeros, both signs, and now and then a large coefficient
+    n = rng.randint(0, 6)
+    coeffs = [rng.choice((0, 0, 1, -1, 2, -3, 7, rng.randint(-10 ** 9, 10 ** 9)))
+              for _ in range(n)]
+    return Laurent({e: x for e, x in enumerate(coeffs, rng.randint(-5, 5))})
+
+
+def test_seeded_dense_arithmetic_matches_fraction_evaluation():
+    rng = random.Random(23)
+    for _ in range(400):
+        a, b, h = (_random_laurent(rng) for _ in range(3))
+        assert all(map(_dense_form, (a, b, h)))
+        ea, eb, eh = (evaluate(x, Q0) for x in (a, b, h))
+        for got, want in ((a + b, ea + eb), (a - b, ea - eb), (a * b, ea * eb), (-a, -ea)):
+            assert _dense_form(got) and evaluate(got, Q0) == want
+        if h.is_zero():
+            continue
+        quo = laurent_divexact(a * h, h)
+        assert _dense_form(quo) and quo == a
+        g = laurent_gcd(a * h, b * h)
+        assert _dense_form(g) and _terms(g) == _euclid_gcd(a * h, b * h)
+        for num in (a, a * h, a * h + b):
+            c = RatFunc(num, h)
+            assert _dense_form(c.num) and _dense_form(c.den)
+            assert _pair(c) == tuple(map(_terms, normalize_by_gcd(num, h)))
+            if eh:
+                assert evaluate(c, Q0) == evaluate(num, Q0) / eh
+
+
+def test_seeded_polynomial_sums_and_products_share_denominator_one():
+    # (p, 1) is already a normal form, so sums and products of two of them
+    # skip the normalization and keep the shared one as denominator
+    rng = random.Random(29)
+    for _ in range(400):
+        a, b = RatFunc(_random_laurent(rng)), RatFunc(_random_laurent(rng))
+        for got, num in ((a + b, a.num + b.num), (a * b, a.num * b.num)):
+            assert got.den is qfield._ONE and _dense_form(got.num)
+            assert _pair(got) == tuple(map(_terms, normalize_by_gcd(num, Laurent.const(1))))
+        # a value 1 reached by another path shares it too
+        if not a.is_zero():
+            assert (a / a).den is qfield._ONE and a.inverse().inverse().den is qfield._ONE
+
+
+def test_seeded_shadow_insert_matches_the_full_column_walk():
+    # the pivot-only walk finds the same pivots and packs the same rows
+    rng = random.Random(31)
+    for _ in range(40):
+        fast: dict[int, bytes] = {}
+        slow: dict[int, bytes] = {}
+        inserted: list[dict[int, int]] = []
+        for _ in range(25):
+            if inserted and rng.random() < 0.4:  # a vector in or near the span
+                u, w = rng.choice(inserted), rng.choice(inserted)
+                f = rng.randrange(1, qfield._P)
+                vec = {k: (u.get(k, 0) + f * w.get(k, 0)) % qfield._P for k in {*u, *w}}
+                if rng.random() < 0.5:
+                    vec[rng.randrange(16)] = rng.randrange(qfield._P)
+            else:
+                vec = {rng.randrange(16): rng.choice((0, 1, qfield._P - 1, rng.randrange(qfield._P)))
+                       for _ in range(rng.randint(1, 6))}
+            inserted.append(dict(vec))
+            assert qfield._shadow_insert(fast, dict(vec)) == shadow_insert_full_walk(slow, vec)
+            assert fast == slow

@@ -11,7 +11,7 @@ from qbgg.qfield import CertificationError
 from qbgg.weyl import (BruhatGraph, GroupTooLarge, WeylGroup, _mat_mul,
                        incomparability_report)
 
-from oracles import act_root, kostant_decompose, length_by_inversions
+from oracles import act_root, kostant_decompose, length_by_inversions, square_signs
 
 
 @pytest.mark.parametrize("name,order", [
@@ -151,6 +151,18 @@ def test_signs_product_minus_one_on_squares():
             prod = (G.sign(w1, w2) * G.sign(w2, w4)
                     * G.sign(w1, w3) * G.sign(w3, w4))
             assert prod == -1
+
+
+@pytest.mark.parametrize("name,S", [
+    ("A3", ()), ("B3", ()), ("C3", ()), ("B4", ()), ("D4", ()),
+    ("A4", (1, 3, 4)), ("C3", (1, 2)), ("D4", (1, 3, 4)),
+])
+def test_signs_match_the_bit_by_bit_solver(name, S):
+    # lowest-bit elimination and the bitmask back-substitution find the
+    # same pivots and the same solution with free bits 0
+    G = BruhatGraph(ParabolicData(RootSystem(name), set(S)))
+    assert G.squares
+    assert G.signs == square_signs(G)
 
 
 def test_kostant_decompose():
