@@ -105,7 +105,7 @@ class BGGComplex:
         -beta, or None when that slice is empty."""
         out = []
         for w in self.G.levels[j]:
-            off = tuple(b - d for b, d in zip(beta, self.G.depth[w.matrix]))
+            off = tuple(b - d for b, d in zip(beta, self.G.depth[w]))
             out.append((w, None if min(off) < 0 else self.maps._family(w).get(off)))
         return out
 
@@ -124,7 +124,7 @@ class BGGComplex:
             # rows are keyed by (target slice number, word index)
             ys = [(n, self.maps.y_signed(w_short, w_long), tgt)
                   for n, (w_short, tgt) in enumerate(tgt_slices)
-                  if (w_short.matrix, w_long.matrix) in self.maps.scaled]
+                  if (w_short, w_long) in self.maps.scaled]
             for u in src.basis_words:
                 cols.append({(n, k): v for n, y, tgt in ys
                              for k, v in tgt.reduce_element(
@@ -143,8 +143,8 @@ class BGGComplex:
                     acc: AlgElement = {}
                     found = False
                     for w_b in G.levels[j - 1]:
-                        k1 = (w_c.matrix, w_b.matrix)
-                        k2 = (w_b.matrix, w_a.matrix)
+                        k1 = (w_c, w_b)
+                        k2 = (w_b, w_a)
                         if k1 in self.maps.scaled and k2 in self.maps.scaled:
                             found = True
                             term = self.uq.multiply(self.maps.y_signed(w_b, w_a),
@@ -549,17 +549,17 @@ class DoubleComplex:
         self._products: dict[tuple, dict[tuple, list | dict[int, RatFunc]]] = {}
 
     def fiber(self, w1, w2) -> TensorFiber:
-        key = (w1.matrix, w2.matrix)
+        key = (w1, w2)
         fb = self._fibers.get(key)
         if fb is None:
-            fb = TensorFiber(self.uq, self.G.P, self.G.dot[w1.matrix], self.G.dot[w2.matrix])
+            fb = TensorFiber(self.uq, self.G.P, self.G.dot[w1], self.G.dot[w2])
             self._fibers[key] = fb
         return fb
 
     def wslice(self, w1, w2, omega: Weight, k1cap: int, k2cap: int) -> WSlice:
         """The slice, built once; TruncationError when its dimension differs
         from the character oracle's, so no check computes on a wrong slice."""
-        key = (w1.matrix, w2.matrix, omega.coords, k1cap, k2cap)
+        key = (w1, w2, omega.coords, k1cap, k2cap)
         sl = self._slices.get(key)
         if sl is None:
             sl = WSlice(self.fiber(w1, w2), omega, k1cap, k2cap, self._products)
@@ -592,7 +592,7 @@ class DoubleComplex:
                 fb = self.fiber(a1.source, a2.source)
                 # y lowers the generator's weight s1.0 - s2.0 by s1.0 - t1.0
                 # and x raises it by s2.0 - t2.0
-                omega = G.dot[a1.target.matrix] - G.dot[a2.target.matrix]
+                omega = G.dot[a1.target] - G.dot[a2.target]
                 sl = self.wslice(a1.source, a2.source, omega, k1cap, k2cap)
                 base_zero = not sl.reduce_applied(comm, fb.gen_index)
                 # left multiples filling the box: monomials of bidegree

@@ -241,7 +241,7 @@ def verify_dim_identity(G) -> dict:
         total: DomChar = {}
         dims = []
         for w in lvl:
-            dom, dim = levi_irrep(P, G.dot[w.matrix])
+            dom, dim = levi_irrep(P, G.dot[w])
             dims.append(dim)
             for mu, m in dom.items():
                 total[mu] = total.get(mu, 0) + m

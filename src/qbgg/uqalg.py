@@ -31,6 +31,7 @@ import itertools
 from .cartan import RootSystem
 from .qfield import (CertificationError, Laurent, RatFunc, add_into, fill_to_rank,
                      qbinomial)
+from .reps import kostant_partition
 
 # normal monomial: (F indices, K exponent vector, E indices), all 1-based indices
 NormalWord = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
@@ -258,7 +259,6 @@ class NMinusWeightSpace:
         self.beta = beta
         self.words = sorted(_words_of_content(beta))
         self.index = {w: k for k, w in enumerate(self.words)}
-        from .reps import kostant_partition
         expect = kostant_partition(uq.rs, beta)
         # uq is not kept: it caches this space, and the cycle would outlive requests
         self._ech = fill_to_rank(lambda: self._serre_rows(uq), len(self.words) - expect)

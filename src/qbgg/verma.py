@@ -8,11 +8,14 @@ normal-form engine and kill the highest weight vector.
 """
 from __future__ import annotations
 
+from collections import deque
+
 from .cartan import ParabolicData, Weight
 from .qfield import (CertificationError, QMatrix, RatFunc, add_into, fill_to_rank,
                      kernel_basis)
 from .reps import kostant_partition, levi_character, levi_irrep
 from .uqalg import AlgElement, UqAlgebra, _words_of_content
+from .weyl import WeylElement
 
 
 class ModuleSlice:
@@ -123,7 +126,7 @@ class StandardMapFamily:
     def __init__(self, G):
         self.G = G
         self.uq = UqAlgebra(G.P.rs)
-        self.families: dict[tuple, SliceFamily] = {}  # by coset matrix
+        self.families: dict[WeylElement, SliceFamily] = {}  # by coset
         self.raw: dict[tuple, AlgElement] = {}
         self.scaled: dict[tuple, AlgElement] = {}
         self._solve_arrows()
@@ -131,10 +134,10 @@ class StandardMapFamily:
 
     def _family(self, w) -> SliceFamily:
         """The slices of the module M(w.0) of the coset w."""
-        fam = self.families.get(w.matrix)
+        fam = self.families.get(w)
         if fam is None:
-            fam = SliceFamily(self.uq, self.G.dot[w.matrix], self.G.P.S)
-            self.families[w.matrix] = fam
+            fam = SliceFamily(self.uq, self.G.dot[w], self.G.P.S)
+            self.families[w] = fam
         return fam
 
     def _solve_arrows(self) -> None:
@@ -144,63 +147,51 @@ class StandardMapFamily:
                 raise CertificationError(
                     "singular space at arrow %s -> %s has dimension %d"
                     % (a.source, a.target, len(sv)))
-            self.raw[(a.source.matrix, a.target.matrix)] = sv[0]
-
-    def _key(self, a) -> tuple:
-        return (a.source.matrix, a.target.matrix)
+            self.raw[(a.source, a.target)] = sv[0]
 
     def _normalize_squares(self) -> None:
-        scale: dict[tuple, RatFunc] = {}
-        # spanning tree over the arrow set: fix arrows from a BFS tree to 1,
-        # then force equality square by square
-        for a in self.G.arrows:
-            scale[self._key(a)] = RatFunc.one()
-        squares = list(self.G.squares)
-        # BFS spanning tree over the coset graph; tree arrows keep scale 1
+        # the arrows of a BFS spanning tree of the coset graph keep scale 1,
+        # and so does every arrow that no square fixes
         fixed: set[tuple] = set()
-        adj: dict[tuple, list] = {}
+        adj: dict[WeylElement, list] = {}
         for a in self.G.arrows:
-            adj.setdefault(a.source.matrix, []).append(a)
-            adj.setdefault(a.target.matrix, []).append(a)
-        visited = set()
+            adj.setdefault(a.source, []).append(a)
+            adj.setdefault(a.target, []).append(a)
         if self.G.cosets:
-            start = self.G.cosets[0].matrix
-            visited.add(start)
-            queue = [start]
+            start = self.G.cosets[0]
+            visited = {start}
+            queue = deque([start])
             while queue:
-                v = queue.pop(0)
+                v = queue.popleft()
                 for a in adj.get(v, []):
-                    other = a.target.matrix if a.source.matrix == v else a.source.matrix
+                    other = a.target if a.source == v else a.source
                     if other not in visited:
                         visited.add(other)
-                        fixed.add(self._key(a))
+                        fixed.add((a.source, a.target))
                         queue.append(other)
+        scale: dict[tuple, RatFunc] = {}
         changed = True
         # iterate: any square with exactly one unfixed arrow determines it
         while changed:
             changed = False
-            for (w1, w2, w3, w4) in squares:
-                keys = [(w1.matrix, w2.matrix), (w2.matrix, w4.matrix),
-                        (w1.matrix, w3.matrix), (w3.matrix, w4.matrix)]
+            for (w1, w2, w3, w4) in self.G.squares:
+                keys = [(w1, w2), (w2, w4), (w1, w3), (w3, w4)]
                 unfixed = [k for k in keys if k not in fixed]
-                if len(unfixed) == 0 or len(unfixed) > 1:
+                if len(unfixed) != 1:
                     continue
                 c = self._square_ratio(self.raw, (w1, w2, w3, w4), scale)
                 k = unfixed[0]
                 # composite(w1->w2->w4) = c * composite(w1->w3->w4) currently;
-                # adjust the unfixed arrow to make them equal
-                if k in (keys[0], keys[1]):
-                    scale[k] = scale[k] / c
-                else:
-                    scale[k] = scale[k] * c
+                # scale the unfixed arrow to make them equal
+                scale[k] = RatFunc.one() / c if k in keys[:2] else c
                 fixed.add(k)
                 changed = True
-        for a in self.G.arrows:
-            k = self._key(a)
-            self.scaled[k] = {nw: c * scale[k] for nw, c in self.raw[k].items()}
+        for k, y in self.raw.items():
+            s = scale.get(k, RatFunc.one())
+            self.scaled[k] = {nw: c * s for nw, c in y.items()}
         # final verification: both composites of every square agree exactly
         # for the scaled maps that the complex uses
-        for sq in squares:
+        for sq in self.G.squares:
             if self._square_ratio(self.scaled, sq) != RatFunc.one():
                 raise CertificationError("square normalization failed")
 
@@ -215,20 +206,19 @@ class StandardMapFamily:
         """The c with composite(w1->w2->w4) = c * composite(w1->w3->w4) for
         the intertwiners in maps, each times its entry of scale if given."""
         w1, w2, w3, w4 = square
-        k12 = (w1.matrix, w2.matrix)
-        k24 = (w2.matrix, w4.matrix)
-        k13 = (w1.matrix, w3.matrix)
-        k34 = (w3.matrix, w4.matrix)
-        c1 = self._composite(maps[k12], maps[k24], w1, w4)
-        c2 = self._composite(maps[k13], maps[k34], w1, w4)
+        c1 = self._composite(maps[(w1, w2)], maps[(w2, w4)], w1, w4)
+        c2 = self._composite(maps[(w1, w3)], maps[(w3, w4)], w1, w4)
         r = _proportionality(c1, c2)
         if scale is None:
             return r
-        return r * (scale[k12] * scale[k24]) / (scale[k13] * scale[k34])
+        one = RatFunc.one()
+        s12, s24, s13, s34 = (scale.get(k, one) for k in
+                              ((w1, w2), (w2, w4), (w1, w3), (w3, w4)))
+        return r * (s12 * s24) / (s13 * s34)
 
     def y(self, source, target) -> AlgElement:
         """Scaled intertwiner for the arrow source -> target (no sign)."""
-        return self.scaled[(source.matrix, target.matrix)]
+        return self.scaled[(source, target)]
 
     def y_signed(self, source, target) -> AlgElement:
         s = self.G.sign(source, target)

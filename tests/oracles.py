@@ -3,19 +3,20 @@ against.  None of them is on a certificate's path, so they live here rather
 than under `src/qbgg`."""
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from struct import iter_unpack, pack
 
-from qbgg.cartan import ParabolicData, Weight
+from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.qfield import (_P, CertificationError, Echelon, Laurent, QMatrix, RatFunc,
                          add_into, kernel_basis, laurent_divexact, laurent_gcd)
 from qbgg.qsphere import _IJ, Elem, _apply, _word
 from qbgg.reps import (CharMap, char_equal, levi_character, levi_irrep,
                        quotient_weights)
 from qbgg.uqalg import AlgElement, UqAlgebra
-from qbgg.weyl import WeylElement, WeylGroup, _mat_mul
+from qbgg.weyl import Arrow, WeylElement
 
 
 def evaluate(x: Laurent | RatFunc, q0: Fraction) -> Fraction:
@@ -239,14 +240,19 @@ def full_dim_identity(G) -> dict:
 def square_signs(G) -> dict:
     """The reference for `weyl.BruhatGraph._assign_signs`: each square's row
     is reduced by every pivot in ascending order, and the solution with its
-    free bits 0 is found bit by bit."""
-    idx = {(a.source.matrix, a.target.matrix): k for k, a in enumerate(G.arrows)}
+    free bits 0 is found bit by bit.  A pivot below a row's lowest set bit or
+    above its highest cannot touch it, so the walks over pivots and bits stop
+    at the row's ends."""
+    idx = {(a.source, a.target): k for k, a in enumerate(G.arrows)}
     pivots: dict[int, tuple[int, int]] = {}
+    order: list[int] = []  # the pivots, ascending
     for (w1, w2, w3, w4) in G.squares:
         vec, rhs = 0, 1
         for a, b in ((w1, w2), (w2, w4), (w1, w3), (w3, w4)):
-            vec ^= 1 << idx[(a.matrix, b.matrix)]
-        for p in sorted(pivots):
+            vec ^= 1 << idx[(a, b)]
+        for p in order[bisect_left(order, (vec & -vec).bit_length() - 1):]:
+            if p >= vec.bit_length():
+                break
             if vec >> p & 1:
                 vec ^= pivots[p][0]
                 rhs ^= pivots[p][1]
@@ -254,27 +260,150 @@ def square_signs(G) -> dict:
             if rhs:
                 raise CertificationError("square sign constraints are inconsistent")
             continue
-        pivots[(vec & -vec).bit_length() - 1] = (vec, rhs)
+        p = (vec & -vec).bit_length() - 1
+        pivots[p] = (vec, rhs)
+        insort(order, p)
     bits = [0] * len(G.arrows)
-    for p in sorted(pivots, reverse=True):
+    for p in reversed(order):
         vec, val = pivots[p]
-        for j in range(p + 1, len(bits)):
+        for j in range(p + 1, vec.bit_length()):
             if vec >> j & 1:
                 val ^= bits[j]
         bits[p] = val
     return {key: -1 if bits[k] else 1 for key, k in idx.items()}
 
 
-def act_root(W: WeylGroup, w: WeylElement, beta: tuple[int, ...]) -> tuple[int, ...]:
-    r = W.rs.rank
-    return tuple(sum(w.matrix[i][j] * beta[j] for j in range(r)) for i in range(r))
+Matrix = tuple[tuple[int, ...], ...]
 
 
-def length_by_inversions(W: WeylGroup, w: WeylElement) -> int:
+def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _identity(n: int) -> Matrix:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _simple_matrix(rs: RootSystem, i: int) -> Matrix:
+    # s_i(alpha_j) = alpha_j - a_ij alpha_i, columns in root coordinates
+    r = rs.rank
+    return tuple(tuple(int(k == j) - (k == i - 1) * rs.cartan[i - 1][j] for j in range(r))
+                 for k in range(r))
+
+
+class MatrixWeylGroup:
+    """The reference for `weyl.WeylGroup`: each element w carries the integer
+    matrices of w and of w^{-1} on root coordinates (columns are the images of
+    the simple roots).  The walk appends s_i to w, skips a matrix it has seen,
+    and keeps w s_i when (w s_i)^{-1}(alpha_j) > 0 for every j in S."""
+
+    def __init__(self, rs: RootSystem, S: frozenset[int] = frozenset()):
+        self.rs = rs
+        r = rs.rank
+        S0 = [j - 1 for j in sorted(S)]
+        simple = {i: _simple_matrix(rs, i) for i in range(1, r + 1)}
+        e = WeylElement(())
+        self.matrix = {e: _identity(r)}
+        self.inv_matrix = {e: _identity(r)}
+        seen = {self.matrix[e]}
+        frontier = [e]
+        while frontier:
+            new_frontier = []
+            for w in frontier:
+                for i, s in simple.items():
+                    m = _mat_mul(self.matrix[w], s)
+                    if m in seen:
+                        continue
+                    inv = _mat_mul(s, self.inv_matrix[w])
+                    if any(inv[k][j] < 0 for j in S0 for k in range(r)):
+                        continue
+                    nw = WeylElement(w.word + (i,))
+                    seen.add(m)
+                    self.matrix[nw] = m
+                    self.inv_matrix[nw] = inv
+                    new_frontier.append(nw)
+            frontier = new_frontier
+        self.elements = sorted(self.matrix, key=lambda w: (w.length, w.word))
+
+    def act_root(self, w: WeylElement, beta: tuple[int, ...]) -> tuple[int, ...]:
+        m = self.matrix[w]
+        return tuple(sum(x * b for x, b in zip(row, beta)) for row in m)
+
+    def act(self, w: WeylElement, lam: Weight) -> Weight:
+        """w on fundamental-weight coordinates: the matrix A w A^{-1}."""
+        rs = self.rs
+        scaled = _mat_mul(_mat_mul(rs.cartan, self.matrix[w]), rs.adj)
+        if any(x % rs.denom for row in scaled for x in row):
+            raise CertificationError("w maps a weight off the weight lattice")
+        return Weight(tuple(sum(x // rs.denom * c for x, c in zip(row, lam.coords))
+                            for row in scaled))
+
+    def shifted_act(self, w: WeylElement, lam: Weight) -> Weight:
+        return self.act(w, lam + self.rs.rho) - self.rs.rho
+
+    def reflections(self) -> dict[Matrix, tuple[int, ...]]:
+        """Map from reflection matrices to the positive root they reflect."""
+        rs = self.rs
+        r = rs.rank
+        out = {}
+        for beta in rs.positive_roots:
+            norm2 = rs.root_norm2(beta)
+            cols = []
+            for j in range(r):
+                # s_beta(alpha_j) = alpha_j - (2(alpha_j,beta)/(beta,beta)) beta
+                coef = Fraction(2 * sum(beta[k] * rs.bform[k][j] for k in range(r)), norm2)
+                if coef.denominator != 1:
+                    raise CertificationError("non-integral reflection coefficient")
+                cols.append([int(k == j) - int(coef) * beta[k] for k in range(r)])
+            out[tuple(tuple(cols[j][k] for j in range(r)) for k in range(r))] = beta
+        return out
+
+
+class MatrixBruhatGraph:
+    """The reference for `weyl.BruhatGraph`: dot points from the weight
+    matrices, arrows from multiplying every pair of cosets on adjacent levels
+    against the table of reflection matrices, squares from scanning the level
+    two up, and signs from `square_signs`."""
+
+    def __init__(self, P: ParabolicData):
+        rs = P.rs
+        self.W = W = MatrixWeylGroup(rs, P.S)
+        self.cosets = W.elements
+        self.levels: list[list[WeylElement]] = []
+        for w in self.cosets:
+            while len(self.levels) <= w.length:
+                self.levels.append([])
+            self.levels[w.length].append(w)
+        zero = Weight((0,) * rs.rank)
+        self.dot = {w: W.shifted_act(w, zero) for w in self.cosets}
+        self.depth = {w: rs.weight_root_coords_int(-d) for w, d in self.dot.items()}
+        refl = W.reflections()
+        self.arrows = []
+        for lvl, nxt in zip(self.levels, self.levels[1:]):
+            for w in lvl:
+                for w2 in nxt:
+                    t = _mat_mul(W.matrix[w2], W.inv_matrix[w])
+                    if t in refl:
+                        self.arrows.append(Arrow(w, w2, refl[t]))
+        arr = {(a.source, a.target) for a in self.arrows}
+        self.squares = []
+        for lvl, mid, top in zip(self.levels, self.levels[1:], self.levels[2:]):
+            for w1 in lvl:
+                mids = [m for m in mid if (w1, m) in arr]
+                for w4 in top:
+                    through = [m for m in mids if (m, w4) in arr]
+                    for i in range(len(through)):
+                        for j in range(i + 1, len(through)):
+                            self.squares.append((w1, through[i], through[j], w4))
+        self.signs = square_signs(self)
+
+
+def length_by_inversions(W: MatrixWeylGroup, w: WeylElement) -> int:
     """The number of positive roots that w sends to negative roots."""
     neg = 0
     for b in W.rs.positive_roots:
-        img = act_root(W, w, b)
+        img = W.act_root(w, b)
         if any(c < 0 for c in img):
             if any(c > 0 for c in img):
                 raise CertificationError("w maps a root to a mixed-sign vector")
@@ -282,12 +411,13 @@ def length_by_inversions(W: WeylGroup, w: WeylElement) -> int:
     return neg
 
 
-def kostant_decompose(P: ParabolicData, W: WeylGroup, w: WeylElement,
+def kostant_decompose(P: ParabolicData, W: MatrixWeylGroup, w: WeylElement,
                       cosets: list[WeylElement]) -> tuple[WeylElement, WeylElement]:
-    """Write w = w_S * w^S with w_S in W_S, lengths adding up; W must contain w_S."""
-    by_matrix = {c.matrix: c for c in cosets}
+    """Write w = w_S * w^S with w_S in W_S, lengths adding up; W must contain
+    w_S and every coset."""
+    by_matrix = {W.matrix[c]: c for c in cosets}
     for wS in (x for x in W.elements if set(x.word) <= P.S):
-        wup = by_matrix.get(_mat_mul(wS.inv_matrix, w.matrix))  # wS^{-1} * w
+        wup = by_matrix.get(_mat_mul(W.inv_matrix[wS], W.matrix[w]))  # wS^{-1} * w
         if wup is not None and wS.length + wup.length == w.length:
             return wS, wup
     raise ValueError("no Kostant decomposition found")

@@ -164,7 +164,7 @@ def test_bgg_squared_zero_fails_on_a_flipped_standard_map(capsys, monkeypatch):
     def flip_one(self):
         original(self)
         w1, w2 = self.G.squares[0][:2]
-        key = (w1.matrix, w2.matrix)
+        key = (w1, w2)
         self.scaled[key] = {nw: -c for nw, c in self.scaled[key].items()}
 
     monkeypatch.setattr(StandardMapFamily, "_normalize_squares", flip_one)
@@ -181,7 +181,7 @@ def test_bgg_exactness_fails_on_a_zero_standard_map(capsys, monkeypatch):
     def zero_one(self):
         original(self)
         a = self.G.arrows[0]
-        self.scaled[(a.source.matrix, a.target.matrix)] = {}
+        self.scaled[(a.source, a.target)] = {}
 
     monkeypatch.setattr(StandardMapFamily, "_normalize_squares", zero_one)
     checks = _failed_report(capsys, ["bgg", "verify", "--type", "A2", "--s", "1",
@@ -202,7 +202,7 @@ def test_weyl_signs_fails_on_a_flipped_arrow_sign(capsys, monkeypatch):
     def flip_one(self):
         signs = original(self)
         w1, w2 = self.squares[0][:2]
-        signs[(w1.matrix, w2.matrix)] *= -1
+        signs[(w1, w2)] *= -1
         return signs
 
     monkeypatch.setattr(BruhatGraph, "_assign_signs", flip_one)

@@ -198,7 +198,7 @@ def test_weight_space_dims_match_partition(name):
 
 _WRONG_COUNT_SCRIPT = """
 import sys
-from qbgg import reps
+from qbgg import uqalg
 from qbgg.cartan import RootSystem, Weight
 from qbgg.qfield import CertificationError
 from qbgg.uqalg import NMinusWeightSpace, UqAlgebra
@@ -219,7 +219,7 @@ else:
 
 @pytest.mark.parametrize("setup,build", [
     # the true dimension of the Serre quotient at (1, 1) is 2
-    pytest.param("reps.kostant_partition = lambda rs, beta: 3",
+    pytest.param("uqalg.kostant_partition = lambda rs, beta: 3",
                  "NMinusWeightSpace(uq, (1, 1))", id="kostant"),
     # the family's character count is one too large
     pytest.param("fam = SliceFamily(uq, Weight((1, 0)), {1})\n"

@@ -111,7 +111,7 @@ def test_singular_vectors_one_dimensional(name, S):
     G = _graph(name, S)
     uq = UqAlgebra(G.P.rs)
     for a in G.arrows:
-        fam = SliceFamily(uq, G.dot[a.source.matrix], G.P.S)
+        fam = SliceFamily(uq, G.dot[a.source], G.P.S)
         sv = singular_vectors(fam, G.offset(a.source, a.target))
         assert len(sv) == 1
         assert sv[0]

@@ -8,10 +8,10 @@ import pytest
 from qbgg import weyl
 from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.qfield import CertificationError
-from qbgg.weyl import (BruhatGraph, GroupTooLarge, WeylGroup, _mat_mul,
-                       incomparability_report)
+from qbgg.weyl import BruhatGraph, GroupTooLarge, WeylGroup, incomparability_report
 
-from oracles import act_root, kostant_decompose, length_by_inversions, square_signs
+from oracles import (MatrixBruhatGraph, MatrixWeylGroup, _mat_mul, kostant_decompose,
+                     length_by_inversions, square_signs)
 
 
 @pytest.mark.parametrize("name,order", [
@@ -22,27 +22,52 @@ def test_group_orders(name, order):
     assert len(WeylGroup(RootSystem(name)).elements) == order
 
 
-def _filtered_reps(W: WeylGroup, S) -> list:
+_NAMES = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
+          "G2", "F4")
+
+
+def _parabolics():
+    for name in _NAMES:
+        rs = RootSystem(name)
+        for size in range(rs.rank + 1):
+            for S in combinations(range(1, rs.rank + 1), size):
+                yield rs, frozenset(S)
+
+
+def _filtered_reps(W: MatrixWeylGroup, S) -> list:
     """Reference: keep the w of the full group with w^{-1}(alpha_j) > 0, j in S."""
     r = W.rs.rank
     S0 = [j - 1 for j in sorted(S)]
     return [w for w in W.elements
-            if all(all(w.inv_matrix[k][j] >= 0 for k in range(r)) for j in S0)]
+            if all(all(W.inv_matrix[w][k][j] >= 0 for k in range(r)) for j in S0)]
 
 
 def test_coset_walk_matches_filtered_group():
-    names = ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4",
-             "D3", "D4", "G2", "F4")
     pairs = 0
-    for name in names:
-        rs = RootSystem(name)
-        full = WeylGroup(rs)
-        for size in range(rs.rank + 1):
-            for S in combinations(range(1, rs.rank + 1), size):
-                walk = WeylGroup(rs, frozenset(S)).elements
-                assert walk == _filtered_reps(full, S), (name, S)
-                assert len(full.elements) % len(walk) == 0
-                pairs += 1
+    for rs, S in _parabolics():
+        if not S:  # each type's first parabolic
+            full = MatrixWeylGroup(rs)
+        walk = WeylGroup(rs, S).elements
+        assert walk == _filtered_reps(full, S), (rs.ctype, S)
+        assert len(full.elements) % len(walk) == 0
+        pairs += 1
+    assert pairs == 130
+
+
+def test_orbit_graph_matches_the_matrix_graph():
+    # words, dot points, depths, arrows with their roots, squares and signs,
+    # each in the reference's order
+    pairs = 0
+    for rs, S in _parabolics():
+        P = ParabolicData(rs, S)
+        G, ref = BruhatGraph(P), MatrixBruhatGraph(P)
+        assert G.cosets == ref.cosets, (rs.ctype, S)
+        assert list(G.dot.items()) == list(ref.dot.items())
+        assert list(G.depth.items()) == list(ref.depth.items())
+        assert G.arrows == ref.arrows
+        assert G.squares == ref.squares
+        assert list(G.signs.items()) == list(ref.signs.items())
+        pairs += 1
     assert pairs == 130
 
 
@@ -77,14 +102,15 @@ def test_dot_points_depths_and_offsets(name, S):
     G = BruhatGraph(ParabolicData(RootSystem(name), S))
     rs = G.P.rs
     zero = Weight((0,) * rs.rank)
+    ref = MatrixWeylGroup(rs, G.P.S)
     for w in G.cosets:
-        assert G.dot[w.matrix] == G.W.shifted_act(w, zero)
-        assert rs.root_to_weight(G.depth[w.matrix]) == -G.dot[w.matrix]
-        assert min(G.depth[w.matrix]) >= 0
-        assert (sum(G.depth[w.matrix]) == 0) == (w.length == 0)
+        assert G.dot[w] == G.W.shifted_act(w, zero) == ref.shifted_act(w, zero)
+        assert rs.root_to_weight(G.depth[w]) == -G.dot[w]
+        assert min(G.depth[w]) >= 0
+        assert (sum(G.depth[w]) == 0) == (w.length == 0)
     for a in G.arrows:
         off = G.offset(a.source, a.target)
-        assert rs.root_to_weight(off) == G.dot[a.source.matrix] - G.dot[a.target.matrix]
+        assert rs.root_to_weight(off) == G.dot[a.source] - G.dot[a.target]
         assert min(off) >= 0 and sum(off) >= 1
 
 
@@ -98,8 +124,10 @@ def test_longest_length_is_root_count():
 def test_length_by_inversions_matches_word_length():
     for name in ("A3", "B2", "G2"):
         W = WeylGroup(RootSystem(name))
+        ref = MatrixWeylGroup(W.rs)
+        assert W.elements == ref.elements
         for w in W.elements:
-            assert length_by_inversions(W, w) == w.length
+            assert length_by_inversions(ref, w) == w.length
 
 
 def _simple(W: WeylGroup, i: int):
@@ -109,10 +137,15 @@ def _simple(W: WeylGroup, i: int):
 def test_simple_reflection_action():
     rs = RootSystem("A2")
     W = WeylGroup(rs)
+    ref = MatrixWeylGroup(rs)
     s1 = _simple(W, 1)
-    assert W.act(s1, rs.simple_root(1)).coords == (-rs.simple_root(1)).coords
+    assert ref.act(s1, rs.simple_root(1)).coords == (-rs.simple_root(1)).coords
     # s_i permutes the other positive roots
-    assert act_root(W, s1, (0, 1)) == (1, 1)
+    assert ref.act_root(s1, (0, 1)) == (1, 1)
+    # the word replayed on a weight agrees with the matrix action
+    for w in W.elements:
+        for lam in (rs.fundamental_weight(1), Weight((2, -3))):
+            assert W.shifted_act(w, lam) == ref.shifted_act(w, lam)
 
 
 def test_shifted_action_at_zero():
@@ -168,12 +201,12 @@ def test_signs_match_the_bit_by_bit_solver(name, S):
 def test_kostant_decompose():
     rs = RootSystem("A3")
     P = ParabolicData(rs, {1, 3})
-    W = WeylGroup(rs)
+    W = MatrixWeylGroup(rs)
     G = BruhatGraph(P)
     for w in W.elements:
         wS, wup = kostant_decompose(P, W, w, G.cosets)
         assert wS.length + wup.length == w.length
-        assert _mat_mul(wS.matrix, wup.matrix) == w.matrix
+        assert _mat_mul(W.matrix[wS], W.matrix[wup]) == W.matrix[w]
 
 
 def test_incomparability_positive_cases():
@@ -189,5 +222,6 @@ def test_incomparability_negative_controls():
     # a non-orbit highest weight breaks the general statement
     rs = RootSystem("A3")
     G2 = BruhatGraph(ParabolicData(rs, {1, 3}))
-    rep = incomparability_report(G2, mu=rs.fundamental_weight(3))
+    G2.dot = {w: G2.W.shifted_act(w, rs.fundamental_weight(3)) for w in G2.cosets}
+    rep = incomparability_report(G2)
     assert not rep["ok"]
