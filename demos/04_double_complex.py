@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from qbgg.bgg import DoubleComplex
 from qbgg.cartan import ParabolicData, RootSystem
+from qbgg.verma import StandardMapFamily
 from qbgg.weyl import BruhatGraph
 
-dc = DoubleComplex(BruhatGraph(ParabolicData(RootSystem("A1"), set())))
+dc = DoubleComplex(StandardMapFamily(BruhatGraph(ParabolicData(RootSystem("A1"), set()))))
 
 anti = dc.verify_anticommute(k1cap=2, k2cap=2)
 print("anticommutation on the (2,2) box:", anti["ok"])

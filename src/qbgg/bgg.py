@@ -106,7 +106,7 @@ class BGGComplex:
         out = []
         for w in self.G.levels[j]:
             off = tuple(b - d for b, d in zip(beta, self.G.depth[w]))
-            out.append((w, None if min(off) < 0 else self.maps._family(w).get(off)))
+            out.append((w, None if min(off) < 0 else self.maps.family(w).get(off)))
         return out
 
     def slice_dims(self, beta: tuple[int, ...]) -> list[int]:
@@ -152,7 +152,7 @@ class BGGComplex:
                             add_into(acc, term)
                     if not found:
                         continue
-                    sl = self.maps._family(w_c).get(G.offset(w_c, w_a))
+                    sl = self.maps.family(w_c).get(G.offset(w_c, w_a))
                     is_zero = not sl.reduce_element(acc)
                     ok = ok and is_zero
                     checks.append({"from": str(w_a), "to": str(w_c), "zero": is_zero})
@@ -186,63 +186,22 @@ class BGGComplex:
 # induced modules with a Levi tensor fiber, and the double complex
 
 
-class LeviModuleData:
-    """Explicit matrices for a finite-dimensional simple Levi module."""
-
-    def __init__(self, uq: UqAlgebra, P: ParabolicData, lam: Weight):
-        self.uq = uq
-        rs = uq.rs
-        fam = SliceFamily(uq, lam, P.S)
-        self.dim = fam.levi_dim
-        offsets = sorted((off for off, _ in fam.levi_offsets), key=lambda b: (sum(b), b))
-        # basis vectors: (offset, word index) over each slice's basis words
-        self.basis: list[tuple[tuple[int, ...], int]] = []
-        self.slices = {}
-        for off in offsets:
-            sl = self.slices[off] = fam.get(off)
-            self.basis += [(off, k) for k in sl.basis_pos]
-        if len(self.basis) != self.dim:
-            raise CertificationError("Levi basis count is not the dimension")
-        self.index = {b: i for i, b in enumerate(self.basis)}
-        self.weights = [lam - rs.root_to_weight(off) for off, _ in self.basis]
-
-    def matrix(self, x: AlgElement) -> list[dict[int, RatFunc]]:
-        """Sparse columns of a Levi-part element's matrix: x applied to each
-        basis word on the highest weight vector, each F-content part reduced
-        in its slice."""
-        uq = self.uq
-        cols = []
-        for off, k in self.basis:
-            prod = uq.multiply(x, uq.fword(self.slices[off].ws.words[k]))
-            parts: dict[tuple[int, ...], AlgElement] = {}
-            for nw, c in prod.items():
-                parts.setdefault(tuple(nw[0].count(i) for i in range(1, uq.r + 1)), {})[nw] = c
-            # parts at contents outside the module's weights vanish in it
-            cols.append({self.index[(noff, k2)]: v for noff, sl in self.slices.items()
-                         for k2, v in sl.reduce_element(parts.get(noff, {})).items()})
-        return cols
-
-
 class TensorFiber:
-    """M(mu) tensor the dual of M(nu) with explicit generator actions and a
-    cyclic lift from the vector v_mu (x) ksi_{-nu}."""
+    """The Levi top of M(mu) tensor the dual of the Levi top of M(nu), read
+    from the two modules' slice families, with explicit generator actions and
+    a cyclic lift from the vector v_mu (x) ksi_{-nu}."""
 
-    def __init__(self, uq: UqAlgebra, P: ParabolicData, mu: Weight, nu: Weight):
-        self.uq = uq
-        self.P = P
-        self.mu_data = LeviModuleData(uq, P, mu)
-        self.nu_data = LeviModuleData(uq, P, nu)
-        self.dim = self.mu_data.dim * self.nu_data.dim
-        rs = uq.rs
+    def __init__(self, mu_family: SliceFamily, nu_family: SliceFamily):
+        self.mu_family, self.nu_family = mu_family, nu_family
+        self.uq = uq = mu_family.uq
+        self.P = mu_family.P
+        self.dim = mu_family.levi_dim * nu_family.levi_dim
+        mu_wts, nu_wts = ([fam.lam - uq.rs.root_to_weight(off) for off, _ in fam.levi_basis]
+                          for fam in (mu_family, nu_family))
         # tensor basis index: p * nu_dim + r
-        self.weights: list[Weight] = []
-        for p in range(self.mu_data.dim):
-            for r in range(self.nu_data.dim):
-                self.weights.append(self.mu_data.weights[p] - self.nu_data.weights[r])
-        # generator of the fiber: highest of M(mu) (x) dual of highest of M(nu)
-        p0 = self.mu_data.index[((0,) * rs.rank, 0)]
-        r0 = self.nu_data.index[((0,) * rs.rank, 0)]
-        self.gen_index = p0 * self.nu_data.dim + r0
+        self.weights: list[Weight] = [a - b for a in mu_wts for b in nu_wts]
+        # generator v_mu (x) ksi_{-nu}: each Levi basis starts at its top
+        self.gen_index = 0
         self._gen_mats: dict[tuple, list[dict[int, RatFunc]]] = {}
         self._lift: list[AlgElement] | None = None
 
@@ -260,12 +219,11 @@ class TensorFiber:
         if m is not None:
             return m
         uq = self.uq
-        md, nd = self.mu_data, self.nu_data
-        nn = nd.dim
+        nn = self.nu_family.levi_dim
         out: list[dict[int, RatFunc]] = [{} for _ in range(self.dim)]
         for (a, b), c in uq.coproduct(uq.from_letters([letter])).items():
-            ma = md.matrix({a: RatFunc.one()})
-            mb = nd.matrix(uq.antipode({b: RatFunc.one()}))
+            ma = self.mu_family.levi_matrix({a: RatFunc.one()})
+            mb = self.nu_family.levi_matrix(uq.antipode({b: RatFunc.one()}))
             # column (p, r) gains c * M_mu(a)[p2, p] * M_nu(kappa(b))[r, r2] at row (p2, r2)
             for p, col_a in enumerate(ma):
                 for r2, col_b in enumerate(mb):
@@ -535,14 +493,12 @@ class DoubleComplex:
     commute, which reduces to commutator identities against the generator.
     """
 
-    def __init__(self, G, maps: StandardMapFamily | None = None):
-        """maps: the standard maps of G, such as a `BGGComplex`'s; built here
-        when None."""
-        self.G = G
-        self.rs = G.P.rs
-        self.maps = maps = maps or StandardMapFamily(G)
-        if maps.G is not G:
-            raise ValueError("the double complex needs the standard maps of its own graph")
+    def __init__(self, maps: StandardMapFamily):
+        """maps: the standard maps of a coset graph, such as a `BGGComplex`'s;
+        each fiber reads the Levi tops of their modules."""
+        self.maps = maps
+        self.G = maps.G
+        self.rs = self.G.P.rs
         self.uq = maps.uq
         self._fibers: dict[tuple, TensorFiber] = {}
         self._slices: dict[tuple, WSlice] = {}
@@ -552,7 +508,7 @@ class DoubleComplex:
         key = (w1, w2)
         fb = self._fibers.get(key)
         if fb is None:
-            fb = TensorFiber(self.uq, self.G.P, self.G.dot[w1], self.G.dot[w2])
+            fb = TensorFiber(self.maps.family(w1), self.maps.family(w2))
             self._fibers[key] = fb
         return fb
 

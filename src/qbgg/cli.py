@@ -24,6 +24,7 @@ from .weyl import BruhatGraph, GroupTooLarge, incomparability_report
 from .reps import kostant_partition, verify_dim_identity
 from .uqalg import UqAlgebra
 from .bgg import BGGComplex, DoubleComplex, _enumerate_offsets
+from .verma import StandardMapFamily
 from . import qsphere
 
 SCHEMA_VERSION = 1
@@ -225,7 +226,8 @@ def cmd_bgg_verify(args) -> list:
 
 
 def cmd_double_verify(args) -> list:
-    dc = DoubleComplex(_chain_graph(_parse_parabolic(args, irreducible=True)))
+    dc = DoubleComplex(StandardMapFamily(
+        _chain_graph(_parse_parabolic(args, irreducible=True))))
     k1, k2 = args.box
     return [("double.anticommute",
              "mixed maps anticommute on the bidegree box (%d,%d)" % (k1, k2),
@@ -246,7 +248,7 @@ def cmd_all(args) -> list:
     P = _parse_parabolic(args, irreducible=True)
     G = _chain_graph(P)
     bgg = BGGComplex(G)
-    dc = DoubleComplex(G, maps=bgg.maps)
+    dc = DoubleComplex(bgg.maps)
     height = _height(args, P)
     k1, k2 = args.box
 

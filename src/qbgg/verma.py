@@ -9,6 +9,7 @@ normal-form engine and kill the highest weight vector.
 from __future__ import annotations
 
 from collections import deque
+from functools import cached_property
 
 from .cartan import ParabolicData, Weight
 from .qfield import (CertificationError, QMatrix, RatFunc, add_into, fill_to_rank,
@@ -52,7 +53,7 @@ class ModuleSlice:
     def dim(self) -> int:
         return len(self.basis_words)
 
-    def reduce_coords(self, vec_by_word) -> dict[int, RatFunc]:
+    def residue(self, vec_by_word) -> dict[int, RatFunc]:
         """Residue of a free-word vector, keyed by word index and supported
         on `basis_pos`."""
         return self._ech.reduce(self.ws.residue(vec_by_word))
@@ -65,13 +66,14 @@ class ModuleSlice:
             if not ew:
                 add_into(by_word, {fw: c * self.uq.k_scalar(kv, self.lam.coords)
                                    if any(kv) else c})
-        return self.reduce_coords(by_word)
+        return self.residue(by_word)
 
 
 class SliceFamily:
-    """Cache of module slices for a fixed S-dominant highest weight lam,
-    with the character of the simple Levi module on top: its dimension and
-    each weight as (root offset below lam, multiplicity)."""
+    """The module induced from the simple Levi module of a fixed S-dominant
+    highest weight lam: a cache of its slices, and the Levi top's character
+    (its dimension and each weight as (root offset below lam, multiplicity),
+    by height and then by offset), basis and matrices."""
 
     def __init__(self, uq: UqAlgebra, lam: Weight, S: frozenset[int] = frozenset()):
         self.uq = uq
@@ -79,8 +81,9 @@ class SliceFamily:
         self.S = frozenset(S)
         self.P = ParabolicData(uq.rs, self.S)
         dom, self.levi_dim = levi_irrep(self.P, lam)
-        self.levi_offsets = [(uq.rs.weight_root_coords_int(lam - wt), m)
-                             for wt, m in levi_character(self.P, dom).items()]
+        self.levi_offsets = sorted(((uq.rs.weight_root_coords_int(lam - wt), m)
+                                    for wt, m in levi_character(self.P, dom).items()),
+                                   key=lambda om: (sum(om[0]), om[0]))
         self._slices: dict[tuple[int, ...], ModuleSlice] = {}
 
     def get(self, beta: tuple[int, ...]) -> ModuleSlice:
@@ -89,6 +92,33 @@ class SliceFamily:
             sl = ModuleSlice(self, beta)
             self._slices[beta] = sl
         return sl
+
+    @cached_property
+    def levi_basis(self) -> list[tuple[tuple[int, ...], int]]:
+        """The Levi top's basis: (offset, word index) over each slice's basis
+        words, in the order of `levi_offsets`, so the highest weight vector
+        comes first."""
+        basis = [(off, k) for off, _ in self.levi_offsets for k in self.get(off).basis_pos]
+        if len(basis) != self.levi_dim:
+            raise CertificationError("Levi basis count is not the dimension")
+        return basis
+
+    def levi_matrix(self, x: AlgElement) -> list[dict[int, RatFunc]]:
+        """Sparse columns of a Levi-part element's matrix on the Levi top: x
+        applied to each basis word on the highest weight vector, each
+        F-content part reduced in its slice."""
+        uq = self.uq
+        index = {b: n for n, b in enumerate(self.levi_basis)}
+        cols = []
+        for off, k in self.levi_basis:
+            prod = uq.multiply(x, uq.fword(self.get(off).ws.words[k]))
+            parts: dict[tuple[int, ...], AlgElement] = {}
+            for nw, c in prod.items():
+                parts.setdefault(tuple(nw[0].count(i) for i in range(1, uq.r + 1)), {})[nw] = c
+            # parts at contents outside the module's weights vanish in it
+            cols.append({index[(noff, k2)]: v for noff, _ in self.levi_offsets
+                         for k2, v in self.get(noff).reduce_element(parts.get(noff, {})).items()})
+        return cols
 
     def induced_dim(self, beta: tuple[int, ...]) -> int:
         """Dimension of the beta-slice by the character identity: the Levi
@@ -132,8 +162,8 @@ class StandardMapFamily:
         self._solve_arrows()
         self._normalize_squares()
 
-    def _family(self, w) -> SliceFamily:
-        """The slices of the module M(w.0) of the coset w."""
+    def family(self, w) -> SliceFamily:
+        """The module M(w.0) of the coset w: its slices and its Levi top."""
         fam = self.families.get(w)
         if fam is None:
             fam = SliceFamily(self.uq, self.G.dot[w], self.G.P.S)
@@ -142,7 +172,7 @@ class StandardMapFamily:
 
     def _solve_arrows(self) -> None:
         for a in self.G.arrows:
-            sv = singular_vectors(self._family(a.source), self.G.offset(a.source, a.target))
+            sv = singular_vectors(self.family(a.source), self.G.offset(a.source, a.target))
             if len(sv) != 1:
                 raise CertificationError(
                     "singular space at arrow %s -> %s has dimension %d"
@@ -200,7 +230,7 @@ class StandardMapFamily:
         # map M(w4.0) -> M(w1.0): generator goes to
         # y_second * y_first applied to the w1 highest weight vector
         prod = self.uq.multiply(y_second, y_first)
-        return self._family(w1).get(self.G.offset(w1, w4)).reduce_element(prod)
+        return self.family(w1).get(self.G.offset(w1, w4)).reduce_element(prod)
 
     def _square_ratio(self, maps: dict, square, scale: dict | None = None) -> RatFunc:
         """The c with composite(w1->w2->w4) = c * composite(w1->w3->w4) for

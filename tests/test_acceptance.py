@@ -14,7 +14,7 @@ from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.qfield import Laurent, QMatrix, RatFunc, rank
 from qbgg.reps import kostant_partition, verify_dim_identity
 from qbgg.uqalg import NMinusWeightSpace, UqAlgebra
-from qbgg.verma import SliceFamily, singular_vectors
+from qbgg.verma import SliceFamily, StandardMapFamily, singular_vectors
 from qbgg.weyl import BruhatGraph, incomparability_report
 from qbgg import qfield, qsphere
 
@@ -54,6 +54,10 @@ def _family_graphs() -> list[BruhatGraph]:
 
 
 SMALL = [("A1", ()), ("A2", (1,)), ("A3", (1, 3))]
+
+
+def _double(name: str, S) -> DoubleComplex:
+    return DoubleComplex(StandardMapFamily(BruhatGraph(ParabolicData(RootSystem(name), set(S)))))
 
 
 def test_criterion_1_dimension_identity(acceptance_report):
@@ -194,9 +198,9 @@ def test_criterion_6_bgg_complex(acceptance_report):
 def test_criterion_7_double_complex_anticommutation(acceptance_report):
     # rank one on the full low-degree window, then the first nontrivial flag
     # on a bidegree box; the rank-one generator identity is the base case
-    dc1 = DoubleComplex(BruhatGraph(ParabolicData(RootSystem("A1"), set())))
+    dc1 = _double("A1", ())
     rep1 = dc1.verify_anticommute(k1cap=2, k2cap=2)
-    dc2 = DoubleComplex(BruhatGraph(ParabolicData(RootSystem("A2"), {1})))
+    dc2 = _double("A2", (1,))
     rep2 = dc2.verify_anticommute(k1cap=2, k2cap=2)
     base_case = bool(rep1["pairs"]) and \
         all(p["generator_zero"] for p in rep1["pairs"])
@@ -209,7 +213,7 @@ def test_criterion_7_double_complex_anticommutation(acceptance_report):
 def test_criterion_8_rows_and_columns(acceptance_report):
     ok = True
     for name, S in [("A1", ()), ("A2", (1,))]:
-        dc = DoubleComplex(BruhatGraph(ParabolicData(RootSystem(name), set(S))))
+        dc = _double(name, S)
         rows = dc.verify_rows(k2cap=1, k1lim=1)
         cols = dc.verify_columns(k1cap=1, k2lim=1)
         ok = ok and rows["ok"] and cols["ok"]
@@ -264,7 +268,7 @@ def test_criterion_10_engine_cross_validation(acceptance_report, monkeypatch):
     for (name, S), height in zip(SMALL[:2], (8, 4)):
         BGGComplex(BruhatGraph(ParabolicData(RootSystem(name), set(S)))) \
             .verify_exactness(height)
-    dc = DoubleComplex(BruhatGraph(ParabolicData(RootSystem("A1"), set())))
+    dc = _double("A1", ())
     dc.verify_rows(1, 1)
     dc.verify_columns(1, 1)
     q0 = Fraction(3, 2)
@@ -318,7 +322,7 @@ def test_criterion_11_heuristic_gcd_cross_validation(acceptance_report,
         .verify_exactness(4)
     # the A2 double adds about 2,300 pairs of two non-monomials
     for name, S in [("A1", ()), ("A2", (1,))]:
-        dc = DoubleComplex(BruhatGraph(ParabolicData(RootSystem(name), set(S))))
+        dc = _double(name, S)
         dc.verify_rows(1, 1)
         dc.verify_columns(1, 1)
     monkeypatch.undo()

@@ -5,18 +5,19 @@ from __future__ import annotations
 import pytest
 
 from qbgg import bgg
-from qbgg.bgg import DoubleComplex, LeviModuleData, TensorFiber
+from qbgg.bgg import DoubleComplex, TensorFiber
 from qbgg.cartan import ParabolicData, RootSystem, Weight
+from qbgg.cli import main
 from qbgg.qfield import QMatrix, RatFunc, add_into
 from qbgg.uqalg import UqAlgebra
-from qbgg.verma import StandardMapFamily
+from qbgg.verma import SliceFamily, StandardMapFamily
 from qbgg.weyl import BruhatGraph
 
 from oracles import free_vector, place
 
 
 def _dc(name: str, S) -> DoubleComplex:
-    return DoubleComplex(BruhatGraph(ParabolicData(RootSystem(name), set(S))))
+    return DoubleComplex(StandardMapFamily(BruhatGraph(ParabolicData(RootSystem(name), set(S)))))
 
 
 def _matmul(a: list[dict], b: list[dict]) -> list[dict]:
@@ -40,31 +41,49 @@ def cp2():
     return _dc("A2", (1,))
 
 
-def test_double_complex_refuses_maps_of_another_graph(rank_one):
-    G = rank_one.G
-    other = BruhatGraph(ParabolicData(RootSystem("A1"), set()))
-    with pytest.raises(ValueError, match="its own graph"):
-        DoubleComplex(G, maps=StandardMapFamily(other))
-    assert DoubleComplex(G, maps=rank_one.maps).uq is rank_one.uq
+def test_fibers_read_the_standard_maps_families(cp2):
+    # each fiber's two Levi tops are the modules of the standard maps, not
+    # copies, and its generator is the pair of highest weight vectors
+    G = cp2.G
+    for w1 in G.cosets:
+        for w2 in G.cosets:
+            fb = cp2.fiber(w1, w2)
+            assert fb.mu_family is cp2.maps.family(w1)
+            assert fb.nu_family is cp2.maps.family(w2)
+            assert fb.weights[fb.gen_index] == G.dot[w1] - G.dot[w2]
+
+
+def test_double_verify_builds_one_slice_family_per_coset(capsys, monkeypatch):
+    built = []
+    original = SliceFamily.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SliceFamily, "__init__", counted)
+    assert main(["double", "verify", "--type", "A2", "--s", "1", "--box", "1,1"]) == 0
+    capsys.readouterr()
+    assert len(built) == len(BruhatGraph(ParabolicData(RootSystem("A2"), {1})).cosets) == 3
 
 
 def test_levi_module_commutator(cp2):
     # [E_1, F_1] acts as ([wt_1])-diagonal on a Levi module of the flag
     uq = cp2.uq
-    P = cp2.G.P
-    data = LeviModuleData(uq, P, Weight((1, 0)))
-    assert data.dim == 2
-    e = data.matrix(uq.E(1))
-    f = data.matrix(uq.F(1))
+    fam = SliceFamily(uq, Weight((1, 0)), cp2.G.P.S)
+    assert fam.levi_dim == 2
+    weights = [fam.lam - uq.rs.root_to_weight(off) for off, _ in fam.levi_basis]
+    e = fam.levi_matrix(uq.E(1))
+    f = fam.levi_matrix(uq.F(1))
     comm = _matmul(e, f)
     fe = _matmul(f, e)
     d = uq.rs.d[0]
     den = RatFunc.q_power(d) - RatFunc.q_power(-d)
-    for r in range(data.dim):
-        for c in range(data.dim):
+    for r in range(fam.levi_dim):
+        for c in range(fam.levi_dim):
             expect = RatFunc.zero()
             if r == c:
-                k = d * data.weights[r].coords[0]
+                k = d * weights[r].coords[0]
                 expect = (RatFunc.q_power(k) - RatFunc.q_power(-k)) / den
             assert comm[c].get(r, RatFunc.zero()) - fe[c].get(r, RatFunc.zero()) == expect
 
@@ -82,8 +101,8 @@ _FIBERS = {
 
 def _fiber(case: str) -> TensorFiber:
     name, S, mu, nu = _FIBERS[case]
-    rs = RootSystem(name)
-    return TensorFiber(UqAlgebra(rs), ParabolicData(rs, S), Weight(mu), Weight(nu))
+    uq = UqAlgebra(RootSystem(name))
+    return TensorFiber(SliceFamily(uq, Weight(mu), S), SliceFamily(uq, Weight(nu), S))
 
 
 def _vanishes(fb: TensorFiber, terms) -> bool:
@@ -145,12 +164,12 @@ def test_levi_matrix_is_multiplicative(case):
     i, j = S[0], S[-1]
     words = [[("E", i), ("F", j)], [("F", i), ("K", j, -1)],
              [("K", i, 1), ("E", j), ("F", i)], [("F", j), ("F", i), ("E", i)]]
-    for data in (fb.mu_data, fb.nu_data):
+    for fam in (fb.mu_family, fb.nu_family):
         for wx in words:
             for wy in words:
                 x, y = uq.from_letters(wx), uq.from_letters(wy)
-                lhs = data.matrix(uq.multiply(x, y))
-                rhs = _matmul(data.matrix(x), data.matrix(y))
+                lhs = fam.levi_matrix(uq.multiply(x, y))
+                rhs = _matmul(fam.levi_matrix(x), fam.levi_matrix(y))
                 assert lhs == rhs
 
 

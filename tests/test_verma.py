@@ -90,7 +90,7 @@ def test_evaluate_on_highest_k_eigenvalue():
     scal = uq.k_scalar(kv, lam.coords)
     assert scal != RatFunc.one()
     sl = fam.get((1, 1))
-    f_part = sl.reduce_coords({(1, 2): RatFunc.one()})
+    f_part = sl.residue({(1, 2): RatFunc.one()})
     assert f_part
     assert sl.reduce_element(x) == {k: a * c * scal for k, a in f_part.items()}
 
@@ -134,7 +134,7 @@ def test_standard_maps_square_compatible():
     (w1, w2, w3, w4) = G.squares[0]
     c1 = uq.multiply(maps.y(w2, w4), maps.y(w1, w2))
     c2 = uq.multiply(maps.y(w3, w4), maps.y(w1, w3))
-    fam = maps._family(w1)
+    fam = maps.family(w1)
     beta = G.offset(w1, w4)
     v1 = fam.get(beta).reduce_element(c1)
     v2 = fam.get(beta).reduce_element(c2)
