@@ -18,13 +18,13 @@ print("           da = ad + (q - q^-1) bc,  ad = 1 + q^-1 bc")
 sph = qs.sphere_relation()
 print("sphere relation (unique up to scale):", sph["relation"])
 
-dims = qs.component_fiber_dims(6)
+dims = qs.component_fiber_dims()
 print("form component fibers:", dims["components"],
       "-> totals by degree", dims["total_by_degree"])
 
-print("Leibniz rule:", qs.verify_leibniz(3)["ok"])
-print("d squared zero:", qs.verify_d_squared(4)["ok"])
-vol = qs.verify_volume_form(4)
+print("Leibniz rule:", qs.verify_leibniz()["ok"])
+print("d squared zero:", qs.verify_d_squared()["ok"])
+vol = qs.verify_volume_form()
 print("volume form central and generating:", vol["ok"],
       "(window dims %d = %d)" % (vol["generated_dim"],
                                  vol["subalgebra_window_dim"]))

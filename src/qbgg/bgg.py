@@ -422,12 +422,6 @@ class WSlice:
                     del vec[k + off]
         return vec
 
-    def _free_vector(self, x: AlgElement, t: int) -> dict[int, RatFunc] | None:
-        """Flat sparse coordinates of (algebra element) applied to fiber
-        vector t, Serre-reducing both word factors; None when some monomial
-        leaves the window."""
-        return self._place(_cell_coords(self.uq, x), t)
-
     def _absorption_rows(self) -> list[dict[int, RatFunc]]:
         uq = self.uq
         rs = uq.rs
@@ -463,7 +457,7 @@ class WSlice:
     def reduce_applied(self, x: AlgElement, t: int) -> dict[int, RatFunc]:
         """Residue of (algebra element) acting on fiber basis vector t, keyed
         by flat position and supported on the basis positions."""
-        vec = self._free_vector(x, t)
+        vec = self._place(_cell_coords(self.uq, x), t)
         if vec is None:
             raise TruncationError("element leaves the window")
         return self._ech.reduce(vec)

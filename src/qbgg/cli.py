@@ -22,7 +22,6 @@ from . import __version__
 from .cartan import ParabolicData, RootSystem
 from .weyl import BruhatGraph, GroupTooLarge, incomparability_report
 from .reps import kostant_partition, verify_dim_identity
-from .uqalg import UqAlgebra
 from .bgg import BGGComplex, DoubleComplex, _enumerate_offsets
 from .verma import StandardMapFamily
 from . import qsphere
@@ -253,9 +252,8 @@ def cmd_all(args) -> list:
     k1, k2 = args.box
 
     def pbw():
-        uq = UqAlgebra(P.rs)
         bad = [list(beta) for beta in _enumerate_offsets(P.rs, 4)
-               if sum(beta) and uq.weight_space(beta).dim
+               if sum(beta) and bgg.uq.weight_space(beta).dim
                != kostant_partition(P.rs, beta)]
         return not bad, {"bad": bad}
 

@@ -267,6 +267,11 @@ def del_antihol(x: Elem) -> Elem:
 # the sphere subalgebra: weight-zero part, generated in degree two
 B_GENS = {"x_minus": ("ab",), "x_zero": ("bc",), "x_plus": ("cd",)}
 
+# degree windows of the calculus checks: weight-zero elements up to WINDOW,
+# and the form components, two degrees above them, up to FIBER_WINDOW
+WINDOW = 4
+FIBER_WINDOW = WINDOW + 2
+
 
 def b_gen(name: str) -> Elem:
     return mul_all([gen(ch) for ch in B_GENS[name][0]])
@@ -284,14 +289,9 @@ def monomials_of_weight(w: int, max_degree: int) -> list[Mono]:
     return out
 
 
-def _span_dim(vectors: list[Elem], basis: list[Mono]) -> int:
-    """Dimension of the span of elements of the window `basis`."""
-    return rank(QMatrix(len(basis), vectors))
-
-
-def component_fiber_dims(max_degree: int) -> dict:
+def component_fiber_dims() -> dict:
     """Dimension of each form component modulo the augmentation ideal of the
-    sphere subalgebra, computed on a degree window.
+    sphere subalgebra, computed on the degree window FIBER_WINDOW.
 
     The two-column complexes have componentwise fibers of dimension one:
     binomial(1, k) per column and binomial(2, k) in total degree k."""
@@ -299,13 +299,13 @@ def component_fiber_dims(max_degree: int) -> dict:
     comps = {}
     for (n, m) in [(0, 0), (1, 0), (0, 1), (1, 1)]:
         w = 2 * (m - n)
-        window = monomials_of_weight(w, max_degree)
-        inner = [mm for mm in window if degree(mm) <= max_degree - 2]
+        window = monomials_of_weight(w, FIBER_WINDOW)
+        inner = [mm for mm in window if degree(mm) <= FIBER_WINDOW - 2]
         prods = []
         for g in gens:
             for mm in inner:
                 prods.append(mul(g, {mm: RatFunc.one()}))
-        sub = _span_dim(prods, window)
+        sub = rank(QMatrix(len(window), prods))
         comps[(n, m)] = len(window) - sub
     total = {0: comps[(0, 0)],
              1: comps[(1, 0)] + comps[(0, 1)],
@@ -313,14 +313,14 @@ def component_fiber_dims(max_degree: int) -> dict:
     ok = (comps[(0, 0)] == 1 and comps[(1, 0)] == 1
           and comps[(0, 1)] == 1 and comps[(1, 1)] == 1)
     return {"ok": ok, "components": {f"{n},{m}": v for (n, m), v in comps.items()},
-            "total_by_degree": total, "max_degree": max_degree}
+            "total_by_degree": total, "max_degree": FIBER_WINDOW}
 
 
-def b_window(max_degree: int) -> list[Elem]:
-    """Products of sphere generators up to the given degree."""
+def b_window() -> list[Elem]:
+    """Products of sphere generators up to degree WINDOW."""
     out = [one()]
     frontier = [one()]
-    for _ in range(max_degree // 2):
+    for _ in range(WINDOW // 2):
         nxt = []
         for f in frontier:
             for name in B_GENS:
@@ -330,16 +330,13 @@ def b_window(max_degree: int) -> list[Elem]:
     return out
 
 
-def verify_leibniz(max_degree: int = 3) -> dict:
+def verify_leibniz() -> dict:
     """Both differentials satisfy the plain Leibniz rule on products of
     sphere elements (the grading twist is trivial in weight zero)."""
     elems = [b_gen(name) for name in B_GENS]
     pairs_ok = True
     checked = 0
-    pool = list(elems)
-    if max_degree >= 3:
-        pool += [mul(elems[0], elems[1]), mul(elems[2], elems[1])]
-    for f in pool:
+    for f in elems + [mul(elems[0], elems[1]), mul(elems[2], elems[1])]:
         for g in elems:
             for D in (del_hol, del_antihol):
                 rhs = mul(D(f), g)
@@ -350,13 +347,13 @@ def verify_leibniz(max_degree: int = 3) -> dict:
     return {"ok": pairs_ok, "products_checked": checked}
 
 
-def verify_d_squared(max_degree: int = 4) -> dict:
+def verify_d_squared() -> dict:
     """The total differential squares to zero: with the sign twist on the
     antiholomorphic family this reduces to the two differentials commuting
     on weight-zero elements."""
     ok = True
     checked = 0
-    for m in monomials_of_weight(0, max_degree):
+    for m in monomials_of_weight(0, WINDOW):
         x = {m: RatFunc.one()}
         if del_hol(del_antihol(x)) != del_antihol(del_hol(x)):
             ok = False
@@ -364,7 +361,7 @@ def verify_d_squared(max_degree: int = 4) -> dict:
     return {"ok": ok, "elements_checked": checked}
 
 
-def verify_volume_form(max_degree: int = 4) -> dict:
+def verify_volume_form() -> dict:
     """The unit of the top component is a volume form: it is coinvariant,
     the grading twist fixes the sphere subalgebra so it is central, and it
     generates the top component over the subalgebra on the window."""
@@ -384,11 +381,11 @@ def verify_volume_form(max_degree: int = 4) -> dict:
             central_ok = False
     # generation: the window of the top component equals the subalgebra
     # window; vol is the unit, so the multiples f * vol are the f themselves
-    window = monomials_of_weight(0, max_degree)
-    multiples = b_window(max_degree)
-    gen_dim = _span_dim(multiples, window)
-    sub_dim = _span_dim([{m: RatFunc.one()} for f in multiples for m in f],
-                        window)
+    window = monomials_of_weight(0, WINDOW)
+    multiples = b_window()
+    gen_dim = rank(QMatrix(len(window), multiples))
+    sub_dim = rank(QMatrix(len(window), [{m: RatFunc.one()} for f in multiples
+                                         for m in f]))
     gen_ok = gen_dim == sub_dim and gen_dim > 0
     ok = twist_ok and central_ok and gen_ok
     return {"ok": ok, "twist_fixes_subalgebra": twist_ok,
@@ -415,13 +412,13 @@ def sphere_relation() -> dict:
     return out
 
 
-def verify_calculus(max_degree: int = 4) -> dict:
+def verify_calculus() -> dict:
     """Run every check of the quantum-sphere calculus."""
     rel = verify_relations()
-    dims = component_fiber_dims(max_degree + 2)
-    lei = verify_leibniz(3)
-    dsq = verify_d_squared(max_degree)
-    vol = verify_volume_form(max_degree)
+    dims = component_fiber_dims()
+    lei = verify_leibniz()
+    dsq = verify_d_squared()
+    vol = verify_volume_form()
     sph = sphere_relation()
     ok = all(r["ok"] for r in (rel, dims, lei, dsq, vol, sph))
     return {"ok": ok, "relations": rel, "fiber_dims": dims, "leibniz": lei,

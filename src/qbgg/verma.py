@@ -8,14 +8,13 @@ normal-form engine and kill the highest weight vector.
 """
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 
 from .cartan import ParabolicData, Weight
 from .qfield import (CertificationError, QMatrix, RatFunc, add_into, fill_to_rank,
                      kernel_basis)
 from .reps import kostant_partition, levi_character, levi_irrep
-from .uqalg import AlgElement, UqAlgebra, _words_of_content
+from .uqalg import AlgElement, UqAlgebra, _words_of_content, scaled
 from .weyl import WeylElement
 
 
@@ -150,14 +149,13 @@ def singular_vectors(family: SliceFamily, beta: tuple[int, ...]) -> list[AlgElem
 
 class StandardMapFamily:
     """Intertwiners y between the modules M(w.0) for every arrow of a Bruhat
-    graph, scaled so both composites agree exactly around every square, with
-    the sign assignment carried separately."""
+    graph: each arrow's singular vector, rescaled in `scaled` so that both
+    composites agree exactly around every square.  Signs are kept apart."""
 
     def __init__(self, G):
         self.G = G
         self.uq = UqAlgebra(G.P.rs)
         self.families: dict[WeylElement, SliceFamily] = {}  # by coset
-        self.raw: dict[tuple, AlgElement] = {}
         self.scaled: dict[tuple, AlgElement] = {}
         self._solve_arrows()
         self._normalize_squares()
@@ -177,74 +175,48 @@ class StandardMapFamily:
                 raise CertificationError(
                     "singular space at arrow %s -> %s has dimension %d"
                     % (a.source, a.target, len(sv)))
-            self.raw[(a.source, a.target)] = sv[0]
+            self.scaled[(a.source, a.target)] = sv[0]
 
     def _normalize_squares(self) -> None:
-        # the arrows of a BFS spanning tree of the coset graph keep scale 1,
-        # and so does every arrow that no square fixes
-        fixed: set[tuple] = set()
-        adj: dict[WeylElement, list] = {}
-        for a in self.G.arrows:
-            adj.setdefault(a.source, []).append(a)
-            adj.setdefault(a.target, []).append(a)
-        if self.G.cosets:
-            start = self.G.cosets[0]
-            visited = {start}
-            queue = deque([start])
-            while queue:
-                v = queue.popleft()
-                for a in adj.get(v, []):
-                    other = a.target if a.source == v else a.source
-                    if other not in visited:
-                        visited.add(other)
-                        fixed.add((a.source, a.target))
-                        queue.append(other)
-        scale: dict[tuple, RatFunc] = {}
-        changed = True
-        # iterate: any square with exactly one unfixed arrow determines it
-        while changed:
-            changed = False
-            for (w1, w2, w3, w4) in self.G.squares:
-                keys = [(w1, w2), (w2, w4), (w1, w3), (w3, w4)]
-                unfixed = [k for k in keys if k not in fixed]
-                if len(unfixed) != 1:
-                    continue
-                c = self._square_ratio(self.raw, (w1, w2, w3, w4), scale)
-                k = unfixed[0]
-                # composite(w1->w2->w4) = c * composite(w1->w3->w4) currently;
-                # scale the unfixed arrow to make them equal
-                scale[k] = RatFunc.one() / c if k in keys[:2] else c
-                fixed.add(k)
-                changed = True
-        for k, y in self.raw.items():
-            s = scale.get(k, RatFunc.one())
-            self.scaled[k] = {nw: c * s for nw, c in y.items()}
+        """One walk up the levels.  At a coset w4 every arrow below w4 has
+        its final scale; the arrow into w4 of w4's first square keeps its
+        own, and each square (w1, w2, w3, w4) with one of (w2, w4), (w3, w4)
+        scaled rescales the other so that its composites agree, until none
+        changes.  An arrow into w4 that no square reaches keeps its scale."""
+        tops: dict[WeylElement, list] = {}
+        # the squares run by w1 up the levels, so their tops do too
+        for sq in self.G.squares:
+            tops.setdefault(sq[3], []).append(sq)
+        for w4, squares in tops.items():
+            done = {(squares[0][1], w4)}
+            changed = True
+            while changed:
+                changed = False
+                for sq in squares:
+                    k2, k3 = (sq[1], w4), (sq[2], w4)
+                    if (k2 in done) != (k3 in done):
+                        # composite through w2 = c * composite through w3
+                        c = self._square_ratio(sq)
+                        k, s = (k3, c) if k2 in done else (k2, c.inverse())
+                        self.scaled[k] = scaled(self.scaled[k], s)
+                        done.add(k)
+                        changed = True
         # final verification: both composites of every square agree exactly
         # for the scaled maps that the complex uses
         for sq in self.G.squares:
-            if self._square_ratio(self.scaled, sq) != RatFunc.one():
+            if self._square_ratio(sq) != RatFunc.one():
                 raise CertificationError("square normalization failed")
 
-    def _composite(self, y_first: AlgElement, y_second: AlgElement,
-                   w1, w4) -> dict[int, RatFunc]:
-        # map M(w4.0) -> M(w1.0): generator goes to
-        # y_second * y_first applied to the w1 highest weight vector
-        prod = self.uq.multiply(y_second, y_first)
-        return self.family(w1).get(self.G.offset(w1, w4)).reduce_element(prod)
-
-    def _square_ratio(self, maps: dict, square, scale: dict | None = None) -> RatFunc:
-        """The c with composite(w1->w2->w4) = c * composite(w1->w3->w4) for
-        the intertwiners in maps, each times its entry of scale if given."""
+    def _square_ratio(self, square) -> RatFunc:
+        """The c with composite(w1->w2->w4) = c * composite(w1->w3->w4), each
+        composite M(w4.0) -> M(w1.0) sending the generator to y(m, w4) y(w1, m)
+        on the w1 highest weight vector."""
         w1, w2, w3, w4 = square
-        c1 = self._composite(maps[(w1, w2)], maps[(w2, w4)], w1, w4)
-        c2 = self._composite(maps[(w1, w3)], maps[(w3, w4)], w1, w4)
-        r = _proportionality(c1, c2)
-        if scale is None:
-            return r
-        one = RatFunc.one()
-        s12, s24, s13, s34 = (scale.get(k, one) for k in
-                              ((w1, w2), (w2, w4), (w1, w3), (w3, w4)))
-        return r * (s12 * s24) / (s13 * s34)
+        sl = self.family(w1).get(self.G.offset(w1, w4))
+        c1, c2 = (sl.reduce_element(self.uq.multiply(self.scaled[(m, w4)],
+                                                     self.scaled[(w1, m)]))
+                  for m in (w2, w3))
+        return _proportionality(c1, c2)
 
     def y(self, source, target) -> AlgElement:
         """Scaled intertwiner for the arrow source -> target (no sign)."""

@@ -32,6 +32,10 @@ class WeylElement:
     def length(self) -> int:
         return len(self.word)
 
+    def __hash__(self) -> int:
+        # the generated hash builds the tuple (word,) on every lookup
+        return hash(self.word)
+
     def __str__(self) -> str:
         return "e" if not self.word else "s" + "s".join(str(i) for i in self.word)
 

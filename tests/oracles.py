@@ -45,9 +45,9 @@ def all_rows_echelon(rows) -> Echelon:
 
 
 def free_vector(sl, x: AlgElement, t: int) -> dict | None:
-    """The reference for `bgg.WSlice._free_vector`: each monomial of x applied
-    to fiber vector t is Serre-reduced and placed on its own, and the result
-    is None as soon as one monomial leaves the window."""
+    """The reference for `WSlice._place` on `bgg._cell_coords(uq, x)`: each
+    monomial of x applied to fiber vector t is Serre-reduced and placed on its
+    own, and the result is None as soon as one monomial leaves the window."""
     uq = sl.uq
     rs = uq.rs
     one = RatFunc.one()

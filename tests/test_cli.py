@@ -13,6 +13,7 @@ import pytest
 import qbgg
 from qbgg import bgg
 from qbgg.cli import main
+from qbgg.uqalg import NMinusWeightSpace
 
 
 def _run(capsys, argv):
@@ -181,6 +182,22 @@ def test_all_builds_the_standard_maps_once(capsys, monkeypatch):
                             "--box", "1,1"])
     assert code == 0
     assert len(built) == 1
+
+
+def test_all_builds_each_weight_space_once(capsys, monkeypatch):
+    # uq.pbw_dims reads the algebra of the standard maps, so its weight
+    # spaces are the ones the resolution and the double complex share
+    built = []
+    original = NMinusWeightSpace.__init__
+
+    def counted(self, uq, beta):
+        built.append(beta)
+        original(self, uq, beta)
+
+    monkeypatch.setattr(NMinusWeightSpace, "__init__", counted)
+    assert main(["all", "--type", "A2", "--s", "1"]) == 0
+    capsys.readouterr()
+    assert len(built) == len(set(built)) == 27
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."])

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from qbgg import bgg
-from qbgg.bgg import DoubleComplex, TensorFiber
+from qbgg.bgg import DoubleComplex, TensorFiber, _cell_coords
 from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.cli import main
 from qbgg.qfield import QMatrix, RatFunc, add_into
@@ -206,7 +206,7 @@ def test_basis_word_pairs_are_unit_vectors(cp2):
             with_relations += len(fsp.words) > fsp.dim or len(esp.words) > esp.dim
             for fi, u in enumerate(fsp.basis_words):
                 for ei, v in enumerate(esp.basis_words):
-                    assert sl._free_vector(uq.fword(u, v), t) == \
+                    assert sl._place(_cell_coords(uq, uq.fword(u, v)), t) == \
                         {off + fi * esp.dim + ei: RatFunc.one()}
                     checked += 1
     assert checked and with_relations
@@ -233,7 +233,7 @@ def test_shared_products_place_like_free_vectors(cp2):
                         for v in uq.weight_space(ce).basis_words:
                             x = uq.multiply(uq.fword(u, v), g)
                             row = sl._place(cp2._products[(u, v, letter)], t)
-                            assert row == sl._free_vector(x, t) == free_vector(sl, x, t)
+                            assert row == sl._place(_cell_coords(uq, x), t) == free_vector(sl, x, t)
                             placed += 1
                             outside += row is None
     assert placed > outside > 0

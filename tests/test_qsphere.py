@@ -88,7 +88,7 @@ def test_weight_grading_multiplicative():
 
 
 def test_component_fiber_dims():
-    rep = qs.component_fiber_dims(6)
+    rep = qs.component_fiber_dims()
     assert rep["ok"]
     assert rep["total_by_degree"] == {0: 1, 1: 2, 2: 1}
 
@@ -104,15 +104,15 @@ def test_differentials_shift_weight():
 
 
 def test_leibniz():
-    assert qs.verify_leibniz(3)["ok"]
+    assert qs.verify_leibniz()["ok"]
 
 
 def test_d_squared():
-    assert qs.verify_d_squared(4)["ok"]
+    assert qs.verify_d_squared()["ok"]
 
 
 def test_volume_form():
-    rep = qs.verify_volume_form(4)
+    rep = qs.verify_volume_form()
     assert rep["ok"]
     assert rep["generated_dim"] == rep["subalgebra_window_dim"]
 
@@ -129,7 +129,7 @@ def test_central_check_fails_for_a_nontrivial_twist(monkeypatch):
         return out
 
     monkeypatch.setattr(qs, "_column_action", scaled_twist)
-    rep = qs.verify_volume_form(4)
+    rep = qs.verify_volume_form()
     assert not rep["twist_fixes_subalgebra"]
     assert not rep["central"]
     assert not rep["ok"]

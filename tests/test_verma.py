@@ -1,6 +1,7 @@
 """Induced-module weight slices, singular vectors, and the standard maps."""
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
@@ -127,15 +128,29 @@ def test_dot_offsets_gr24():
         assert off[G.P.s - 1] == 1
 
 
-def test_standard_maps_square_compatible():
-    G = _graph("A3", (1, 3))
-    maps = StandardMapFamily(G)
+@functools.cache
+def _maps(name: str, S) -> StandardMapFamily:
+    return StandardMapFamily(_graph(name, S))
+
+
+# every square of graphs with one square and of graphs with several squares
+# above one coset
+SQUARES = [(name, S, n) for name, S in [("A3", (1, 3)), ("C3", (1, 2)), ("B2", ()),
+                                        ("G2", ()), ("A3", ())]
+           for n in range(len(_graph(name, S).squares))]
+
+
+@pytest.mark.parametrize("name,S,n", SQUARES,
+                         ids=["%s-%s-%d" % (name, ",".join(map(str, S)), n)
+                              for name, S, n in SQUARES])
+def test_standard_maps_square_compatible(name, S, n):
+    maps = _maps(name, S)
     uq = maps.uq
-    (w1, w2, w3, w4) = G.squares[0]
+    (w1, w2, w3, w4) = maps.G.squares[n]
     c1 = uq.multiply(maps.y(w2, w4), maps.y(w1, w2))
     c2 = uq.multiply(maps.y(w3, w4), maps.y(w1, w3))
     fam = maps.family(w1)
-    beta = G.offset(w1, w4)
+    beta = maps.G.offset(w1, w4)
     v1 = fam.get(beta).reduce_element(c1)
     v2 = fam.get(beta).reduce_element(c2)
     assert v1 == v2
