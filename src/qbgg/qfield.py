@@ -6,8 +6,8 @@ only (`laurent_gcd`, `laurent_divexact`).  Linear algebra has one
 path: `Echelon`, a sparse incremental row echelon with leftmost pivots.  It
 builds quotients one relation at a time (Serre quotients, module slices,
 cyclic lifts), reduces vectors modulo them, and sits behind `rank` and
-`kernel_basis`; `fill_to_rank` fills one from relations of known rank modulo
-a base echelon, and reduces exactly only the relations it keeps.
+`kernel_basis`; `fill_to_rank` fills one from relations of known rank, and
+inserts exactly only the relations it keeps.
 A vector is a dict that holds no zero value, from a residue to a `QMatrix`
 column; only `kernel_basis` returns dense lists.
 
@@ -614,30 +614,21 @@ def _shadow_insert(rows: dict[int, bytes], vec: dict[int, int]) -> bool:
     return p is not None
 
 
-def fill_to_rank(rows: Callable[[], Iterable[dict[int, RatFunc]]], target: int,
-                 base: Echelon | None = None) -> Echelon:
-    """Echelon of the residues modulo `base` of the rows of `rows()`, of rank `target`:
-    the mod-p shadow starts from `base`'s rows at q = _A mod _P, and only rows
-    independent there are reduced and inserted, or all if too few (`uqalg` says why)."""
-    base, ech = Echelon() if base is None else base, Echelon()
-
-    def exact() -> Echelon:
-        return _echelon_of(map(base.reduce, rows()))
-    try:  # a zero entry in a shadow row is harmless
-        shadow = {p: b"".join(pack("2I", k, _at_a(c)) for k, c in row.items())
-                  for p, row in base.rows.items()}
-    except ValueError:  # a denominator vanishes at _A
-        return exact()
+def fill_to_rank(rows: Callable[[], Iterable[dict[int, RatFunc]]], target: int) -> Echelon:
+    """Echelon of the rows of `rows()`, of rank `target`: only rows independent
+    at q = _A mod _P are inserted, or all if too few (`uqalg` says why)."""
+    shadow: dict[int, bytes] = {}
+    ech = Echelon()
     for vec in rows():
         try:
             mod = {k: _at_a(c) for k, c in vec.items()}
-        except ValueError:
-            return exact()
+        except ValueError:  # a denominator vanishes at _A
+            return _echelon_of(rows())
         if _shadow_insert(shadow, mod):
             if len(ech) == target:
                 raise CertificationError("relations have rank > %d mod p" % target)
-            ech.insert(base.reduce(vec))
-    return ech if len(ech) == target else exact()
+            ech.insert(vec)
+    return ech if len(ech) == target else _echelon_of(rows())
 
 
 class QMatrix:

@@ -8,21 +8,23 @@ with coefficients in Q(q).  The defining relations are
     E_i F_j - F_j E_i = delta_ij (K_i - K_i^{-1}) / (q^{d_i} - q^{-d_i})
 
 The quantum Serre relations are not used as rewriting rules; weight
-components of the lower/upper triangular parts are quotients of free word
-spaces (`NMinusWeightSpace` below).
+components of the lower triangular part, and of the modules induced from it,
+are quotients of free word spaces (`NMinusWeightSpace` below).
 
-`qfield.fill_to_rank` builds these quotients, and `verma`'s module slices,
-from relations whose span R has a known rank t: |words| - K(beta) by the PBW
-theorem (Jantzen, Lectures on Quantum Groups, ch. 8), less the induced
-character for a slice.  The t rows it keeps are exact relations independent
-mod p at q = a, hence over Q(q), so they span R.  Were rank R < t, fewer rows
-would be kept and all reduced, so `uq.pbw_dims` stays exact on that side; a
-rank R > t raises only if a later row is independent mod p (acceptance 4 is exact).
-A slice's rows are words taken modulo the Serre echelon B: the shadow starts from
-B's rows at a, and only kept words are reduced modulo B.  Were their residues
-dependent over Q(q), so were those words with B's rows, whose entries all lie in
-Z[q, q^-1] localised at (p, q - a) (else every row is reduced exactly); every
-maximal minor would then vanish at a, against their independence mod p.
+In M_S(lam) (Lepowsky, J. Algebra 49, 1977) the relations beside the Serre
+span are the words that end in a tail (i,) * (<lam, alpha_i^vee> + 1), i in S.
+Each is a unit vector, so its own leftmost pivot: the pivots of all relations
+are the tail words and those of the Serre rows with these columns deleted, and
+a residue off them is one of that restriction.  So a quotient keeps only the
+words that end in no tail, and a Serre row whose right factor ends in one is 0.
+
+`qfield.fill_to_rank` builds each quotient from relations whose span R has a
+known rank t: |words| - K(beta) by the PBW theorem (Jantzen, Lectures on
+Quantum Groups, ch. 8), or |kept words| less the induced character.  The t
+rows it keeps are exact relations independent mod p at q = a, hence over Q(q),
+so they span R.  Were rank R < t, fewer rows would be kept and all reduced, so
+each certificate stays exact on that side; a rank R > t raises only if a later
+row is independent mod p (acceptance 4 is exact).
 """
 from __future__ import annotations
 
@@ -52,7 +54,7 @@ class UqAlgebra:
         self.r = rs.rank
         self._zero_k = (0,) * self.r
         self._mul_letter_cache: dict[tuple[NormalWord, tuple], AlgElement] = {}
-        self._weight_spaces: dict[tuple[int, ...], NMinusWeightSpace] = {}
+        self._weight_spaces: dict[tuple, NMinusWeightSpace] = {}
         # (alpha_i, alpha_j) as integers
         self._aa = rs.bform
         # denominators (q^{d_i} - q^{-d_i}) for the E-F commutator
@@ -242,24 +244,28 @@ class UqAlgebra:
                 -qbinomial(n, k, di) if k % 2 else qbinomial(n, k, di)
                 for k in range(n + 1)}
 
-    def weight_space(self, beta: tuple[int, ...]) -> NMinusWeightSpace:
-        """The weight-beta Serre quotient, built once per algebra; it is
-        read-only after construction, so every module shares it."""
-        ws = self._weight_spaces.get(beta)
+    def weight_space(self, beta: tuple[int, ...], tails: tuple = (), dim: int | None = None):
+        """The weight-beta quotient with `tails`, certified against `dim` and
+        built once per algebra, beta and the tails that fit in beta (the others
+        end no word); it is read-only, so every module with those tails shares it."""
+        key = (beta, tuple(t for t in tails if len(t) <= beta[t[0] - 1]))
+        ws = self._weight_spaces.get(key)
         if ws is None:
-            ws = self._weight_spaces[beta] = NMinusWeightSpace(self, beta)
+            ws = self._weight_spaces[key] = NMinusWeightSpace(self, *key, dim)
         return ws
 
 
 class NMinusWeightSpace:
-    """The weight-beta component of the lower triangular part as a quotient of
-    the free span of F-words by the Serre ideal slice."""
+    """The weight-beta component of the lower triangular part modulo the words
+    that end in one of `tails`: the free span of the other F-words modulo the
+    Serre slice, certified against `dim`, by default the partition count K(beta)."""
 
-    def __init__(self, uq: UqAlgebra, beta: tuple[int, ...]):
+    def __init__(self, uq: UqAlgebra, beta: tuple[int, ...], tails: tuple = (), dim=None):
         self.beta = beta
-        self.words = sorted(_words_of_content(beta))
+        self.tails = tails
+        self.words = [w for w in sorted(_words_of_content(beta)) if not self._dropped(w)]
         self.index = {w: k for k, w in enumerate(self.words)}
-        expect = kostant_partition(uq.rs, beta)
+        expect = kostant_partition(uq.rs, beta) if dim is None else dim
         # uq is not kept: it caches this space, and the cycle would outlive requests
         self._ech = fill_to_rank(lambda: self._serre_rows(uq), len(self.words) - expect)
         # word indices of the basis words: the columns without a pivot
@@ -267,12 +273,15 @@ class NMinusWeightSpace:
         self.basis_words = [self.words[k] for k in self.basis_pos]
         self._position = {k: i for i, k in enumerate(self.basis_pos)}
         if self.dim != expect:
-            raise CertificationError(
-                "weight space dimension %d != partition count %d at %s"
-                % (self.dim, expect, beta))
+            raise CertificationError("weight space dimension %d != certified %d at %s"
+                                     % (self.dim, expect, beta))
+
+    def _dropped(self, word: tuple[int, ...]) -> bool:  # it ends in a tail, so is zero
+        return any(word[-len(t):] == t for t in self.tails)
 
     def _serre_rows(self, uq):
-        """Rows left * S_ij * right by word index: they span the Serre slice."""
+        """Rows left * S_ij * right by word index, on the kept words only."""
+        index = self.index
         for i in range(1, uq.r + 1):
             for j in range(1, uq.r + 1):
                 rest = list(self.beta)
@@ -283,19 +292,23 @@ class NMinusWeightSpace:
                 serre = uq.serre_fword_elements(i, j)
                 for left_content in itertools.product(*(range(c + 1) for c in rest)):
                     right_content = tuple(a - b for a, b in zip(rest, left_content))
+                    rights = [r for r in _words_of_content(right_content) if not self._dropped(r)]
                     for left in _words_of_content(left_content):
-                        for right in _words_of_content(right_content):
-                            yield {self.index[left + sword + right]: c
-                                   for sword, c in serre.items()}
+                        for right in rights:
+                            yield {index[w]: c for sword, c in serre.items()
+                                   if (w := left + sword + right) in index}
 
     @property
     def dim(self) -> int:
         return len(self.basis_words)
 
     def residue(self, vec_by_word: dict[tuple[int, ...], RatFunc]) -> dict[int, RatFunc]:
-        """Reduce a free-word vector modulo the relation span; the result is
-        keyed by word index and supported on the basis words."""
-        return self._ech.reduce({self.index[w]: c for w, c in vec_by_word.items()})
+        """Reduce a free-word vector of content beta modulo the relations; the
+        result is keyed by word index and supported on the basis words."""
+        index = self.index
+        # a word that ends in a tail is zero; any other must be one of `words`
+        return self._ech.reduce({index[w]: c for w, c in vec_by_word.items()
+                                 if w in index or not self._dropped(w)})
 
     def reduce_coords(self, vec_by_word: dict[tuple[int, ...], RatFunc]) -> dict[int, RatFunc]:
         """The residue keyed by basis position: coordinates in the basis words."""

@@ -1,61 +1,41 @@
 """Weight slices of (parabolic) Verma modules, singular vectors, and the
 normalized intertwiner family.
 
-A slice at offset beta is the free span of F-words of content beta modulo
-the Serre slice and, in the parabolic case, the images of the powers
-F_i^{<lam, alpha_i^vee> + 1} for i in S.  Raising operators act through the
-normal-form engine and kill the highest weight vector.
+A slice at offset beta is the free span of the F-words of content beta that
+end in no tail F_i^{<lam, alpha_i^vee> + 1}, i in S, modulo the Serre slice
+(`uqalg` says why deleting those words suffices).  Raising operators act
+through the normal-form engine and kill the highest weight vector.
 """
 from __future__ import annotations
 
 from functools import cached_property
 
 from .cartan import ParabolicData, Weight
-from .qfield import (CertificationError, QMatrix, RatFunc, add_into, fill_to_rank,
-                     kernel_basis)
+from .qfield import CertificationError, QMatrix, RatFunc, add_into, kernel_basis
 from .reps import kostant_partition, levi_character, levi_irrep
-from .uqalg import AlgElement, UqAlgebra, _words_of_content, scaled
+from .uqalg import AlgElement, UqAlgebra, scaled
 from .weyl import WeylElement
 
 
 class ModuleSlice:
     """Weight-offset slice of a highest-weight module induced from a Levi
-    simple module (plain Verma when S is empty)."""
+    simple module (plain Verma when S is empty): the quotient of beta and the
+    family's tails, shared by families with those tails, and certified
+    against this family's induced character."""
 
     def __init__(self, family: SliceFamily, beta: tuple[int, ...]):
         self.uq = uq = family.uq
         self.lam = family.lam
         self.beta = beta
         self.S = family.S
-        self.ws = uq.weight_space(beta)
         expect = family.induced_dim(beta)
-        self._ech = fill_to_rank(self._induced_rows, self.ws.dim - expect, self.ws._ech)
-        # columns are word indices of the Serre quotient's basis words
-        self.basis_pos = [k for k in self.ws.basis_pos if k not in self._ech.rows]
-        self.basis_words = [self.ws.words[k] for k in self.basis_pos]
+        self.quotient = quo = uq.weight_space(beta, family.tails, expect)
+        # columns are word indices of the quotient's words
+        self.words, self.basis_pos, self.basis_words = quo.words, quo.basis_pos, quo.basis_words
+        self.dim, self.residue = quo.dim, quo.residue
         if self.dim != expect:
-            raise CertificationError(
-                "induced module slice dim %d != character value %d at %s"
-                % (self.dim, expect, beta))
-
-    def _induced_rows(self):
-        """The words u * F_i^m (i in S, m = <lam, alpha_i^vee> + 1) by word index;
-        their residues modulo the Serre slice span the kernel."""
-        for i in sorted(self.S):
-            tail = (i,) * (self.lam.coords[i - 1] + 1)
-            rest = tuple(b - len(tail) * (k == i - 1) for k, b in enumerate(self.beta))
-            if min(rest) >= 0:
-                for u in _words_of_content(rest):
-                    yield {self.ws.index[u + tail]: RatFunc.one()}
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis_words)
-
-    def residue(self, vec_by_word) -> dict[int, RatFunc]:
-        """Residue of a free-word vector, keyed by word index and supported
-        on `basis_pos`."""
-        return self._ech.reduce(self.ws.residue(vec_by_word))
+            raise CertificationError("induced module slice dim %d != character value %d at %s"
+                                     % (self.dim, expect, beta))
 
     def reduce_element(self, x: AlgElement) -> dict[int, RatFunc]:
         """Residue of x applied to the highest weight vector: E-parts
@@ -79,6 +59,8 @@ class SliceFamily:
         self.lam = lam
         self.S = frozenset(S)
         self.P = ParabolicData(uq.rs, self.S)
+        # the words u * F_i^{<lam, alpha_i^vee> + 1} vanish in the module
+        self.tails = tuple((i,) * (lam.coords[i - 1] + 1) for i in sorted(self.S))
         dom, self.levi_dim = levi_irrep(self.P, lam)
         self.levi_offsets = sorted(((uq.rs.weight_root_coords_int(lam - wt), m)
                                     for wt, m in levi_character(self.P, dom).items()),
@@ -110,7 +92,7 @@ class SliceFamily:
         index = {b: n for n, b in enumerate(self.levi_basis)}
         cols = []
         for off, k in self.levi_basis:
-            prod = uq.multiply(x, uq.fword(self.get(off).ws.words[k]))
+            prod = uq.multiply(x, uq.fword(self.get(off).words[k]))
             parts: dict[tuple[int, ...], AlgElement] = {}
             for nw, c in prod.items():
                 parts.setdefault(tuple(nw[0].count(i) for i in range(1, uq.r + 1)), {})[nw] = c
@@ -187,6 +169,7 @@ class StandardMapFamily:
         # the squares run by w1 up the levels, so their tops do too
         for sq in self.G.squares:
             tops.setdefault(sq[3], []).append(sq)
+        memo: dict = {}
         for w4, squares in tops.items():
             done = {(squares[0][1], w4)}
             changed = True
@@ -196,7 +179,7 @@ class StandardMapFamily:
                     k2, k3 = (sq[1], w4), (sq[2], w4)
                     if (k2 in done) != (k3 in done):
                         # composite through w2 = c * composite through w3
-                        c = self._square_ratio(sq)
+                        c = self._square_ratio(sq, memo)
                         k, s = (k3, c) if k2 in done else (k2, c.inverse())
                         self.scaled[k] = scaled(self.scaled[k], s)
                         done.add(k)
@@ -204,19 +187,25 @@ class StandardMapFamily:
         # final verification: both composites of every square agree exactly
         # for the scaled maps that the complex uses
         for sq in self.G.squares:
-            if self._square_ratio(sq) != RatFunc.one():
+            if self._square_ratio(sq, memo) != RatFunc.one():
                 raise CertificationError("square normalization failed")
 
-    def _square_ratio(self, square) -> RatFunc:
+    def _square_ratio(self, square, memo: dict) -> RatFunc:
         """The c with composite(w1->w2->w4) = c * composite(w1->w3->w4), each
         composite M(w4.0) -> M(w1.0) sending the generator to y(m, w4) y(w1, m)
-        on the w1 highest weight vector."""
+        on the w1 highest weight vector.  `memo` holds each by (w1, m, w4) with
+        the two maps it came from, reused while both are in `scaled`: a rescale
+        stores a new dict, so only composites through it are redone."""
         w1, w2, w3, w4 = square
         sl = self.family(w1).get(self.G.offset(w1, w4))
-        c1, c2 = (sl.reduce_element(self.uq.multiply(self.scaled[(m, w4)],
-                                                     self.scaled[(w1, m)]))
-                  for m in (w2, w3))
-        return _proportionality(c1, c2)
+        residues = []
+        for m in (w2, w3):
+            y2, y1 = self.scaled[(m, w4)], self.scaled[(w1, m)]
+            hit = memo.get((w1, m, w4))
+            if hit is None or hit[0] is not y2 or hit[1] is not y1:
+                hit = memo[(w1, m, w4)] = (y2, y1, sl.reduce_element(self.uq.multiply(y2, y1)))
+            residues.append(hit[2])
+        return _proportionality(*residues)
 
     def y(self, source, target) -> AlgElement:
         """Scaled intertwiner for the arrow source -> target (no sign)."""

@@ -186,18 +186,21 @@ def test_all_builds_the_standard_maps_once(capsys, monkeypatch):
 
 def test_all_builds_each_weight_space_once(capsys, monkeypatch):
     # uq.pbw_dims reads the algebra of the standard maps, so its weight
-    # spaces are the ones the resolution and the double complex share
+    # spaces are the ones the resolution and the double complex share, and
+    # no quotient of one content and one set of tails is built twice
     built = []
     original = NMinusWeightSpace.__init__
 
-    def counted(self, uq, beta):
-        built.append(beta)
-        original(self, uq, beta)
+    def counted(self, uq, beta, tails=(), dim=None):
+        built.append((beta, tails))
+        original(self, uq, beta, tails, dim)
 
     monkeypatch.setattr(NMinusWeightSpace, "__init__", counted)
     assert main(["all", "--type", "A2", "--s", "1"]) == 0
     capsys.readouterr()
-    assert len(built) == len(set(built)) == 27
+    # 26 Serre quotients and 21 module quotients with a tail, over 27 contents
+    assert len(built) == len(set(built)) == 47
+    assert len({beta for beta, _ in built}) == 27
 
 
 @pytest.mark.parametrize("target", ["missing/report.json", "."])

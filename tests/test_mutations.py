@@ -11,6 +11,7 @@ from qbgg.bgg import TensorFiber
 from qbgg.cartan import ParabolicData
 from qbgg.cli import DISPATCH, build_parser, main
 from qbgg.qfield import CertificationError, RatFunc, add_into
+from qbgg.uqalg import UqAlgebra
 from qbgg.verma import StandardMapFamily
 from qbgg.weyl import BruhatGraph
 
@@ -239,6 +240,39 @@ def test_weyl_signs_fails_on_a_flipped_arrow_sign(capsys, monkeypatch):
     assert checks["weyl.signs"]["witness"] == {"squares_checked": 1}
 
 
+def test_bgg_verify_fails_on_a_tail_one_letter_too_long(capsys, monkeypatch):
+    # every module drops the words that end in F_i^{m_i + 2} instead of
+    # F_i^{m_i + 1}: its slices are larger than the induced character
+    original = verma.SliceFamily.__init__
+
+    def longer(self, *args):
+        original(self, *args)
+        self.tails = tuple(t + t[:1] for t in self.tails)
+
+    monkeypatch.setattr(verma.SliceFamily, "__init__", longer)
+    check = _failed_check(capsys, ["bgg", "verify", "--type", "C3", "--s", "1,2",
+                                   "--height", "3"], "setup")
+    assert check["witness"]["error"].startswith("CertificationError: ")
+
+
+@pytest.mark.parametrize("name,S", [("C3", "1,2"), ("A3", "1,3")])
+def test_bgg_verify_fails_on_a_serre_coefficient_times_q(capsys, monkeypatch, name, S):
+    # one coefficient of every quantum Serre relation is multiplied by q: the
+    # module slices are no longer the modules' weight spaces, although no
+    # Serre quotient of U_q(n-) alone is built for them
+    original = UqAlgebra.serre_fword_elements
+
+    def skewed(self, i, j):
+        rel = original(self, i, j)
+        first = min(rel)
+        return {w: c * RatFunc.q_power(w == first) for w, c in rel.items()}
+
+    monkeypatch.setattr(UqAlgebra, "serre_fword_elements", skewed)
+    check = _failed_check(capsys, ["bgg", "verify", "--type", name, "--s", S,
+                                   "--height", "3"], "setup")
+    assert check["witness"]["error"].startswith("CertificationError: ")
+
+
 def _planted(*args):
     raise CertificationError("planted")
 
@@ -282,7 +316,9 @@ COVERED = {
     "bgg.exactness": ["test_bgg_exactness_fails_on_a_zero_standard_map"],
     "weyl.signs": ["test_weyl_signs_fails_on_a_flipped_arrow_sign"],
     "setup": ["test_standard_maps_failing_during_setup_give_a_failed_report",
-              "test_coset_signs_failing_during_setup_give_a_failed_report"],
+              "test_coset_signs_failing_during_setup_give_a_failed_report",
+              "test_bgg_verify_fails_on_a_tail_one_letter_too_long",
+              "test_bgg_verify_fails_on_a_serre_coefficient_times_q"],
 }
 
 # check ids that no planted defect fails yet, each with the reason

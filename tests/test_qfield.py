@@ -267,53 +267,6 @@ def test_fill_to_rank_raises_when_the_rank_exceeds_the_target():
         fill_to_rank(lambda: iter(rows), 1)
     # too few independent rows: every row is inserted and the rank is exact
     assert len(fill_to_rank(lambda: iter(rows[:2]), 2)) == 1
-    # relative to a base the rank counts residues: {1: -q}, {1: 1}, {2: 1}
-    base = _plain_echelon([{0: one, 1: q}])
-    rows = [{0: one}, {1: one}, {2: one}]
-    assert len(fill_to_rank(lambda: iter(rows), 2, base)) == 2
-    with pytest.raises(CertificationError):
-        fill_to_rank(lambda: iter(rows), 1, base)
-
-
-def _counting_reduce(mp: pytest.MonkeyPatch, ech: Echelon) -> list:
-    """Patch Echelon.reduce to record every vector reduced modulo `ech`."""
-    seen: list = []
-    reduce = Echelon.reduce
-
-    def counting(self, vec, combo=None):
-        if self is ech:
-            seen.append(vec)
-        return reduce(self, vec, combo)
-    mp.setattr(Echelon, "reduce", counting)
-    return seen
-
-
-@settings(max_examples=40, deadline=None)
-@given(_sparse_rows(), _sparse_rows())
-def test_fill_to_rank_relative_to_a_base(base_rows, rows):
-    base = _plain_echelon(base_rows)
-    # add rows that are dependent modulo the base: a base row, a q-multiple
-    rows = rows + [dict(base_rows[0]), {k: v * RatFunc.q_power(1) for k, v in rows[0].items()}]
-    full = all_rows_echelon(lambda: (base.reduce(r) for r in rows))
-    with pytest.MonkeyPatch.context() as mp:
-        seen = _counting_reduce(mp, base)
-        ech = fill_to_rank(lambda: iter(rows), len(full), base)
-    # selection runs mod p; only the kept rows are reduced exactly
-    assert len(seen) == len(full)
-    assert same_quotient(ech, full, range(5))
-
-
-def test_fill_to_rank_falls_back_when_a_base_denominator_vanishes():
-    pole = RatFunc.one() / (RatFunc.q_power(1) - RatFunc.from_int(qfield._A))
-    base = _plain_echelon([{0: RatFunc.one(), 2: pole}])
-    rows = [{0: RatFunc.one()}, {1: RatFunc.one(), 2: RatFunc.q_power(1)}, {2: RatFunc.one()}]
-    with pytest.MonkeyPatch.context() as mp:
-        seen = _counting_reduce(mp, base)
-        ech = fill_to_rank(lambda: iter(rows), 2, base)
-    # the base cannot be taken mod p, so every row is reduced exactly
-    assert len(seen) == len(rows)
-    full = all_rows_echelon(lambda: (base.reduce(r) for r in rows))
-    assert len(ech) == 2 and same_quotient(ech, full, range(3))
 
 
 def test_rank_frozen_examples():

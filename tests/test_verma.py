@@ -10,7 +10,7 @@ from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.qfield import RatFunc
 from qbgg.reps import kostant_partition
 from qbgg.uqalg import UqAlgebra
-from qbgg.verma import SliceFamily, StandardMapFamily, singular_vectors
+from qbgg.verma import ModuleSlice, SliceFamily, StandardMapFamily, singular_vectors
 from qbgg.weyl import BruhatGraph
 
 from oracles import gvm_char
@@ -69,9 +69,25 @@ def test_weight_spaces_are_shared():
     rs = RootSystem("A2")
     uq = UqAlgebra(rs)
     assert uq.weight_space((2, 1)) is uq.weight_space((2, 1))
+    # equal tails (F_1^2) share one quotient per offset; the words that end
+    # in the tail are dropped from it
     fam1 = SliceFamily(uq, Weight((1, 0)), {1})
-    fam2 = SliceFamily(uq, Weight((3, -2)), {1})
-    assert fam1.get((1, 2)).ws is fam2.get((1, 2)).ws is uq.weight_space((1, 2))
+    fam2 = SliceFamily(uq, Weight((1, -2)), {1})
+    assert fam1.tails == fam2.tails == ((1, 1),)
+    for beta in ((1, 2), (2, 1), (3, 2)):
+        quotient = fam1.get(beta).quotient
+        assert fam2.get(beta).quotient is quotient is uq.weight_space(beta, ((1, 1),))
+        assert not [w for w in quotient.words if w[-2:] == (1, 1)]
+    # another tail is another quotient, once the tail fits in the offset
+    fam3 = SliceFamily(uq, Weight((2, 0)), {1})
+    assert fam3.get((3, 2)).quotient is not fam1.get((3, 2)).quotient
+    # a tail that does not fit ends no word, so the slice is the Serre quotient
+    assert fam3.get((2, 1)).quotient is uq.weight_space((2, 1))
+    # with S empty there is no tail: the slices are the Serre quotients
+    fam4 = SliceFamily(uq, Weight((3, -2)))
+    fam5 = SliceFamily(uq, Weight((0, 0)))
+    for beta in ((1, 2), (2, 1)):
+        assert fam4.get(beta).quotient is fam5.get(beta).quotient is uq.weight_space(beta)
 
 
 def test_evaluate_on_highest_k_eigenvalue():
@@ -155,3 +171,24 @@ def test_standard_maps_square_compatible(name, S, n):
     v2 = fam.get(beta).reduce_element(c2)
     assert v1 == v2
     assert v1
+
+
+@pytest.mark.parametrize("name,S,composites", [("C3", (1, 2), 3), ("B2", (), 21)])
+def test_square_walk_reduces_a_composite_again_only_after_a_rescale(monkeypatch, name, S,
+                                                                    composites):
+    # a square whose ratio rescales an arrow costs three composites (the one
+    # square of C3 1,2; five of the eight on B2), any other square two
+    reduced = []
+    walk, reduce_element = StandardMapFamily._normalize_squares, ModuleSlice.reduce_element
+
+    def counted(self, x):
+        reduced.append(x)
+        return reduce_element(self, x)
+
+    def counted_walk(self):
+        monkeypatch.setattr(ModuleSlice, "reduce_element", counted)
+        walk(self)
+
+    monkeypatch.setattr(StandardMapFamily, "_normalize_squares", counted_walk)
+    StandardMapFamily(_graph(name, S))
+    assert len(reduced) == composites
