@@ -17,18 +17,8 @@ from .uqalg import AlgElement, UqAlgebra, scaled
 from .verma import SliceFamily, StandardMapFamily
 
 
-# extra letters allowed per Levi node beyond the quotient-root box of a WSlice
-LEVI_SLACK = 2
-
-
 class TruncationError(Exception):
     """A verification window was too small to contain all needed relations."""
-
-
-def _scount(s: int | None, c: tuple[int, ...]) -> int:
-    """Quotient letters in a content: its entry at the crossed node s, or its
-    height when there is none."""
-    return sum(c) if s is None else c[s - 1]
 
 
 def _exact(dims: list[int], ranks: list[int], aug: int | None) -> bool:
@@ -328,9 +318,13 @@ class WSlice:
     that only the fiber-absorption relations are eliminated.  Every relation
     is a true one, so reducing an element to zero certifies that it
     vanishes; dimension claims are certified against the character oracle.
+    F-contents are capped at k1cap * theta + depth and E-contents at
+    k2cap * theta + depth, theta the highest root and depth the complex's
+    `levi_depth`.
     """
 
     def __init__(self, fiber: TensorFiber, omega: Weight, k1cap: int, k2cap: int,
+                 depth: tuple[int, ...],
                  products: dict[tuple, dict[tuple, list | dict[int, RatFunc]]]):
         self.fiber = fiber
         # cell coordinates of u * v * letter for basis words u, v, shared by
@@ -341,14 +335,9 @@ class WSlice:
         self.omega = omega
         self.k1cap = k1cap
         self.k2cap = k2cap
-        rs = self.uq.rs
-        s = self.P.s
-        if s is None and self.P.S:
-            raise ValueError("window caps need a single crossed node")
-        hr = rs.highest_root()
-        slack = [LEVI_SLACK if (i + 1) in self.P.S else 0 for i in range(rs.rank)]
-        self.capF = tuple(k1cap * hr[i] + slack[i] for i in range(rs.rank))
-        self.capE = tuple(k2cap * hr[i] + slack[i] for i in range(rs.rank))
+        hr = self.uq.rs.highest_root()
+        self.capF = tuple(k1cap * h + d for h, d in zip(hr, depth))
+        self.capE = tuple(k2cap * h + d for h, d in zip(hr, depth))
         self.cells = self._cells(omega)
         # flat coordinate layout: per cell a block of fdim * edim entries
         self._offset: dict[tuple, int] = {}
@@ -381,15 +370,11 @@ class WSlice:
     def _cells(self, omega: Weight) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """Window cells of the given total weight, largest first so that
         elimination keeps the smallest spanning cells as the basis."""
-        rs = self.uq.rs
-        s = self.P.s
         cells = []
         for t, delta in self.fiber.offsets(omega):
             for cf in itertools.product(*(range(c + 1) for c in self.capF)):
-                ce = tuple(cf[i] + delta[i] for i in range(rs.rank))
+                ce = tuple(x + d for x, d in zip(cf, delta))
                 if any(x < 0 for x in ce) or any(x > y for x, y in zip(ce, self.capE)):
-                    continue
-                if _scount(s, cf) > self.k1cap or _scount(s, ce) > self.k2cap:
                     continue
                 cells.append((cf, ce, t))
         cells.sort(key=lambda c: (-(sum(c[0]) + sum(c[1])), c))
@@ -489,10 +474,17 @@ class DoubleComplex:
 
     def __init__(self, maps: StandardMapFamily):
         """maps: the standard maps of a coset graph, such as a `BGGComplex`'s;
-        each fiber reads the Levi tops of their modules."""
+        each fiber reads the Levi tops of their modules.  ValueError unless
+        the parabolic is an irreducible flag."""
+        if not maps.G.P.irreducible_flag:
+            raise ValueError("the double complex needs an irreducible flag")
         self.maps = maps
         self.G = maps.G
         self.rs = self.G.P.rs
+        # per node, the most letters below the highest weight of any Levi top
+        self.levi_depth = tuple(max(off[i] for w in self.G.cosets
+                                    for off, _ in maps.family(w).levi_offsets)
+                                for i in range(self.rs.rank))
         self.uq = maps.uq
         self._fibers: dict[tuple, TensorFiber] = {}
         self._slices: dict[tuple, WSlice] = {}
@@ -512,7 +504,8 @@ class DoubleComplex:
         key = (w1, w2, omega.coords, k1cap, k2cap)
         sl = self._slices.get(key)
         if sl is None:
-            sl = WSlice(self.fiber(w1, w2), omega, k1cap, k2cap, self._products)
+            sl = WSlice(self.fiber(w1, w2), omega, k1cap, k2cap, self.levi_depth,
+                        self._products)
             if sl.dim != sl.oracle_dim():
                 raise TruncationError(
                     "slice dim %d differs from oracle %d" % (sl.dim, sl.oracle_dim()))
@@ -530,6 +523,7 @@ class DoubleComplex:
         uq = self.uq
         rs = self.rs
         G = self.G
+        s = G.P.s
         ok = True
         records = []
         for a1 in G.arrows:
@@ -553,7 +547,7 @@ class DoubleComplex:
                 for cf, ce, t in sl.cells:
                     if t != fb.gen_index:
                         continue
-                    if _scount(G.P.s, cf) >= k1cap or _scount(G.P.s, ce) >= k2cap:
+                    if cf[s - 1] >= k1cap or ce[s - 1] >= k2cap:
                         continue
                     # multipliers from the genuine box: content bounded by
                     # sums of quotient roots, no surplus Levi letters
@@ -566,9 +560,8 @@ class DoubleComplex:
                     prod = uq.multiply(uq.fword(fw, ew), comm)
                     om2 = (omega - rs.root_to_weight(cf)
                            + rs.root_to_weight(ce))
-                    sk1 = k1cap + _scount(G.P.s, cf)
-                    sk2 = k2cap + _scount(G.P.s, ce)
-                    sl2 = self.wslice(a1.source, a2.source, om2, sk1, sk2)
+                    sl2 = self.wslice(a1.source, a2.source, om2,
+                                      k1cap + cf[s - 1], k2cap + ce[s - 1])
                     if sl2.reduce_applied(prod, fb.gen_index):
                         extra_ok = False
                     tested += 1
@@ -606,8 +599,7 @@ class DoubleComplex:
         capped side: the raising side on a row, the lowering side on a column."""
         slices = []
         for w1, w2 in mods:
-            counts = [_scount(self.G.P.s, delta)
-                      for _, delta in self.fiber(w1, w2).offsets(omega)]
+            counts = [delta[self.G.P.s - 1] for _, delta in self.fiber(w1, w2).offsets(omega)]
             k1 = k2 = 0
             if counts:
                 other = max([0] + [cap - c if rows else cap + c for c in counts])

@@ -62,6 +62,8 @@ REQUESTS = [
     ["bgg", "verify", "--type", "B2", "--s", "", "--height", "3"],
     ["bgg", "verify", "--type", "G2", "--s", "", "--height", "3"],
     ["bgg", "verify", "--type", "A3", "--s", "", "--height", "3"],
+    # CP^3: the double complex on a chain of type A3
+    ["double", "verify", "--type", "A3", "--s", "2,3", "--box", "1,1"],
 ]
 
 

@@ -189,6 +189,39 @@ def test_wslice_dim_matches_oracle(cp2):
     assert sl.dim > 0
 
 
+@pytest.mark.parametrize("name, S", [("A2", ()), ("A3", (2,))], ids=["A2-none", "A3-2"])
+def test_double_complex_needs_an_irreducible_flag(name, S):
+    maps = StandardMapFamily(BruhatGraph(ParabolicData(RootSystem(name), set(S))))
+    with pytest.raises(ValueError, match="irreducible flag"):
+        DoubleComplex(maps)
+
+
+@pytest.mark.parametrize("name, S, depth", [
+    ("A1", (), (0,)), ("A2", (1,), (1, 0)), ("A3", (2, 3), (0, 1, 1)),
+    ("C2", (1,), (2, 0)), ("B2", (2,), (0, 2)), ("B3", (2, 3), (0, 2, 4))],
+    ids=["A1", "A2-1", "A3-2,3", "C2-1", "B2-2", "B3-2,3"])
+def test_levi_depth_is_the_deepest_levi_top_offset(name, S, depth):
+    # 0 at the crossed node, where no Levi top has letters
+    assert _dc(name, S).levi_depth == depth
+
+
+@pytest.mark.parametrize("name, S", [("A2", (1,)), ("C2", (1,)), ("B2", (2,))],
+                         ids=["A2-1", "C2-1", "B2-2"])
+@pytest.mark.parametrize("rows", [True, False], ids=["rows", "columns"])
+def test_windows_one_letter_too_shallow_never_pass(name, S, rows):
+    # with one letter fewer at the deepest node, some element of a line's
+    # map leaves its window: the check refuses, it does not pass
+    dc = _dc(name, S)
+    depth = list(dc.levi_depth)
+    depth[depth.index(max(depth))] -= 1
+    dc.levi_depth = tuple(depth)
+    try:
+        rep = dc.verify_rows(1, 1) if rows else dc.verify_columns(1, 1)
+    except bgg.TruncationError:
+        return
+    assert not rep["ok"]
+
+
 def test_basis_word_pairs_are_unit_vectors(cp2):
     # `_absorption_rows` writes the fiber side of each relation as one entry
     # per fiber index: a pair of Serre-quotient basis words reduces to its own
