@@ -13,6 +13,7 @@ import itertools
 from .cartan import ParabolicData, RootSystem, Weight
 from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, _echelon_of,
                      add_into, rank)
+from .reps import kostant_partition
 from .uqalg import AlgElement, UqAlgebra, scaled
 from .verma import SliceFamily, StandardMapFamily
 
@@ -50,27 +51,14 @@ def _composites_vanish(mats: list, bases: list[list]) -> bool:
     return True
 
 
-def _quotient_sums(P: ParabolicData, cap: int) -> dict[tuple[int, tuple[int, ...]], int]:
-    """{(size, root sum): count} over the multisets of at most cap roots of
-    P.quotient_roots."""
-    r = P.rs.rank
-    out = {(0, (0,) * r): 1}
-    for root in P.quotient_roots:
-        new = dict(out)
-        frontier = out
-        for _ in range(cap):
-            nxt: dict = {}
-            for (deg, c), m in frontier.items():
-                if deg < cap:
-                    key = (deg + 1, tuple(c[i] + root[i] for i in range(r)))
-                    nxt[key] = nxt.get(key, 0) + m
-            if not nxt:
-                break
-            for key, m in nxt.items():
-                new[key] = new.get(key, 0) + m
-            frontier = nxt
-        out = new
-    return out
+def _quotient_partitions(P: ParabolicData, cap: int) -> dict[tuple[int, ...], int]:
+    """{c: number of multisets of P.quotient_roots with sum c} over the box
+    c <= cap * theta, theta the highest root.  On an irreducible flag every
+    quotient root has coefficient 1 at s and lies below theta, so a
+    multiset's size is c_s, and these are the multisets of at most cap roots."""
+    rs = P.rs
+    box = itertools.product(*(range(cap * h + 1) for h in rs.highest_root()))
+    return {c: m for c in box if (m := kostant_partition(rs, c, P.quotient_roots))}
 
 
 def _enumerate_offsets(rs: RootSystem, max_height: int) -> list[tuple[int, ...]]:
@@ -449,17 +437,12 @@ class WSlice:
 
     def oracle_dim(self) -> int:
         """Product-character dimension of the same filtration piece: symmetric
-        powers of the (abelian) quotient on both sides."""
-        rs = self.uq.rs
-        sp: dict[tuple[int, ...], int] = {}
-        for (_, c), m in _quotient_sums(self.P, self.k2cap).items():
-            sp[c] = sp.get(c, 0) + m
-        sm = _quotient_sums(self.P, self.k1cap)
-        total = 0
-        for _, delta in self.fiber.offsets(self.omega):
-            for (_, c), m in sm.items():
-                total += m * sp.get(tuple(c[i] + delta[i] for i in range(rs.rank)), 0)
-        return total
+        powers of the (abelian) quotient on both sides, S^k counted by the
+        partitions into quotient roots with s-coordinate k."""
+        sm = _quotient_partitions(self.P, self.k1cap)
+        sp = _quotient_partitions(self.P, self.k2cap)
+        return sum(m * sp.get(tuple(x + d for x, d in zip(c, delta)), 0)
+                   for _, delta in self.fiber.offsets(self.omega) for c, m in sm.items())
 
 
 class DoubleComplex:
@@ -506,9 +489,9 @@ class DoubleComplex:
         if sl is None:
             sl = WSlice(self.fiber(w1, w2), omega, k1cap, k2cap, self.levi_depth,
                         self._products)
-            if sl.dim != sl.oracle_dim():
-                raise TruncationError(
-                    "slice dim %d differs from oracle %d" % (sl.dim, sl.oracle_dim()))
+            oracle = sl.oracle_dim()
+            if sl.dim != oracle:
+                raise TruncationError("slice dim %d differs from oracle %d" % (sl.dim, oracle))
             self._slices[key] = sl
         return sl
 
@@ -524,6 +507,7 @@ class DoubleComplex:
         rs = self.rs
         G = self.G
         s = G.P.s
+        hr = rs.highest_root()
         ok = True
         records = []
         for a1 in G.arrows:
@@ -543,11 +527,8 @@ class DoubleComplex:
                 # (k1cap - 1, k2cap - 1)
                 extra_ok = True
                 tested = 0
-                hr = rs.highest_root()
                 for cf, ce, t in sl.cells:
                     if t != fb.gen_index:
-                        continue
-                    if cf[s - 1] >= k1cap or ce[s - 1] >= k2cap:
                         continue
                     # multipliers from the genuine box: content bounded by
                     # sums of quotient roots, no surplus Levi letters
@@ -624,18 +605,11 @@ class DoubleComplex:
 
     def _window_weights(self, w1_end, w2_end, k1lim: int, k2lim: int) -> list[Weight]:
         """Weights where the terminal module of a line has nonzero slices."""
-        fb = self.fiber(w1_end, w2_end)
-        rs = self.rs
-        sums = _quotient_sums(self.G.P, max(k1lim, k2lim))
-        sums_m = {c for d, c in sums if d <= k1lim}
-        sums_p = {c for d, c in sums if d <= k2lim}
-        out = set()
-        for t in range(fb.dim):
-            for b1 in sums_m:
-                for b2 in sums_p:
-                    wt = (fb.weights[t] - rs.root_to_weight(b1)
-                          + rs.root_to_weight(b2))
-                    out.add(wt)
+        rw = self.rs.root_to_weight
+        sums_m = _quotient_partitions(self.G.P, k1lim)
+        sums_p = _quotient_partitions(self.G.P, k2lim)
+        out = {wt - rw(b1) + rw(b2) for wt in self.fiber(w1_end, w2_end).weights
+               for b1 in sums_m for b2 in sums_p}
         return sorted(out, key=lambda w: w.coords)
 
     def _verify_lines(self, rows: bool, cap: int, lim: int) -> dict:

@@ -450,7 +450,8 @@ class RatFunc:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return (self.num * other.den) == (other.num * self.den)
+        # normal forms are unique, so equal values have equal fields
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))

@@ -2,6 +2,8 @@
 verification suite."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from qbgg import bgg
@@ -39,6 +41,28 @@ def rank_one():
 @pytest.fixture(scope="module")
 def cp2():
     return _dc("A2", (1,))
+
+
+def test_quotient_partitions_count_multisets_of_at_most_cap_roots():
+    # on an irreducible flag a multiset of quotient roots has as many roots
+    # as its sum's s-coordinate, so the box c <= cap * theta of partition
+    # counts holds exactly the multisets of at most cap roots
+    cases = 0
+    for name in ("A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D4"):
+        rs = RootSystem(name)
+        for s in range(1, rs.rank + 1):
+            P = ParabolicData(rs, set(range(1, rs.rank + 1)) - {s})
+            if not P.irreducible_flag:
+                continue
+            for cap in range(4):
+                brute: dict = {}
+                for size in range(cap + 1):
+                    for ms in itertools.combinations_with_replacement(P.quotient_roots, size):
+                        c = tuple(sum(b[i] for b in ms) for i in range(rs.rank))
+                        brute[c] = brute.get(c, 0) + 1
+                assert bgg._quotient_partitions(P, cap) == brute
+                cases += 1
+    assert cases == 76
 
 
 def test_fibers_read_the_standard_maps_families(cp2):

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from qbgg import qsphere, reps, verma
+from qbgg import bgg, qsphere, reps, verma
 from qbgg.bgg import TensorFiber
 from qbgg.cartan import ParabolicData
 from qbgg.cli import DISPATCH, build_parser, main
@@ -170,6 +170,25 @@ def test_double_lines_fail_on_a_scaled_fiber_entry(capsys, monkeypatch):
             "error": "TruncationError: slice dim 0 differs from oracle %d" % oracle}
 
 
+def test_double_checks_fail_on_a_window_oracle_one_too_large(capsys, monkeypatch):
+    # the double complex's partition count reads one more at every nonzero
+    # content.  The module slices read `verma`'s binding and still meet
+    # their own certificate, so set-up passes, and every slice the three
+    # checks build then differs from its oracle: the oracle is a check of
+    # its own, not a count of the window's cells
+    original = bgg.kostant_partition
+    monkeypatch.setattr(bgg, "kostant_partition",
+                        lambda rs, beta, roots=None: original(rs, beta, roots) + any(beta))
+    checks = _failed_report(capsys, ["double", "verify", "--type", "A2",
+                                     "--s", "1", "--box", "1,1"])
+    assert "setup" not in checks
+    for check_id, dim, oracle in (("double.anticommute", 3, 10), ("double.rows", 1, 2),
+                                  ("double.columns", 1, 5)):
+        assert checks[check_id]["status"] == "fail"
+        assert checks[check_id]["witness"] == {
+            "error": "TruncationError: slice dim %d differs from oracle %d" % (dim, oracle)}
+
+
 def test_bgg_build_fails_on_a_doubled_singular_vector(capsys, monkeypatch):
     # the singular space of an arrow reads as two-dimensional, so its
     # standard map is not determined up to scale
@@ -308,9 +327,12 @@ COVERED = {
     "podles.calculus": ["test_podles_calculus_fails_on_a_wrong_determinant_coefficient",
                         "test_podles_calculus_fails_on_a_misplaced_coproduct_factor",
                         "test_podles_calculus_fails_on_a_rescaled_k_factor"],
-    "double.anticommute": ["test_double_lines_fail_on_a_scaled_fiber_entry"],
-    "double.rows": ["test_double_lines_fail_on_a_scaled_fiber_entry"],
-    "double.columns": ["test_double_lines_fail_on_a_scaled_fiber_entry"],
+    "double.anticommute": ["test_double_lines_fail_on_a_scaled_fiber_entry",
+                           "test_double_checks_fail_on_a_window_oracle_one_too_large"],
+    "double.rows": ["test_double_lines_fail_on_a_scaled_fiber_entry",
+                    "test_double_checks_fail_on_a_window_oracle_one_too_large"],
+    "double.columns": ["test_double_lines_fail_on_a_scaled_fiber_entry",
+                       "test_double_checks_fail_on_a_window_oracle_one_too_large"],
     "bgg.build": ["test_bgg_build_fails_on_a_doubled_singular_vector"],
     "bgg.squared_zero": ["test_bgg_squared_zero_fails_on_a_flipped_standard_map"],
     "bgg.exactness": ["test_bgg_exactness_fails_on_a_zero_standard_map"],

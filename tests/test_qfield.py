@@ -493,6 +493,21 @@ def test_inverse_matches_general_path(a):
     assert _pair(inv) == _pair(general)
 
 
+@given(ratfuncs(), ratfuncs(), denominators())
+def test_values_reached_by_different_paths_share_one_normal_form(a, b, p):
+    # `__eq__` compares fields and `__hash__` hashes them: both rest on every
+    # path to a value landing on its one normal form
+    pairs = [((a + b) - b, a), (RatFunc(a.num * p, a.den * p), a)]
+    if not b.is_zero():
+        pairs += [((a * b) / b, a), ((a / b) * b, a), (a * b.inverse(), a / b)]
+    if not a.is_zero():
+        pairs.append((a.inverse().inverse(), a))
+    for x, y in pairs:
+        assert x == y
+        assert _pair(x) == _pair(y)
+        assert hash(x) == hash(y)
+
+
 def _dense_form(p: Laurent) -> bool:
     """Whether p keeps `Laurent`'s invariant: an int tuple with nonzero ends,
     and zero as v = 0, a = ()."""
