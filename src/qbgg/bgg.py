@@ -13,7 +13,7 @@ import itertools
 from .cartan import ParabolicData, RootSystem, Weight
 from .qfield import (CertificationError, Echelon, QMatrix, RatFunc, _echelon_of,
                      add_into, rank)
-from .reps import kostant_partition
+from .reps import partition_counts
 from .uqalg import AlgElement, UqAlgebra, scaled
 from .verma import SliceFamily, StandardMapFamily
 
@@ -56,9 +56,7 @@ def _quotient_partitions(P: ParabolicData, cap: int) -> dict[tuple[int, ...], in
     c <= cap * theta, theta the highest root.  On an irreducible flag every
     quotient root has coefficient 1 at s and lies below theta, so a
     multiset's size is c_s, and these are the multisets of at most cap roots."""
-    rs = P.rs
-    box = itertools.product(*(range(cap * h + 1) for h in rs.highest_root()))
-    return {c: m for c in box if (m := kostant_partition(rs, c, P.quotient_roots))}
+    return partition_counts(P.quotient_roots, tuple(cap * h for h in P.rs.highest_root()))
 
 
 def _enumerate_offsets(rs: RootSystem, max_height: int) -> list[tuple[int, ...]]:
@@ -581,10 +579,8 @@ class DoubleComplex:
         slices = []
         for w1, w2 in mods:
             counts = [delta[self.G.P.s - 1] for _, delta in self.fiber(w1, w2).offsets(omega)]
-            k1 = k2 = 0
-            if counts:
-                other = max([0] + [cap - c if rows else cap + c for c in counts])
-                k1, k2 = (other, cap) if rows else (cap, other)
+            other = max([0] + [cap - c if rows else cap + c for c in counts])
+            k1, k2 = (other, cap) if rows else (cap, other)
             slices.append(self.wslice(w1, w2, omega, k1, k2))
         dims = [sl.dim for sl in slices]
         if all(d == 0 for d in dims):

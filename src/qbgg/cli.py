@@ -28,7 +28,7 @@ from . import qsphere
 
 SCHEMA_VERSION = 1
 
-DEFAULT_HEIGHTS = {("A1", ()): 8, ("A2", (1,)): 5, ("A3", (1, 3)): 3}
+DEFAULT_HEIGHTS = {("A1", ()): 8, ("A2", (1,)): 5}
 
 # podles demo reports no config, and the generators and relations it checks
 PODLES_FIELDS = {"config": {}, "generators": sorted(qsphere.B_GENS),

@@ -253,24 +253,23 @@ def verify_dim_identity(G) -> dict:
             "quotient_dim": len(qw), "coset_count": sum(len(l) for l in G.levels)}
 
 
+def partition_counts(roots, top: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """{c: number of multisets of roots with sum c} over the contents c <= top,
+    nonzero entries only: each root, the highest first so that the table stays
+    small, adds its multiples to the table of the roots before it."""
+    table = {(0,) * len(top): 1}
+    for r in sorted(roots, key=sum, reverse=True):
+        for c, m in list(table.items()):
+            c = tuple(a + b for a, b in zip(c, r))
+            while all(x <= t for x, t in zip(c, top)):
+                table[c] = table.get(c, 0) + m
+                c = tuple(a + b for a, b in zip(c, r))
+    return table
+
+
 @lru_cache(maxsize=None)
 def _kostant_partition_cached(roots: tuple, beta: tuple) -> int:
-    return _kp(roots, beta, 0)
-
-
-def _kp(roots: tuple, beta: tuple, start: int) -> int:
-    if all(c == 0 for c in beta):
-        return 1
-    if start >= len(roots):
-        return 0
-    total = 0
-    r = roots[start]
-    kmax = min((b // c for b, c in zip(beta, r) if c > 0), default=None)
-    if kmax is None:
-        return _kp(roots, beta, start + 1)
-    for k in range(kmax + 1):
-        total += _kp(roots, tuple(b - k * c for b, c in zip(beta, r)), start + 1)
-    return total
+    return partition_counts(roots, beta).get(beta, 0)
 
 
 def kostant_partition(rs: RootSystem, beta: tuple[int, ...],

@@ -171,19 +171,19 @@ def test_double_lines_fail_on_a_scaled_fiber_entry(capsys, monkeypatch):
 
 
 def test_double_checks_fail_on_a_window_oracle_one_too_large(capsys, monkeypatch):
-    # the double complex's partition count reads one more at every nonzero
-    # content.  The module slices read `verma`'s binding and still meet
-    # their own certificate, so set-up passes, and every slice the three
-    # checks build then differs from its oracle: the oracle is a check of
-    # its own, not a count of the window's cells
-    original = bgg.kostant_partition
-    monkeypatch.setattr(bgg, "kostant_partition",
-                        lambda rs, beta, roots=None: original(rs, beta, roots) + any(beta))
+    # the double complex's partition table reads one more at every nonzero
+    # content it lists.  The module slices read `verma`'s binding and still
+    # meet their own certificate, so set-up passes, and every slice the
+    # three checks build then differs from its oracle: the oracle is a check
+    # of its own, not a count of the window's cells
+    original = bgg.partition_counts
+    monkeypatch.setattr(bgg, "partition_counts", lambda roots, top: {
+        c: m + any(c) for c, m in original(roots, top).items()})
     checks = _failed_report(capsys, ["double", "verify", "--type", "A2",
                                      "--s", "1", "--box", "1,1"])
     assert "setup" not in checks
-    for check_id, dim, oracle in (("double.anticommute", 3, 10), ("double.rows", 1, 2),
-                                  ("double.columns", 1, 5)):
+    for check_id, dim, oracle in (("double.anticommute", 3, 9), ("double.rows", 1, 2),
+                                  ("double.columns", 1, 2)):
         assert checks[check_id]["status"] == "fail"
         assert checks[check_id]["witness"] == {
             "error": "TruncationError: slice dim %d differs from oracle %d" % (dim, oracle)}

@@ -1,6 +1,7 @@
 """Finite-dimensional module characters and the partition-function oracle."""
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -105,13 +106,16 @@ def _partition_by_polynomial(rs: RootSystem, beta: tuple[int, ...]) -> int:
     return coeffs.get(beta, 0)
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "C3", "D4", "E6", "E7"])
 def test_kostant_partition_against_series(name):
     rs = RootSystem(name)
-    for a in range(4):
-        for b in range(4):
-            beta = (a, b)
-            assert kostant_partition(rs, beta) == _partition_by_polynomial(rs, beta)
+    theta = rs.highest_root()
+    top = (3, 3) if rs.rank == 2 else theta
+    box = [theta] if name[0] == "E" else product(*(range(t + 1) for t in top))
+    for beta in box:
+        assert kostant_partition(rs, beta) == _partition_by_polynomial(rs, beta)
+    if name[0] == "E":
+        assert kostant_partition(rs, theta) == {"E6": 622, "E7": 18837}[name]
 
 
 def test_kostant_partition_frozen():
