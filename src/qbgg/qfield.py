@@ -2,12 +2,12 @@
 
 Elements of Q(q) are stored as normalized fractions of integer Laurent
 polynomials in q.  All computations are exact, and normal forms use integers
-only (`laurent_gcd`, `laurent_divexact`).  Linear algebra has one
-path: `Echelon`, a sparse incremental row echelon with leftmost pivots.  It
-builds quotients one relation at a time (Serre quotients, module slices,
-cyclic lifts), reduces vectors modulo them, and sits behind `rank` and
-`kernel_basis`; `fill_to_rank` fills one from relations of known rank, and
-inserts exactly only the relations it keeps.
+only: `laurent_gcd` is a primitive remainder sequence and `laurent_divexact`
+long division.  Linear algebra has one path: `Echelon`, a sparse incremental
+row echelon with leftmost pivots.  It builds quotients one relation at a time
+(Serre quotients, module slices, cyclic lifts), reduces vectors modulo them,
+and sits behind `rank` and `kernel_basis`; `fill_to_rank` fills one from
+relations of known rank, and inserts exactly only the relations it keeps.
 A vector is a dict that holds no zero value, from a residue to a `QMatrix`
 column; only `kernel_basis` returns dense lists.
 
@@ -151,16 +151,13 @@ class Laurent:
             if e == 0:
                 term = str(abs(v))
             else:
-                qs = "q" if e == 1 else ("q^%d" % e if e > 0 else "q^%d" % e)
+                qs = "q" if e == 1 else "q^%d" % e
                 term = qs if abs(v) == 1 else "%d*%s" % (abs(v), qs)
             parts.append(("- " if v < 0 else "+ ") + term)
         s = " ".join(parts)
         return s[2:] if s.startswith("+ ") else "-" + s[2:]
 
     __repr__ = __str__
-
-
-_HEU_RETRIES = 6  # heuristic gcd attempts, each with a larger xi, before the PRS
 
 
 def _make(v: int, a: tuple[int, ...]) -> Laurent:
@@ -224,8 +221,8 @@ def laurent_divexact(a: Laurent, b: Laurent) -> Laurent:
 
 
 def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    """Gcd of primitive integer polynomials by a primitive remainder
-    sequence: pseudo-remainders with their content removed."""
+    """Gcd of primitive integer polynomials, up to sign: Brown's primitive
+    remainder sequence, pseudo-remainders with their content removed."""
     if len(a) < len(b):
         a, b = b, a
     while len(b) > 1:
@@ -242,70 +239,18 @@ def _prs_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
     return [1]
 
 
-def _heu_gcd(a: Sequence[int], b: Sequence[int]) -> Sequence[int]:
-    """Gcd of primitive integer polynomials, up to sign: the heuristic gcd
-    of Char, Geddes and Gonnet, with `_prs_gcd` as its exact fallback.
-
-    h = gcd(a(xi), b(xi)) is read back as the polynomial G of its symmetric
-    base-xi digits, so G(xi) = h and every coefficient of G, hence its
-    content kappa, is at most xi/2 in size.  A candidate pp(G) is accepted
-    only if it divides a and b over Z (a constant always does); it is then
-    the gcd g.  Proof: write g = pp(G) * c.  g(xi) divides
-    h = kappa * pp(G)(xi), which is nonzero (see below), so c(xi) divides
-    kappa.  Let p be whichever of a, b has the smaller sup-norm m;
-    xi >= 2m + 2.  Every root alpha of p, hence of c, has |alpha| < m + 1
-    (Cauchy), so |xi - alpha| > xi - m - 1 >= xi/2 and p(xi) != 0.  If c
-    had degree >= 1 then |c(xi)| > xi/2 >= |kappa|, which is impossible;
-    so c = +-1.  A rejected candidate only costs a retry with a larger xi,
-    and after `_HEU_RETRIES` the PRS decides."""
-    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
-    for _ in range(_HEU_RETRIES):
-        ea = eb = 0
-        for x in reversed(a):
-            ea = ea * xi + x
-        for x in reversed(b):
-            eb = eb * xi + x
-        h, g = _intgcd(ea, eb), []
-        while h:
-            d = h % xi
-            if d > xi // 2:
-                d -= xi
-            g.append(d)
-            h = (h - d) // xi
-        g = _primitive(g)
-        if len(g) == 1:
-            return [1]
-        try:
-            _divexact_dense(a, g)
-            _divexact_dense(b, g)
-            return g
-        except ArithmeticError:
-            xi = xi * 73794 // 27011
-    return _prs_gcd(a, b)
-
-
 def laurent_gcd(a: Laurent, b: Laurent) -> Laurent:
     """Gcd in Z[q, q^-1], primitive, lowest exponent 0, positive leading coeff."""
-    if a.is_zero() and b.is_zero():
-        return _ZERO
-    if a.is_zero():
-        return _normalize_gcd(b)
-    if b.is_zero():
-        return _normalize_gcd(a)
     if a.is_monomial() or b.is_monomial():
         return _ONE
-    # g divides a / q^v(a), whose constant term is nonzero, so g's is too
-    g = _heu_gcd(_primitive(a.a), _primitive(b.a))
+    if a.a and b.a:
+        # g divides a / q^v(a), whose constant term is nonzero, so g's is too
+        g = _prs_gcd(_primitive(a.a), _primitive(b.a))
+    elif a.a or b.a:  # gcd(0, p) is p's primitive part
+        g = _primitive(a.a or b.a)
+    else:
+        return _ZERO
     return _make(0, tuple(g) if g[-1] > 0 else tuple([-x for x in g]))
-
-
-def _normalize_gcd(p: Laurent) -> Laurent:
-    p = p.shift(-p.valuation())
-    g = p.content()
-    p = p.divexact_int(g)
-    if p.leading_coeff() < 0:
-        p = -p
-    return p
 
 
 def _shared(den: Laurent) -> Laurent:

@@ -395,16 +395,16 @@ def test_gcd_of_products_with_common_factor(f, g, h):
 
 @settings(max_examples=50)
 @given(big_laurents(), big_laurents(), big_laurents())
-def test_gcd_fallback_matches_fraction_euclid(f, g, h):
-    calls = []
-    prs = qfield._prs_gcd
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(qfield, "_HEU_RETRIES", 0)
-        mp.setattr(qfield, "_prs_gcd", lambda a, b: calls.append(1) or prs(a, b))
-        a, b = f * h, g * h
-        assert _terms(laurent_gcd(a, b)) == _euclid_gcd(a, b)
-    # every gcd of two non-monomials went through the fallback
-    assert calls or len(_terms(a)) < 2 or len(_terms(b)) < 2
+def test_prs_gcd_matches_fraction_euclid(f, g, h):
+    # the remainder sequence itself, on the primitive coefficient lists of two
+    # nonzero products, equals Euclid over Q up to sign, with nonzero ends
+    a, b = f * h, g * h
+    assume(not a.is_zero() and not b.is_zero())
+    d = qfield._prs_gcd(qfield._primitive(a.a), qfield._primitive(b.a))
+    assert d[0] and d[-1]
+    expected = _euclid_gcd(a, b)
+    assert {e: x for e, x in enumerate(d) if x} in (
+        expected, {e: -x for e, x in expected.items()})
 
 
 def test_divexact_raises_when_inexact():
