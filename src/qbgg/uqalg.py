@@ -126,24 +126,16 @@ class UqAlgebra:
         out.extend(("E", i) for i in ew)
         return out
 
-    def mul_nw(self, a: NormalWord, b: NormalWord) -> AlgElement:
-        out = {a: RatFunc.one()}
-        for letter in self.letters_of(b):
-            nxt: AlgElement = {}
-            for nw, c in out.items():
-                add_into(nxt, self._mul_letter(nw, letter), c)
-            out = nxt
-        return out
-
     def multiply(self, x: AlgElement, y: AlgElement) -> AlgElement:
         out: AlgElement = {}
         for nwx, cx in x.items():
             for nwy, cy in y.items():
-                add_into(out, self.mul_nw(nwx, nwy), cx * cy)
+                add_into(out, self.from_letters(self.letters_of(nwy), nwx), cx * cy)
         return out
 
-    def from_letters(self, letters: list[tuple]) -> AlgElement:
-        out = self.one()
+    def from_letters(self, letters: list[tuple], start: NormalWord | None = None) -> AlgElement:
+        """The product start * letters, start the monomial 1 by default."""
+        out = self.one() if start is None else {start: RatFunc.one()}
         for letter in letters:
             nxt: AlgElement = {}
             for nw, c in out.items():

@@ -1,5 +1,11 @@
 """The report-hash corpus: CLI requests whose reports must stay byte for byte.
 
+``REQUESTS`` is the one list of gated requests.  CI runs
+``tests/test_report_hashes.py`` under ``PYTHONOPTIMIZE=1 PYTHONHASHSEED=0`` and
+under ``PYTHONHASHSEED=1``, so a request added here must keep its report with
+asserts stripped and under either hash seed, and that test checks that every
+benchmark request (``perfbench/run.py``'s ``WORKLOADS``) is here too.
+
 Run from the root of a checkout::
 
     python tests/report_hashes.py            # print each request's record
@@ -29,7 +35,7 @@ from qbgg.cli import main  # noqa: E402
 from run import report_hash  # noqa: E402
 
 REQUESTS = [
-    # the CI requests
+    # the benchmark's and CI's requests
     ["cartan", "info", "--type", "A3", "--s", "1,3"],
     ["weyl", "graph", "--type", "A2", "--s", "1"],
     ["bgg", "build", "--type", "A2", "--s", "1"],
@@ -64,6 +70,8 @@ REQUESTS = [
     ["bgg", "verify", "--type", "A3", "--s", "", "--height", "3"],
     # CP^3: the double complex on a chain of type A3
     ["double", "verify", "--type", "A3", "--s", "2,3", "--box", "1,1"],
+    # a coset graph with squares, and so a nontrivial GF(2) sign solve
+    ["weyl", "graph", "--type", "A3", "--s", ""],
 ]
 
 

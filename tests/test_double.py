@@ -384,6 +384,31 @@ def test_columns_mirror_rows(request, name):
     assert records(cols, "fixed_row", 1) == row_recs
 
 
+@pytest.mark.parametrize("name, cap, lim", [("cp2", 1, 1), ("rank_one", 1, 2), ("cp2", 1, 2)],
+                         ids=["A2-1,1", "A1-1,2", "A2-1,2"])
+@pytest.mark.parametrize("rows", [True, False], ids=["rows", "columns"])
+def test_lines_report_the_weights_of_their_terminal_window(request, name, cap, lim, rows):
+    # a line's window is its terminal pair's fiber weights, minus sums of at
+    # most `lim` quotient roots and plus sums of at most `cap` on a row, the
+    # two sides swapped on a column; the line reports exactly those weights
+    dc = request.getfixturevalue(name)
+    P = dc.G.P
+
+    def sums(k):
+        return [P.rs.root_to_weight(tuple(sum(b[i] for b in ms) for i in range(P.rs.rank)))
+                for size in range(k + 1)
+                for ms in itertools.combinations_with_replacement(P.quotient_roots, size)]
+
+    rep = dc.verify_rows(cap, lim) if rows else dc.verify_columns(cap, lim)
+    lower, upper = sums(lim if rows else cap), sums(cap if rows else lim)
+    chain = dc._chain()
+    assert len(rep["lines"]) == len(chain)
+    for fixed, line in zip(chain, rep["lines"]):
+        end = dc.fiber(*((chain[-1], fixed) if rows else (fixed, chain[-1])))
+        window = {(wt - m + p).coords for wt in end.weights for m in lower for p in upper}
+        assert sorted(tuple(rec["omega"]) for rec in line["slices"]) == sorted(window)
+
+
 def test_x_elements_mirror_y(rank_one):
     # the column maps are the eta-images of the row maps
     dc = rank_one

@@ -1,10 +1,12 @@
 """Every request of the report-hash corpus keeps its recorded report.
 
 The requests run in one subprocess (`tests/report_hashes.py`), so their
-caches and hash seed are those of a fresh process.  A report's hash is the
-benchmark's (`perfbench/run.py`), whose own tests check that it ignores only
-the measured keys.  Re-record with ``python tests/report_hashes.py --record``
-only when a change to the reports is intended.
+caches are those of a fresh process, and its environment is this one's: CI
+runs this module under ``PYTHONOPTIMIZE=1`` and two fixed ``PYTHONHASHSEED``
+values.  A report's hash is the benchmark's (`perfbench/run.py`), whose own
+tests check that it ignores only the measured keys.  Re-record with
+``python tests/report_hashes.py --record`` only when a change to the reports
+is intended.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import subprocess
 import sys
 
 from report_hashes import CORPUS, HERE, REQUESTS
+from run import WORKLOADS
 
 
 def test_every_corpus_report_keeps_its_hash():
@@ -24,3 +27,8 @@ def test_every_corpus_report_keeps_its_hash():
                if old != new]
     assert changed == []
 
+
+def test_every_benchmark_request_is_in_the_corpus():
+    requests = [argv for workload in WORKLOADS.values() for argv in workload]
+    assert requests
+    assert [argv for argv in requests if argv not in REQUESTS] == []
