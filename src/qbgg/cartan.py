@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .qfield import CertificationError
 
@@ -31,10 +31,20 @@ _COMINUSCULE_NODES = {
 }
 
 
-@dataclass(frozen=True)
 class CartanType:
-    family: str
-    rank: int
+    __slots__ = ("family", "rank")
+
+    def __init__(self, family: str, rank: int):
+        self.family = family
+        self.rank = rank
+
+    def __eq__(self, other):
+        if other.__class__ is not CartanType:
+            return NotImplemented
+        return (self.family, self.rank) == (other.family, other.rank)
+
+    def __hash__(self) -> int:
+        return hash((self.family, self.rank))
 
     @staticmethod
     def parse(s: str) -> "CartanType":
@@ -128,11 +138,22 @@ def _mat_inverse(a: list[list[int]]) -> list[list[Fraction]]:
     return [row[n:] for row in m]
 
 
-@dataclass(frozen=True)
 class Weight:
     """Integral weight in fundamental-weight coordinates."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]):
+        self.coords = coords
+
+    def __eq__(self, other):
+        if other.__class__ is not Weight:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        # keep hash((coords,)): the iteration order of a set of weights follows it
+        return hash((self.coords,))
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(tuple(x + y for x, y in zip(self.coords, other.coords)))
@@ -271,6 +292,21 @@ class ParabolicData:
                                     if all(b[j - 1] == 0 for j in self.complement)]
         self.quotient_roots = [b for b in rs.positive_roots
                                if any(b[j - 1] != 0 for j in self.complement)]
+
+    @cached_property
+    def levi_data(self) -> tuple[list, tuple[int, ...], list]:
+        """What every Levi character of this P reads, built on first use:
+        (j, nonzero entries (k, a) of alpha_j as a weight) for j in S, 0-based;
+        2 rho_S; and for each positive Levi root a, its weight, g = Gram a,
+        (a, a) and (a, 2 rho_S), the forms scaled by denom."""
+        rs = self.rs
+        refl = [(j - 1, [(k, row[j - 1]) for k, row in enumerate(rs.cartan) if row[j - 1]])
+                for j in sorted(self.S)]
+        weights = [rs.root_to_weight(b) for b in self.levi_positive_roots]
+        two_rho = sum(weights, Weight((0,) * rs.rank))
+        roots = [(a.coords, tuple(sum(map(int.__mul__, row, a.coords)) for row in rs.gram),
+                  rs.inner_scaled(a, a), rs.inner_scaled(two_rho, a)) for a in weights]
+        return refl, two_rho.coords, roots
 
     @property
     def irreducible_flag(self) -> bool:

@@ -4,7 +4,9 @@ Freudenthal's recursion runs inside the Levi subsystem on S-dominant integer
 weight tuples; a module's dimension, the multiplicities times their Levi
 Weyl orbit sizes, is cross-checked against the Weyl dimension formula.  Both
 run on the invariant form scaled by `RootSystem.denom`, which is integral;
-the formulas are ratios of its values, so every result is exact.
+the formulas are ratios of its values, so every result is exact.  Both read
+the Levi root data that `ParabolicData.levi_data` builds once per parabolic
+and keeps for as long as the parabolic lives.
 """
 from __future__ import annotations
 
@@ -20,18 +22,6 @@ DomChar = dict[tuple[int, ...], int]  # S-dominant weights as coordinate tuples
 
 def _dot(a, b) -> int:
     return sum(map(int.__mul__, a, b))
-
-
-def _two_rho_S_weight(P: ParabolicData) -> Weight:
-    return sum((P.rs.root_to_weight(b) for b in P.levi_positive_roots),
-               Weight((0,) * P.rs.rank))
-
-
-def _simple_reflections(P: ParabolicData) -> list:
-    """(j, nonzero entries (k, a) of alpha_j as a weight) for j in S, 0-based."""
-    cartan = P.rs.cartan
-    return [(j - 1, [(k, row[j - 1]) for k, row in enumerate(cartan) if row[j - 1]])
-            for j in sorted(P.S)]
 
 
 def _reflect(j: int, alpha: list, mu: tuple[int, ...]) -> tuple[int, ...]:
@@ -61,20 +51,14 @@ def levi_weight_multiplicities(P: ParabolicData, lam: Weight) -> DomChar:
     """Freudenthal multiplicities of the simple Levi module with highest
     weight lam (lam must be S-dominant), on its S-dominant weights.
 
-    Each positive Levi root a carries g_a = Gram a, (a, a) and (a, 2 rho_S),
-    so (mu + k a, a) and the Casimir value of mu + k a are integer updates
-    along the a-string through mu.
+    Each positive Levi root a carries g_a = Gram a, (a, a) and (a, 2 rho_S)
+    in P.levi_data, so (mu + k a, a) and the Casimir value of mu + k a are
+    integer updates along the a-string through mu.
     """
     rs = P.rs
     if not P.is_S_dominant(lam):
         raise ValueError("highest weight %s is not S-dominant" % (lam,))
-    refl = _simple_reflections(P)
-    two_rho = _two_rho_S_weight(P).coords
-    roots = []
-    for b in P.levi_positive_roots:
-        aw = rs.root_to_weight(b).coords
-        g = tuple(_dot(row, aw) for row in rs.gram)
-        roots.append((aw, g, _dot(aw, g), _dot(two_rho, g)))
+    refl, two_rho, roots = P.levi_data
     cas: DomChar = {}
 
     def casimir(mu: tuple[int, ...]) -> int:
@@ -136,19 +120,18 @@ def levi_orbit_size(P: ParabolicData, mu: tuple[int, ...]) -> int:
 
 
 def levi_dim_weyl(P: ParabolicData, lam: Weight) -> int:
-    """Weyl dimension formula over the Levi positive roots."""
-    rs = P.rs
-    two_rho = _two_rho_S_weight(P)
+    """Weyl dimension formula over the Levi positive roots: each factor
+    (lam + rho_S, a) / (rho_S, a), scaled by 2 denom, is
+    (2 (lam, a) + (2 rho_S, a)) / (2 rho_S, a), and (lam, a) = <lam, g_a>."""
     num = den = 1
-    for b in P.levi_positive_roots:
-        bw = rs.root_to_weight(b)
-        # each factor (lam + rho_S, b) / (rho_S, b), scaled by 2 denom
-        num *= 2 * rs.inner_scaled(lam, bw) + rs.inner_scaled(two_rho, bw)
-        den *= rs.inner_scaled(two_rho, bw)
-    d = Fraction(num, den)
-    if d.denominator != 1 or d <= 0:
-        raise CertificationError("Weyl dimension %s is not a positive integer" % d)
-    return int(d)
+    for _, g, _, rho2 in P.levi_data[2]:
+        num *= 2 * _dot(lam.coords, g) + rho2
+        den *= rho2
+    d, r = divmod(num, den)
+    if r or d <= 0:
+        raise CertificationError("Weyl dimension %s is not a positive integer"
+                                 % Fraction(num, den))
+    return d
 
 
 def levi_irrep(P: ParabolicData, lam: Weight) -> tuple[DomChar, int]:
@@ -165,7 +148,7 @@ def levi_irrep(P: ParabolicData, lam: Weight) -> tuple[DomChar, int]:
 def levi_character(P: ParabolicData, dom: DomChar) -> CharMap:
     """The full character: each S-dominant multiplicity spread over its Levi
     Weyl orbit, which is walked by simple reflections."""
-    refl = _simple_reflections(P)
+    refl = P.levi_data[0]
     ch: CharMap = {}
     for mu, m in dom.items():
         orbit = frontier = {mu}
@@ -204,7 +187,7 @@ def exterior_dominant_chars(P: ParabolicData,
     k > N/2 is layer N - k under mu -> sigma - mu, sigma the sum of all N
     weights.  Raises unless each simple reflection in S permutes the
     weights, which makes every exterior power W_S-invariant."""
-    refl = _simple_reflections(P)
+    refl = P.levi_data[0]
     for j, alpha in refl:
         if sorted(_reflect(j, alpha, mu) for mu in weights) != sorted(weights):
             raise CertificationError("s_%d does not permute the quotient weights" % (j + 1))

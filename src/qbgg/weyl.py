@@ -6,7 +6,6 @@ omega_S, and a dot point w.0 is the word replayed on rho.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -22,18 +21,24 @@ class GroupTooLarge(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """Minimal coset representative given by its reduced word."""
 
-    word: tuple[int, ...]  # 1-based simple reflection indices
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple[int, ...]):
+        self.word = word  # 1-based simple reflection indices
 
     @property
     def length(self) -> int:
         return len(self.word)
 
+    def __eq__(self, other):
+        if other.__class__ is not WeylElement:
+            return NotImplemented
+        return self.word == other.word
+
     def __hash__(self) -> int:
-        # the generated hash builds the tuple (word,) on every lookup
         return hash(self.word)
 
     def __str__(self) -> str:
@@ -96,11 +101,21 @@ class WeylGroup:
         return Weight(y) - self.rs.rho
 
 
-@dataclass(frozen=True)
 class Arrow:
-    source: WeylElement  # length l
-    target: WeylElement  # length l + 1
-    root: tuple[int, ...]  # positive root with target = s_root * source
+    __slots__ = ("source", "target", "root")
+
+    def __init__(self, source: WeylElement, target: WeylElement, root: tuple[int, ...]):
+        self.source = source  # length l
+        self.target = target  # length l + 1
+        self.root = root  # positive root with target = s_root * source
+
+    def __eq__(self, other):
+        if other.__class__ is not Arrow:
+            return NotImplemented
+        return (self.source, self.target, self.root) == (other.source, other.target, other.root)
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.root))
 
 
 class BruhatGraph:

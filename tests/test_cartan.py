@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qbgg.cartan import ParabolicData, RootSystem, Weight
+from qbgg.cartan import CartanType, ParabolicData, RootSystem, Weight
 
 from oracles import positive_roots_closure
 
@@ -161,3 +161,13 @@ def test_weight_arithmetic():
     assert (-w).coords == (-1, 2)
     assert (w + w + w).coords == (3, -6)
     assert (w - w).coords == (0, 0)
+
+
+def test_weight_and_cartan_type_are_values_hashed_like_their_fields():
+    w = Weight((1, -2))
+    assert w == Weight((1, -2)) and w != Weight((1, 2)) and w != (1, -2)
+    assert hash(w) == hash(((1, -2),))
+    assert not hasattr(w, "__dict__")
+    t = CartanType.parse("E6")
+    assert t == CartanType("E", 6) and t != CartanType("E", 7)
+    assert hash(t) == hash(("E", 6))

@@ -1,11 +1,14 @@
 """Finite-dimensional module characters and the partition-function oracle."""
 from __future__ import annotations
 
+import gc
+import weakref
 from itertools import product
 from math import comb
 
 import pytest
 
+from qbgg import reps
 from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.weyl import BruhatGraph
 from qbgg.reps import (char_equal, exterior_dominant_chars,
@@ -217,3 +220,37 @@ def test_char_equal():
     assert char_equal({(0, 0): 1}, {(0, 0): 1})
     assert not char_equal({(0, 0): 1}, {(0, 0): 2})
     assert not char_equal({(0, 0): 1}, {(1, 0): 1})
+
+
+def test_levi_data_is_built_once_per_parabolic(monkeypatch):
+    # E6/P1: the 27 Levi characters of the dimension identity read one set of
+    # Levi root data, so each Levi root is turned into a weight once
+    P = ParabolicData(RootSystem("E6"), {2, 3, 4, 5, 6})
+    G = BruhatGraph(P)
+    irreps, converted = [], []
+    levi_irrep, root_to_weight = reps.levi_irrep, RootSystem.root_to_weight
+
+    def counted_irrep(P, lam):
+        irreps.append(lam)
+        return levi_irrep(P, lam)
+
+    def counted_root_to_weight(self, beta):
+        converted.append(beta)
+        return root_to_weight(self, beta)
+
+    monkeypatch.setattr(reps, "levi_irrep", counted_irrep)
+    monkeypatch.setattr(RootSystem, "root_to_weight", counted_root_to_weight)
+    assert verify_dim_identity(G)["ok"]
+    assert len(irreps) == 27
+    levi = [b for b in converted if b in P.levi_positive_roots]
+    assert sorted(levi) == sorted(P.levi_positive_roots)
+
+
+def test_levi_data_is_released_with_its_parabolic():
+    # the data lives on P, not in a cache that would keep every P alive
+    P = ParabolicData(RootSystem("D5"), {1, 2, 3, 4})
+    assert levi_irrep(P, Weight((1, 0, 0, 0, 0)))[1] == 5  # A4 on C^5
+    ref = weakref.ref(P)
+    del P
+    gc.collect()
+    assert ref() is None

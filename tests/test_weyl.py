@@ -1,14 +1,20 @@
 """Weyl group enumeration, coset graphs, and sign assignments."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import qbgg
 from qbgg import weyl
 from qbgg.cartan import ParabolicData, RootSystem, Weight
 from qbgg.qfield import CertificationError
-from qbgg.weyl import BruhatGraph, GroupTooLarge, WeylGroup, incomparability_report
+from qbgg.weyl import (Arrow, BruhatGraph, GroupTooLarge, WeylElement, WeylGroup,
+                       incomparability_report)
 
 from oracles import (MatrixBruhatGraph, MatrixWeylGroup, _mat_mul, kostant_decompose,
                      length_by_inversions, square_signs)
@@ -225,3 +231,24 @@ def test_incomparability_negative_controls():
     G2.dot = {w: G2.W.shifted_act(w, rs.fundamental_weight(3)) for w in G2.cosets}
     rep = incomparability_report(G2)
     assert not rep["ok"]
+
+
+def test_weyl_element_and_arrow_are_values_hashed_like_their_fields():
+    e, s1 = WeylElement(()), WeylElement((1,))
+    assert s1 == WeylElement((1,)) and s1 != e and s1 != (1,)
+    assert hash(s1) == hash((1,))
+    a = Arrow(e, s1, (1, 0))
+    assert a == Arrow(WeylElement(()), WeylElement((1,)), (1, 0))
+    assert a != Arrow(e, s1, (0, 1))
+    assert hash(a) == hash((e, s1, (1, 0)))
+
+
+def test_cli_import_loads_no_dataclasses():
+    # dataclasses would pull inspect, ast, dis and tokenize into every start
+    src = str(Path(qbgg.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c",
+                           "import qbgg.cli, sys; print('dataclasses' in sys.modules)"],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
