@@ -9,18 +9,20 @@ with coefficients in Q(q).  The defining relations are
 
 The quantum Serre relations are not used as rewriting rules; weight
 components of the lower triangular part, and of the modules induced from it,
-are quotients of free word spaces (`NMinusWeightSpace` below).
-
-In M_S(lam) (Lepowsky, J. Algebra 49, 1977) the relations beside the Serre
-span are the words that end in a tail (i,) * (<lam, alpha_i^vee> + 1), i in S.
-Each is a unit vector, so its own leftmost pivot: the pivots of all relations
-are the tail words and those of the Serre rows with these columns deleted, and
-a residue off them is one of that restriction.  So a quotient keeps only the
-words that end in no tail, and a Serre row whose right factor ends in one is 0.
+are quotients of free word spaces (`NMinusWeightSpace` below).  With leftmost
+pivots over sorted words, a word is a pivot when it is a sum of larger words
+modulo the relations, and a residue is the one vector off the pivots.  As
+F_i F_j = F_j F_i for a_ij = 0, every word but the largest of its commutation
+class (the words with its projections onto the non-commuting pairs: Cartier
+and Foata, 1969) is a pivot, so a class is one column, at its largest word,
+and the rows are the other Serre relations over one word per class of each
+factor.  In M_S(lam) (Lepowsky, J. Algebra 49, 1977) the words that end in a
+tail F_i^{<lam, alpha_i^vee> + 1}, i in S, are relations too, unit vectors:
+a class with such a word is zero, so not a column.
 
 `qfield.fill_to_rank` builds each quotient from relations whose span R has a
-known rank t: |words| - K(beta) by the PBW theorem (Jantzen, Lectures on
-Quantum Groups, ch. 8), or |kept words| less the induced character.  The t
+known rank t: |classes| - K(beta) by the PBW theorem (Jantzen, Lectures on
+Quantum Groups, ch. 8), or |nonzero classes| less the induced character.  The t
 rows it keeps are exact relations independent mod p at q = a, hence over Q(q),
 so they span R.  Were rank R < t, fewer rows would be kept and all reduced, so
 each certificate stays exact on that side; a rank R > t raises only if a later
@@ -55,6 +57,9 @@ class UqAlgebra:
         self._zero_k = (0,) * self.r
         self._mul_letter_cache: dict[tuple[NormalWord, tuple], AlgElement] = {}
         self._weight_spaces: dict[tuple, NMinusWeightSpace] = {}
+        # node i -> the nodes j != i with a_ij = 0, whose F_j commute with F_i
+        self.free = {i: {j for j in range(1, self.r + 1) if j != i and not rs.cartan[i - 1][j - 1]}
+                     for i in range(1, self.r + 1)}
         # (alpha_i, alpha_j) as integers
         self._aa = rs.bform
         # denominators (q^{d_i} - q^{-d_i}) for the E-F commutator
@@ -249,46 +254,64 @@ class UqAlgebra:
 
 class NMinusWeightSpace:
     """The weight-beta component of the lower triangular part modulo the words
-    that end in one of `tails`: the free span of the other F-words modulo the
+    that end in one of `tails`: the span of the F-word classes modulo the
     Serre slice, certified against `dim`, by default the partition count K(beta)."""
 
     def __init__(self, uq: UqAlgebra, beta: tuple[int, ...], tails: tuple = (), dim=None):
         self.beta = beta
         self.tails = tails
-        self.words = [w for w in sorted(_words_of_content(beta)) if not self._dropped(w)]
-        self.index = {w: k for k, w in enumerate(self.words)}
+        self._free = free = uq.free
+        self.words = words = [w for w in _words_of_content(beta) if not self._zero(w)]
+        # word -> column, the word index of the largest word of its class
+        self.index: dict[tuple, int] = {}
+        cols: dict[tuple, int] = {}  # projections onto the non-commuting pairs -> column
+        pairs = [(i, j) for i, j in itertools.combinations(free, 2) if j not in free[i]]
+        for k in reversed(range(len(words))):  # each class meets its largest word first
+            w = words[k]
+            self.index[w] = cols.setdefault(tuple(tuple(x for x in w if x in p) for p in pairs), k)
         expect = kostant_partition(uq.rs, beta) if dim is None else dim
         # uq is not kept: it caches this space, and the cycle would outlive requests
-        self._ech = fill_to_rank(lambda: self._serre_rows(uq), len(self.words) - expect)
+        self._ech = fill_to_rank(lambda: self._serre_rows(uq), len(cols) - expect)
         # word indices of the basis words: the columns without a pivot
-        self.basis_pos = [k for k in range(len(self.words)) if k not in self._ech.rows]
-        self.basis_words = [self.words[k] for k in self.basis_pos]
+        self.basis_pos = [k for k, w in enumerate(words)
+                          if k not in self._ech.rows and self.index[w] == k]
+        self.basis_words = [words[k] for k in self.basis_pos]
         self._position = {k: i for i, k in enumerate(self.basis_pos)}
         if self.dim != expect:
             raise CertificationError("weight space dimension %d != certified %d at %s"
                                      % (self.dim, expect, beta))
 
-    def _dropped(self, word: tuple[int, ...]) -> bool:  # it ends in a tail, so is zero
-        return any(word[-len(t):] == t for t in self.tails)
+    def _zero(self, word: tuple[int, ...]) -> bool:
+        """Whether a word of its class ends in a tail t: the last len(t) letters
+        t[0] are followed only by letters that commute with t[0]."""
+        for t in self.tails:
+            m = len(t)
+            for x in reversed(word):
+                if x == t[0]:
+                    m -= 1
+                    if not m:
+                        return True
+                elif x not in self._free[t[0]]:
+                    break
+        return False
 
     def _serre_rows(self, uq):
-        """Rows left * S_ij * right by word index, on the kept words only."""
-        index = self.index
-        for i in range(1, uq.r + 1):
-            for j in range(1, uq.r + 1):
-                rest = list(self.beta)
-                rest[i - 1] += uq.rs.cartan[i - 1][j - 1] - 1
-                rest[j - 1] -= 1
-                if i == j or min(rest) < 0:
-                    continue
-                serre = uq.serre_fword_elements(i, j)
-                for left_content in itertools.product(*(range(c + 1) for c in rest)):
-                    right_content = tuple(a - b for a, b in zip(rest, left_content))
-                    rights = [r for r in _words_of_content(right_content) if not self._dropped(r)]
-                    for left in _words_of_content(left_content):
-                        for right in rights:
-                            yield {index[w]: c for sword, c in serre.items()
-                                   if (w := left + sword + right) in index}
+        """Rows left * S_ij * right by column for a_ij != 0, one per pair of classes."""
+        index, free = self.index, self._free
+        for i, j in itertools.permutations(free, 2):
+            rest = list(self.beta)
+            rest[i - 1] += uq.rs.cartan[i - 1][j - 1] - 1
+            rest[j - 1] -= 1
+            if j in free[i] or min(rest) < 0:
+                continue
+            serre = uq.serre_fword_elements(i, j)
+            for left_content in itertools.product(*(range(c + 1) for c in rest)):
+                right_content = tuple(a - b for a, b in zip(rest, left_content))
+                rights = [r for r in _words_of_content(right_content, free) if not self._zero(r)]
+                for left in _words_of_content(left_content, free):
+                    for right in rights:
+                        yield {index[w]: c for sword, c in serre.items()
+                               if (w := left + sword + right) in index}
 
     @property
     def dim(self) -> int:
@@ -298,28 +321,42 @@ class NMinusWeightSpace:
         """Reduce a free-word vector of content beta modulo the relations; the
         result is keyed by word index and supported on the basis words."""
         index = self.index
-        # a word that ends in a tail is zero; any other must be one of `words`
-        return self._ech.reduce({index[w]: c for w, c in vec_by_word.items()
-                                 if w in index or not self._dropped(w)})
+        vec: dict[int, RatFunc] = {}
+        for w, c in vec_by_word.items():
+            # a word of content beta that is not one of `words` is in a zero class
+            if w in index or tuple(map(w.count, range(1, len(self.beta) + 1))) != self.beta:
+                k = index[w]
+                vec[k] = vec[k] + c if k in vec else c
+        return self._ech.reduce(vec)
 
     def reduce_coords(self, vec_by_word: dict[tuple[int, ...], RatFunc]) -> dict[int, RatFunc]:
         """The residue keyed by basis position: coordinates in the basis words."""
         return {self._position[k]: c for k, c in self.residue(vec_by_word).items()}
 
 
-def _words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """All words using letter i exactly content[i-1] times, in lexicographic order."""
+def _words_of_content(content: tuple[int, ...], free: dict | None = None) -> list[tuple[int, ...]]:
+    """All words using letter i exactly content[i-1] times, in lexicographic order;
+    given the letters `free[a]` that commute with each a, each class's smallest only."""
     out: list[tuple[int, ...]] = []
-    _extend_words(list(content), (), out)
+    _extend_words(list(content), (), out, free)
     return out
 
 
-def _extend_words(remaining: list[int], acc: tuple[int, ...], out: list) -> None:
+def _extend_words(remaining: list[int], acc: tuple[int, ...], out: list, free) -> None:
     if not any(remaining):
         out.append(acc)
         return
     for i, c in enumerate(remaining):
-        if c:
+        if c and not (free and _passes_larger(acc, i + 1, free[i + 1])):
             remaining[i] -= 1
-            _extend_words(remaining, acc + (i + 1,), out)
+            _extend_words(remaining, acc + (i + 1,), out, free)
             remaining[i] += 1
+
+
+def _passes_larger(acc: tuple[int, ...], a: int, free_a: set[int]) -> bool:
+    """Whether a, appended to acc, commutes left past a larger letter, so the word
+    is not the smallest of its class (Diekert and Rozenberg, The Book of Traces)."""
+    for x in reversed(acc):
+        if x not in free_a or x > a:  # a stops at x, or passes it
+            return x in free_a
+    return False

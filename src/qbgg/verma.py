@@ -1,10 +1,11 @@
 """Weight slices of (parabolic) Verma modules, singular vectors, and the
 normalized intertwiner family.
 
-A slice at offset beta is the free span of the F-words of content beta that
-end in no tail F_i^{<lam, alpha_i^vee> + 1}, i in S, modulo the Serre slice
-(`uqalg` says why deleting those words suffices).  Raising operators act
-through the normal-form engine and kill the highest weight vector.
+A slice at offset beta is the span of the commutation classes of F-words of
+content beta that have no word ending in a tail F_i^{<lam, alpha_i^vee> + 1},
+i in S, modulo the Serre relations of the non-commuting pairs (`uqalg` says
+why this is the quotient by all relations).  Raising operators act through
+the normal-form engine and kill the highest weight vector.
 """
 from __future__ import annotations
 

@@ -44,6 +44,36 @@ def all_rows_echelon(rows) -> Echelon:
     return ech
 
 
+def words_of_content(content: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every word that uses letter i exactly content[i-1] times."""
+    if not any(content):
+        return [()]
+    return [(i + 1,) + w for i, c in enumerate(content) if c
+            for w in words_of_content(content[:i] + (c - 1,) + content[i + 1:])]
+
+
+def all_word_relations(uq: UqAlgebra, words, tails=()) -> list[dict]:
+    """The relations of a Serre quotient over every word in `words`, all of
+    one content, keyed by word: left * S_ij * right for every pair i != j,
+    commuting pairs included, and the unit vector of each word that ends in
+    one of `tails`."""
+    one = RatFunc.one()
+    rows = [{w: one} for w in words if any(w[-len(t):] == t for t in tails)]
+    for i in range(1, uq.r + 1):
+        for j in range(1, uq.r + 1):
+            if i == j:
+                continue
+            serre = uq.serre_fword_elements(i, j)
+            first = (i,) * (1 - uq.rs.cartan[i - 1][j - 1]) + (j,)
+            # each (left, right) once: at each place where `first` occurs
+            for w in words:
+                for p in range(len(w) - len(first) + 1):
+                    if w[p:p + len(first)] == first:
+                        rows.append({w[:p] + s + w[p + len(first):]: c
+                                     for s, c in serre.items()})
+    return rows
+
+
 def free_vector(sl, x: AlgElement, t: int) -> dict | None:
     """The reference for `WSlice._place` on `bgg._cell_coords(uq, x)`: each
     monomial of x applied to fiber vector t is Serre-reduced and placed on its

@@ -72,6 +72,10 @@ REQUESTS = [
     ["double", "verify", "--type", "A3", "--s", "2,3", "--box", "1,1"],
     # a coset graph with squares, and so a nontrivial GF(2) sign solve
     ["weyl", "graph", "--type", "A3", "--s", ""],
+    # map_terms counts basis words, so pins them; D4's Serre quotients have
+    # three pairs of commuting nodes
+    ["bgg", "build", "--type", "C3", "--s", "1,2"],
+    ["bgg", "verify", "--type", "D4", "--s", "2,3,4", "--height", "2"],
 ]
 
 

@@ -5,21 +5,21 @@ so a full run yields an eleven-line scoreboard.
 """
 from __future__ import annotations
 
-import itertools
 import time
 from fractions import Fraction
 from math import gcd
 
 from qbgg.bgg import BGGComplex, DoubleComplex, _enumerate_offsets
 from qbgg.cartan import ParabolicData, RootSystem, Weight
-from qbgg.qfield import Echelon, Laurent, QMatrix, RatFunc, rank
+from qbgg.qfield import Laurent, QMatrix, RatFunc, rank
 from qbgg.reps import kostant_partition, verify_dim_identity
 from qbgg.uqalg import NMinusWeightSpace, UqAlgebra
 from qbgg.verma import SliceFamily, StandardMapFamily, singular_vectors
 from qbgg.weyl import BruhatGraph, incomparability_report
 from qbgg import qfield, qsphere
 
-from oracles import LowestSliceFamily, all_rows_echelon, evaluate, same_quotient
+from oracles import (LowestSliceFamily, all_rows_echelon, all_word_relations, evaluate,
+                     words_of_content)
 
 
 def _cominuscule_flags(max_rank: int = 5) -> list[tuple[str, int]]:
@@ -106,43 +106,43 @@ def test_criterion_3_sign_assignment(acceptance_report):
     assert ok
 
 
-def _on_all_words(quotient, ws) -> Echelon:
-    """A module slice's quotient echelon with its columns moved to the word
-    indices of `ws`, the Serre quotient over every word of the same content,
-    and a unit row for every word that the slice drops."""
-    at = [ws.index[w] for w in quotient.words]
-    ech = Echelon()
-    ech.rows = {at[p]: {at[k]: v for k, v in row.items()}
-                for p, row in quotient._ech.rows.items()}
-    ech.rows.update({ws.index[w]: {} for w in ws.words if w not in quotient.index})
-    return ech
+def _equals_all_words_quotient(uq, ws, beta, tails, expect) -> bool:
+    """Whether the quotient `ws` of content beta with `tails` is the exact
+    quotient of every word of that content by every relation: of the
+    certified dimension, with the non-basis words as pivots, and the same
+    residue for every word."""
+    one = RatFunc.one()
+    words = words_of_content(beta)
+    full = all_rows_echelon(lambda: all_word_relations(uq, words, tails))
+    return (len(words) - len(full) == expect
+            and set(full.rows) == set(words) - set(ws.basis_words)
+            and all({ws.words[k]: c for k, c in ws.residue({w: one}).items()}
+                    == full.reduce({w: one}) for w in words))
 
 
 def test_criterion_4_pbw_dimensions(acceptance_report):
     # Weight spaces and module slices keep only the relations that are
-    # independent mod p, and module slices drop the words that end in
-    # F_i^{m_i + 1} as columns, so their dimensions match the partition
-    # count and the induced character by construction.  The reference
-    # reduces every relation exactly over every word: each Serre row and, for
-    # a slice, the unit vector of each word that ends in a tail.  Its
-    # quotient must have the certified dimension, and the selected quotient
-    # the same pivots and the same residue for every word.
+    # independent mod p, work on commutation classes of words, and drop the
+    # classes with a word that ends in F_i^{m_i + 1}, so their dimensions
+    # match the partition count and the induced character by construction.
+    # The reference reduces every relation exactly over every word: each
+    # Serre row, commutations included, and, for a slice, the unit vector of
+    # each word that ends in a tail.  Its quotient must have the certified
+    # dimension, its pivots must be the words that are not basis words, and
+    # every word must have the same residue in both.
     t0 = time.monotonic()
     ok = True
     spaces = slices = 0
-    one = RatFunc.one()
     for name, height in (("A2", 6), ("B2", 6), ("G2", 6),
-                         ("A3", 5), ("B3", 5), ("C3", 5)):
+                         ("A3", 5), ("B3", 5), ("C3", 5), ("A4", 6), ("D4", 6)):
         rs = RootSystem(name)
         uq = UqAlgebra(rs)
         for beta in _enumerate_offsets(rs, height):
             if sum(beta) == 0:
                 continue
             spaces += 1
-            ws = NMinusWeightSpace(uq, beta)
-            full = all_rows_echelon(lambda: ws._serre_rows(uq))
-            ok = ok and len(ws.words) - len(full) == kostant_partition(rs, beta)
-            ok = ok and same_quotient(ws._ech, full, range(len(ws.words)))
+            ok = ok and _equals_all_words_quotient(uq, NMinusWeightSpace(uq, beta), beta, (),
+                                                   kostant_partition(rs, beta))
     for name, S in SMALL:
         if not S:
             continue
@@ -155,22 +155,15 @@ def test_criterion_4_pbw_dimensions(acceptance_report):
             tails = [(i,) * (lam.coords[i - 1] + 1) for i in S]
             for beta in _enumerate_offsets(G.P.rs, 4):
                 slices += 1
-                sl = fam.get(beta)
-                ws = NMinusWeightSpace(uq, beta)
-                induced = [{ws.index[u]: one} for u in ws.words
-                           if any(u[-len(t):] == t for t in tails)]
-                full = all_rows_echelon(
-                    lambda: itertools.chain(ws._serre_rows(uq), induced))
-                ok = ok and len(ws.words) - len(full) == fam.induced_dim(beta)
-                ok = ok and same_quotient(_on_all_words(sl.quotient, ws), full,
-                                          range(len(ws.words)))
+                ok = ok and _equals_all_words_quotient(uq, fam.get(beta).quotient, beta, tails,
+                                                       fam.induced_dim(beta))
     ok = ok and spaces > 0 and slices > 0
     elapsed = time.monotonic() - t0
     acceptance_report(4, ok, "lowering-algebra graded dimensions equal the partition "
-            "function with every Serre relation reduced, height <= 6 in A2, B2, G2 "
-            "and <= 5 in A3, B3, C3 (%d spaces), and every induced slice equals the "
-            "exact quotient by its Serre and induced relations (%d slices, %.1fs)"
-            % (spaces, slices, elapsed))
+            "function with every Serre relation reduced over every word, height <= 6 in "
+            "A2, B2, G2, <= 5 in A3, B3, C3 and <= 6 in A4, D4 (%d spaces), and every "
+            "induced slice equals the exact quotient by its Serre and induced relations "
+            "(%d slices, %.1fs)" % (spaces, slices, elapsed))
     assert ok
 
 

@@ -292,6 +292,22 @@ def test_bgg_verify_fails_on_a_serre_coefficient_times_q(capsys, monkeypatch, na
     assert check["witness"]["error"].startswith("CertificationError: ")
 
 
+def test_bgg_verify_fails_on_an_adjacent_pair_taken_to_commute(capsys, monkeypatch):
+    # F_1 and F_2 of C3 are taken to commute: words that differ by swapping
+    # adjacent letters 1 and 2 share a column, and their Serre rows are gone
+    original = UqAlgebra.__init__
+
+    def merged(self, rs):
+        original(self, rs)
+        self.free[1].add(2)
+        self.free[2].add(1)
+
+    monkeypatch.setattr(UqAlgebra, "__init__", merged)
+    check = _failed_check(capsys, ["bgg", "verify", "--type", "C3", "--s", "1,2",
+                                   "--height", "3"], "setup")
+    assert check["witness"]["error"].startswith("CertificationError: ")
+
+
 def _planted(*args):
     raise CertificationError("planted")
 
@@ -340,7 +356,8 @@ COVERED = {
     "setup": ["test_standard_maps_failing_during_setup_give_a_failed_report",
               "test_coset_signs_failing_during_setup_give_a_failed_report",
               "test_bgg_verify_fails_on_a_tail_one_letter_too_long",
-              "test_bgg_verify_fails_on_a_serre_coefficient_times_q"],
+              "test_bgg_verify_fails_on_a_serre_coefficient_times_q",
+              "test_bgg_verify_fails_on_an_adjacent_pair_taken_to_commute"],
 }
 
 # check ids that no planted defect fails yet, each with the reason

@@ -2,6 +2,7 @@
 dimensions of the lower triangular part."""
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -13,12 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qbgg
-from qbgg.cartan import RootSystem
+from qbgg.cartan import RootSystem, Weight
 from qbgg.qfield import RatFunc
 from qbgg.reps import kostant_partition
-from qbgg.uqalg import NMinusWeightSpace, UqAlgebra, add_into, scaled
+from qbgg.uqalg import NMinusWeightSpace, UqAlgebra, _words_of_content, add_into, scaled
+from qbgg.verma import SliceFamily
 
-from oracles import counit
+from oracles import counit, words_of_content
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +196,87 @@ def test_weight_space_dims_match_partition(name):
                 beta = (a, b)
                 assert NMinusWeightSpace(uq, beta).dim == \
                     kostant_partition(rs, beta)
+
+
+def _swap_closures(rs, content):
+    """The classes of the words of `content` under swaps of adjacent letters
+    i, j with a_ij = 0, by brute force."""
+    out, seen = [], set()
+    for word in words_of_content(content):
+        if word in seen:
+            continue
+        cls, todo = {word}, [word]
+        while todo:
+            w = todo.pop()
+            for p in range(len(w) - 1):
+                if w[p] != w[p + 1] and rs.cartan[w[p] - 1][w[p + 1] - 1] == 0:
+                    v = w[:p] + (w[p + 1], w[p]) + w[p + 2:]
+                    if v not in cls:
+                        cls.add(v)
+                        todo.append(v)
+        seen |= cls
+        out.append(frozenset(cls))
+    return out
+
+
+def _contents(rank, top):
+    return [c for c in itertools.product(range(top + 1), repeat=rank) if 0 < sum(c) <= top]
+
+
+@pytest.mark.parametrize("name", ["A2", "G2", "A3", "A4", "B3", "C3", "D4"])
+def test_commutation_classes_are_the_swap_closures(name):
+    # the words that share a column, and the smallest words that the Serre
+    # rows range over; on A2 and G2, with no commuting pair, each word is its
+    # own class
+    rs = RootSystem(name)
+    uq = UqAlgebra(rs)
+    for content in _contents(rs.rank, 7):
+        ws = uq.weight_space(content)
+        classes: dict = {}
+        for w in ws.words:
+            classes.setdefault(ws.index[w], set()).add(w)
+        closures = _swap_closures(rs, content)
+        assert sorted(map(frozenset, classes.values()), key=min) == sorted(closures, key=min)
+        assert _words_of_content(content, ws._free) == sorted(map(min, closures))
+
+
+@pytest.mark.parametrize("name,tails", [("A3", ((1, 1),)), ("A3", ((1,), (3, 3))),
+                                        ("A4", ((2,), (4, 4))), ("C3", ((1, 1), (2,))),
+                                        ("D4", ((1,), (3,), (4, 4)))])
+def test_columns_are_the_largest_words_of_the_nonzero_classes(name, tails):
+    # a class is zero when some word in it ends in a tail; every other class
+    # is one column, at the word index of its largest word.  The slices of
+    # the module whose highest weight has <lam, alpha_i^vee> = len(t) - 1 for
+    # each tail t carry exactly `tails`.
+    rs = RootSystem(name)
+    coords = [0] * rs.rank
+    for t in tails:
+        coords[t[0] - 1] = len(t) - 1
+    fam = SliceFamily(UqAlgebra(rs), Weight(tuple(coords)), {t[0] for t in tails})
+    assert fam.tails == tails
+    for content in _contents(rs.rank, 5):
+        ws = fam.get(content).quotient
+        closures = _swap_closures(rs, content)
+        zero = [any(w[-len(t):] == t for w in c for t in tails) for c in closures]
+        # the class-level tail test on each word
+        assert all(ws._zero(w) == z for c, z in zip(closures, zero) for w in c)
+        kept = [c for c, z in zip(closures, zero) if not z]
+        assert ws.words == sorted(w for c in kept for w in c)
+        assert all(ws.index[w] == ws.words.index(max(c)) for c in kept for w in c)
+        assert sorted(ws.basis_pos) == ws.basis_pos
+        assert all(ws.index[ws.words[k]] == k for k in ws.basis_pos)
+
+
+def test_residue_skips_exactly_the_zero_classes():
+    uq = UqAlgebra(RootSystem("A3"))
+    ws = uq.weight_space((2, 0, 1), ((1, 1),), 0)
+    # (1, 1, 3) ends in no tail, but swaps to (3, 1, 1), which does
+    assert (1, 1, 3) not in ws.index
+    assert ws.residue({(1, 1, 3): RatFunc.one()}) == {}
+    with pytest.raises(KeyError):
+        ws.residue({(1, 3): RatFunc.one()})
+    with pytest.raises(KeyError):
+        ws.residue({(3, 1, 1, 1): RatFunc.one()})
 
 
 _WRONG_COUNT_SCRIPT = """
